@@ -2,9 +2,10 @@
 
 The bath contact of the system qubit is a generalized-amplitude-damping
 channel with decay probability eta = 1 - exp(-Gamma), Gamma = gamma*tau*(2nbar+1),
-and ground-branch weight p = (nbar+1)/(2nbar+1). A fourth-order Runge-Kutta
-integrator of the underlying dissipator is kept alongside as a brute-force
-validation oracle.
+and ground-branch weight p = (nbar+1)/(2nbar+1). Its superoperator has a
+closed form, and so does the superoperator's derivative in nbar. A
+fourth-order Runge-Kutta integrator of the underlying dissipator is kept
+alongside as a brute-force validation oracle.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ class ModelParams:
     interaction: Interaction = Interaction.ZZ
 
     def __post_init__(self):
+        for name in ("nbar", "gamma_tau_se", "g_tau_sa"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.nbar < 0:
             raise ValueError(f"nbar must be >= 0, got {self.nbar}")
         if self.gamma_tau_se < 0:
@@ -89,6 +94,38 @@ def thermal_kraus(nbar: float, gamma_tau: float) -> KrausChannel:
         sq * np.array([[0, 0], [math.sqrt(eta), 0]]),
     ]
     return KrausChannel(tuple(k for k in ops if np.any(k)))
+
+
+def thermal_superop(nbar: float, gamma_tau: float):
+    """Superoperator T of the thermal map and its derivative dT/dnbar.
+
+    Both are 4x4 in the row-major vectorization (rho_gg, rho_ge, rho_eg,
+    rho_ee). With q = nbar/(2nbar+1), p = 1 - q and eta = 1 - e^-Gamma, the
+    map moves population q*eta from |g> to |e> and p*eta back, and scales the
+    coherences by e^-Gamma/2. The entries are smooth in nbar, with
+    dGamma/dnbar = 2 gamma_tau, so dT is exact.
+    """
+    if nbar < 0 or gamma_tau < 0:
+        raise ValueError("nbar and gamma_tau must be nonnegative")
+    d = 2.0 * nbar + 1.0
+    q = nbar / d
+    dq = 1.0 / (d * d)
+    decay = math.exp(-gamma_tau * d)
+    eta = -math.expm1(-gamma_tau * d)
+    deta = 2.0 * gamma_tau * decay
+    coh = math.exp(-0.5 * gamma_tau * d)
+    up, down = q * eta, (1.0 - q) * eta
+    dup, ddown = dq * eta + q * deta, -dq * eta + (1.0 - q) * deta
+    t = np.array([[1.0 - up, 0.0, 0.0, down],
+                  [0.0, coh, 0.0, 0.0],
+                  [0.0, 0.0, coh, 0.0],
+                  [up, 0.0, 0.0, 1.0 - down]])
+    dcoh = -gamma_tau * coh
+    dt = np.array([[-dup, 0.0, 0.0, ddown],
+                   [0.0, dcoh, 0.0, 0.0],
+                   [0.0, 0.0, dcoh, 0.0],
+                   [dup, 0.0, 0.0, -ddown]])
+    return t, dt
 
 
 def _dissipator(L: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -137,7 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_args(p)
     p.add_argument("--block", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--fd-step", type=float, default=None)
+    p.add_argument("--fd-step", type=float, default=None,
+                   help="take the nbar-derivative as a central difference with "
+                        "this step, the oracle for the default exact derivative")
 
     p = sub.add_parser("optimize", help="maximize QFI over ancilla input states")
     _add_point_args(p, interaction=False)

@@ -5,6 +5,8 @@ nbar; multiplying by (d nbar / dT)^2 converts to temperature units, a factor
 that cancels in every reported ratio. The QFI is evaluated directly from the
 eigendecomposition of rho, excluding the kernel, which sidesteps an explicit
 solve of the Lyapunov equation for the symmetric logarithmic derivative.
+The state derivative is exact by default (forward-mode through the collision
+chain); central differences in nbar remain available as an oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import numpy as np
 
 from . import qmat
 from .channels import ModelParams
-from .collision import AncillaBlock, outgoing_joint_state
+from .collision import (AncillaBlock, outgoing_joint_state,
+                        outgoing_with_derivative)
 
 KERNEL_REL_CUTOFF = 1e-12
 KERNEL_LEAK_TOL = 1e-8
@@ -26,8 +29,23 @@ PROB_CUTOFF = 1e-14
 class RankChangeError(RuntimeError):
     """The state derivative has support on the kernel of rho.
 
-    Signals a finite-difference step too large for the state's rank structure.
+    With the exact derivative this is a real rank change of the state at this
+    nbar, where the QFI is discontinuous. With a finite-difference derivative
+    it can also mean a step too large for the state's rank structure; then
+    ``step`` holds that step and the message says to reduce it.
     """
+
+    def __init__(self, max_kernel_element: float, step: float | None = None):
+        super().__init__(max_kernel_element, step)
+        self.max_kernel_element = max_kernel_element
+        self.step = step
+
+    def __str__(self) -> str:
+        text = ("derivative leaves the state's support "
+                f"(max kernel element {self.max_kernel_element:.3e})")
+        if self.step is not None:
+            text += f"; reduce the step ({self.step:.3g})"
+        return text
 
 
 @dataclass(frozen=True)
@@ -97,9 +115,7 @@ def qfi(rho: np.ndarray, drho: np.ndarray) -> float:
     mask = denom > cutoff
     leak = np.abs(a)[~mask]
     if leak.size and float(leak.max()) > KERNEL_LEAK_TOL:
-        raise RankChangeError(
-            "derivative leaves the state's support "
-            f"(max kernel element {float(leak.max()):.3e}); reduce the step")
+        raise RankChangeError(float(leak.max()))
     val = float(np.sum(2.0 * np.abs(a[mask]) ** 2 / denom[mask]))
     return max(val, 0.0)
 
@@ -135,12 +151,23 @@ def joint_state_builder(params: ModelParams, block: AncillaBlock,
 
 def fisher_for(params: ModelParams, block: AncillaBlock, n_measured: int,
                step: float | None = None) -> FisherResult:
-    """QFI of the N-ancilla outgoing state, in nbar units, plus the thermal ratio."""
-    h = default_step(params.nbar) if step is None else step
-    build = joint_state_builder(params, block, n_measured)
-    rho = build(params.nbar)
-    drho = state_derivative(build, params.nbar, h)
-    value = qfi(rho, drho)
+    """QFI of the N-ancilla outgoing state, in nbar units, plus the thermal ratio.
+
+    The state and its exact nbar-derivative come from one pass through the
+    collision chain. Given a ``step``, the derivative is instead the central
+    difference of three builds, the oracle for the exact one.
+    """
+    if step is None:
+        rho, drho = outgoing_with_derivative(params, block, n_measured)
+    else:
+        build = joint_state_builder(params, block, n_measured)
+        rho = build(params.nbar)
+        drho = state_derivative(build, params.nbar, step)
+    try:
+        value = qfi(rho, drho)
+    except RankChangeError as exc:
+        exc.step = step
+        raise
     ratio = value / (n_measured * thermal_fi_nbar(params.nbar))
     return FisherResult(value_nbar=value, ratio_thermal=ratio,
                         n_measured=n_measured, block_b=block.b)

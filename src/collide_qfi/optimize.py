@@ -82,8 +82,9 @@ def _bloch_pair(theta: float, phi: float):
 def schmidt_state(p: SchmidtParams) -> np.ndarray:
     plus_m, minus_m = _bloch_pair(p.theta_m, 0.0)
     plus_n, minus_n = _bloch_pair(p.theta_n, p.phi_n)
-    psi = (math.sqrt(p.r) * np.kron(plus_m, plus_n)
-           + np.exp(1j * p.alpha) * math.sqrt(1.0 - p.r) * np.kron(minus_m, minus_n))
+    psi = (math.sqrt(p.r) * np.outer(plus_m, plus_n).ravel()
+           + np.exp(1j * p.alpha) * math.sqrt(1.0 - p.r)
+           * np.outer(minus_m, minus_n).ravel())
     return psi / np.linalg.norm(psi)
 
 
@@ -157,10 +158,12 @@ _B2_SEEDS = [
 ]
 
 
+_B2_LO = np.array([b[0] for b in _B2_BOUNDS])
+_B2_HI = np.array([b[1] for b in _B2_BOUNDS])
+
+
 def _clip_to_bounds(x: np.ndarray) -> np.ndarray:
-    lo = np.array([b[0] for b in _B2_BOUNDS])
-    hi = np.array([b[1] for b in _B2_BOUNDS])
-    return np.minimum(np.maximum(x, lo), hi)
+    return np.minimum(np.maximum(x, _B2_LO), _B2_HI)
 
 
 def _schmidt_from_vector(x: np.ndarray) -> SchmidtParams:
@@ -190,10 +193,9 @@ def optimize_b2(params: ModelParams, n_measured: int, seed: int = 0,
         return -fisher_for(params, block, n_measured).value_nbar
 
     rng = np.random.default_rng(seed)
-    lo = np.array([b[0] for b in _B2_BOUNDS])
-    hi = np.array([b[1] for b in _B2_BOUNDS])
     starts = [np.array(s) for s in _B2_SEEDS]
-    starts += [lo + rng.random(5) * (hi - lo) for _ in range(n_random_starts)]
+    starts += [_B2_LO + rng.random(5) * (_B2_HI - _B2_LO)
+               for _ in range(n_random_starts)]
 
     best_x, best_val = None, -math.inf
     for x0 in starts:

@@ -37,6 +37,8 @@ class SweepConfig:
             grid = tuple(float(x) for x in getattr(self, name))
             if not grid:
                 raise ValueError(f"{name} is empty")
+            if not all(math.isfinite(x) for x in grid):
+                raise ValueError(f"{name} has a non-finite point")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
             object.__setattr__(self, name, grid)

@@ -8,7 +8,8 @@ from collide_qfi.channels import (Interaction, KrausChannel, ModelParams,
                                   apply_kraus_on, apply_unitary_on,
                                   collision_unitary, default_rk4_steps,
                                   embed_op, exchange_unitary, gibbs_state,
-                                  lindblad_rk4, thermal_kraus, zz_unitary)
+                                  lindblad_rk4, thermal_kraus, thermal_superop,
+                                  zz_unitary)
 
 
 def random_density(rng, d=2):
@@ -22,6 +23,12 @@ def test_model_params_validation():
         ModelParams(nbar=-0.1, gamma_tau_se=1.0)
     with pytest.raises(ValueError):
         ModelParams(nbar=1.0, gamma_tau_se=-1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for field in ("nbar", "gamma_tau_se", "g_tau_sa"):
+            kwargs = dict(nbar=1.0, gamma_tau_se=0.5, g_tau_sa=1.0)
+            kwargs[field] = bad
+            with pytest.raises(ValueError, match="finite"):
+                ModelParams(**kwargs)
     p = ModelParams(nbar=2.0, gamma_tau_se=0.5)
     assert abs(p.big_gamma - 2.5) < 1e-15
 
@@ -80,6 +87,32 @@ def test_thermal_kraus_matches_rk4_oracle():
             rho = random_density(rng)
             ref = lindblad_rk4(rho, nbar, gt, default_rk4_steps(big_gamma))
             assert np.max(np.abs(ch.apply(rho) - ref)) < 1e-8
+
+
+def _kraus_superop(nbar, gt):
+    return sum(np.kron(k, k.conj()) for k in thermal_kraus(nbar, gt).operators)
+
+
+def test_thermal_superop_matches_kraus_set():
+    # T is the sum of K (x) K* over the Kraus set; dT is its nbar-derivative.
+    # The Kraus set forms sqrt(1 - eta) by cancellation, so the coherences
+    # agree to 1e-13 at large Gamma, not to rounding.
+    h = 1e-6
+    for nbar in (0.0, 0.3, 1.0, 10.0):
+        for gt in (0.0, 0.01, 0.5, 3.0):
+            t, dt = thermal_superop(nbar, gt)
+            assert np.max(np.abs(t - _kraus_superop(nbar, gt))) < 1e-13
+            if nbar > 0:
+                fd = (_kraus_superop(nbar + h, gt)
+                      - _kraus_superop(nbar - h, gt)) / (2 * h)
+            else:  # one-sided, second order
+                fd = (-3 * _kraus_superop(0.0, gt) + 4 * _kraus_superop(h, gt)
+                      - _kraus_superop(2 * h, gt)) / (2 * h)
+            assert np.max(np.abs(dt - fd)) < 1e-8
+    t, dt = thermal_superop(2.0, 0.0)
+    assert np.array_equal(t, np.eye(4)) and not np.any(dt)
+    with pytest.raises(ValueError):
+        thermal_superop(-1.0, 0.5)
 
 
 def test_lindblad_rk4_validates_steps():

@@ -117,6 +117,16 @@ def test_sweep_command_csv(tmp_path, capsys):
     assert abs(float(first[2]) - zz_fn(0.5, 0.2, 2)) < 1e-6
 
 
+def test_sweep_command_rejects_non_finite_grid(capsys):
+    # a NaN point used to pass the monotonicity check and reach LAPACK
+    for grid in ("0.5,nan", "inf", "0.5,1.0,-inf"):
+        rc = cli.main(["sweep", "--nbar-grid", grid, "--gamma-tau-grid", "0.2",
+                       "--interaction", "zz", "--block", "plusx", "--n", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "DLASCL" not in err
+
+
 def test_sweep_command_json_stdout(capsys):
     rc = cli.main(["sweep", "--nbar-grid", "1.0", "--gamma-tau-grid", "0.5",
                    "--block", "plusx", "--n", "1", "--quantities", "qfi",

@@ -5,10 +5,11 @@ import pytest
 
 from collide_qfi import qmat
 from collide_qfi.channels import (Interaction, ModelParams, apply_kraus_on,
-                                  apply_unitary_on, collision_unitary,
+                                  apply_unitary_on, collision_unitary, embed_op,
                                   gibbs_state, thermal_kraus)
 from collide_qfi.collision import (AncillaBlock, FixedPointError,
-                                   block_map_superop, outgoing_joint_state,
+                                   block_collision_superop, block_map_superop,
+                                   outgoing_joint_state,
                                    power_iteration_fixed_point, steady_state,
                                    steady_state_for)
 
@@ -171,3 +172,68 @@ def test_full_swap_outgoing_ancilla_excitation():
     big_gamma = gt * (2 * nbar + 1)
     q = nbar * (1.0 - math.exp(-big_gamma)) / (2 * nbar + 1)
     assert abs(rho[1, 1].real - q) < 1e-12
+
+
+def kraus_chain_state(params, block, n):
+    """Outgoing state by the direct route: rho_S* (x) Psi^(x)N/b, then per
+    ancilla the embedded collision unitary and the thermal Kraus set on S."""
+    dims = [2] * (1 + n)
+    u = collision_unitary(params)
+    thermal = thermal_kraus(params.nbar, params.gamma_tau_se)
+    joint = steady_state_for(params, block).rho_s_star
+    for _ in range(n // block.b):
+        joint = np.kron(joint, block.projector)
+    for i in range(1, n + 1):
+        joint = apply_unitary_on(u, joint, [0, i], dims)
+        joint = apply_kraus_on(thermal, joint, 0, dims)
+    return qmat.partial_trace(joint, list(range(1, n + 1)), dims)
+
+
+def test_outgoing_joint_state_matches_kraus_chain():
+    blocks = [plusx_block(), ground_block(),
+              AncillaBlock(b=2, psi=np.kron(qmat.KET_PLUS_X, qmat.KET_PLUS_Y)),
+              AncillaBlock(b=2, psi=(np.kron(qmat.KET_G, qmat.KET_G)
+                                     + np.kron(qmat.KET_E, qmat.KET_E))
+                           / math.sqrt(2))]
+    worst = 0.0
+    for interaction in Interaction:
+        for nbar, gt in ((0.1, 0.01), (1.0, 0.3), (10.0, 3.0)):
+            params = ModelParams(nbar=nbar, gamma_tau_se=gt, g_tau_sa=0.9,
+                                 interaction=interaction)
+            for blk in blocks:
+                for n in range(blk.b, 5, blk.b):
+                    got = outgoing_joint_state(params, blk, n)
+                    ref = kraus_chain_state(params, blk, n)
+                    worst = max(worst, float(np.max(np.abs(got - ref))))
+    assert worst < 1e-12
+
+
+def test_block_collision_superop_pair():
+    # S against the product of embedded unitary and Kraus superoperators,
+    # dS against a central difference of S; the cached pair is read-only
+    def direct(params, b):
+        dims = [2] * (1 + b)
+        u = collision_unitary(params)
+        kraus = thermal_kraus(params.nbar, params.gamma_tau_se).operators
+        s_t = sum(np.kron(k, k.conj())
+                  for k in (embed_op(k, [0], dims) for k in kraus))
+        s = np.eye(4 ** (1 + b), dtype=complex)
+        for i in range(1, b + 1):
+            uf = embed_op(u, [0, i], dims)
+            s = s_t @ np.kron(uf, uf.conj()) @ s
+        return s
+
+    h = 1e-5
+    for interaction in Interaction:
+        for b in (1, 2):
+            params = ModelParams(nbar=0.8, gamma_tau_se=0.4, g_tau_sa=1.1,
+                                 interaction=interaction)
+            s, ds = block_collision_superop(params, b)
+            assert np.max(np.abs(s - direct(params, b))) < 1e-14
+            up = direct(ModelParams(nbar=0.8 + h, gamma_tau_se=0.4,
+                                    g_tau_sa=1.1, interaction=interaction), b)
+            down = direct(ModelParams(nbar=0.8 - h, gamma_tau_se=0.4,
+                                      g_tau_sa=1.1, interaction=interaction), b)
+            assert np.max(np.abs(ds - (up - down) / (2 * h))) < 1e-8
+            with pytest.raises(ValueError):
+                s[0, 0] = 0.0

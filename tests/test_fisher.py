@@ -128,3 +128,78 @@ def test_fisher_for_matches_closed_form():
     assert res.n_measured == 3
     assert res.block_b == 1
     assert abs(res.ratio_thermal - res.value_nbar / (3 * thermal_fi_nbar(2.0))) < 1e-12
+
+
+def test_exact_derivative_matches_zz_closed_form():
+    block = AncillaBlock(b=1, psi=qmat.KET_PLUS_X)
+    worst = 0.0
+    # the zz-progression claim's 12-point grid, plus a small nbar
+    for nbar in (0.2, 1.0, 5.0, 10.0, 1e-3):
+        for gt in (0.1, 0.5, 2.0):
+            params = ModelParams(nbar=nbar, gamma_tau_se=gt,
+                                 interaction=Interaction.ZZ)
+            for n in range(1, 5):
+                closed = zz_fn(nbar, gt, n)
+                value = fisher_for(params, block, n).value_nbar
+                worst = max(worst, abs(value - closed) / closed)
+    assert worst <= 1e-10
+
+
+def five_point_qfi(params, block, n, h):
+    """QFI with a fourth-order central difference of the state in nbar."""
+    build = joint_state_builder(params, block, n)
+    x = params.nbar
+    drho = (-build(x + 2 * h) + 8 * build(x + h) - 8 * build(x - h)
+            + build(x - 2 * h)) / (12 * h)
+    return qfi(build(x), drho)
+
+
+def test_exact_derivative_matches_finite_differences():
+    # The oracle is a five-point difference at the first step whose halving
+    # moves the QFI by less than 1e-8. The three-point difference cannot get
+    # there where the QFI is ~1e-9: rounding in the state sets its floor.
+    blocks = [AncillaBlock(b=1, psi=qmat.KET_PLUS_X),
+              AncillaBlock(b=2, psi=np.kron(qmat.KET_PLUS_X, qmat.KET_PLUS_Y))]
+    worst = 0.0
+    for interaction in Interaction:
+        for nbar in (0.1, 1.0, 10.0):
+            for gt in (0.01, 0.3, 3.0):
+                params = ModelParams(nbar=nbar, gamma_tau_se=gt, g_tau_sa=0.9,
+                                     interaction=interaction)
+                for block in blocks:
+                    for n in range(block.b, 5, block.b):
+                        value = fisher_for(params, block, n).value_nbar
+                        if value <= 1e-12:
+                            continue
+                        for h in (4e-2 * nbar, 4e-3 * nbar, 4e-4 * nbar):
+                            full = five_point_qfi(params, block, n, h)
+                            half = five_point_qfi(params, block, n, h / 2)
+                            if abs(full - half) < 1e-8 * half:
+                                break
+                        else:
+                            pytest.fail(f"no converged step at {params}, N={n}")
+                        worst = max(worst, abs(value - half) / half)
+    assert worst <= 1e-6
+
+
+def test_fisher_for_degenerate_fixed_point():
+    # no bath contact and no collision: Phi = I, every state is fixed and
+    # nothing depends on nbar, so the QFI is 0 on both paths
+    params = ModelParams(nbar=1.0, gamma_tau_se=0.0, g_tau_sa=0.0,
+                         interaction=Interaction.EXCHANGE)
+    for block in (AncillaBlock(b=1, psi=qmat.KET_PLUS_X),
+                  AncillaBlock(b=2, psi=np.kron(qmat.KET_G, qmat.KET_PLUS_X))):
+        assert fisher_for(params, block, 2).value_nbar == 0.0
+        assert fisher_for(params, block, 2, step=1e-4).value_nbar == 0.0
+
+
+def test_rank_change_message_names_the_step_only_when_given():
+    exact = RankChangeError(3.1e-8)
+    assert "max kernel element 3.100e-08" in str(exact)
+    assert "step" not in str(exact)
+    assert "reduce the step" in str(RankChangeError(3.1e-8, step=1e-6))
+    # on the exact path a kernel leak is a real rank change of the state
+    params = ModelParams(nbar=1e-6, gamma_tau_se=1.0, interaction=Interaction.ZZ)
+    with pytest.raises(RankChangeError) as info:
+        fisher_for(params, AncillaBlock(b=1, psi=qmat.KET_PLUS_X), 4)
+    assert info.value.step is None and "step" not in str(info.value)

@@ -26,6 +26,11 @@ def test_sweep_config_validation():
         small_config(nbar_grid=())
     with pytest.raises(ValueError):
         small_config(nbar_grid=(1.0, 0.5))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            small_config(nbar_grid=(0.5, bad))
+        with pytest.raises(ValueError, match="non-finite"):
+            small_config(gamma_tau_grid=(bad, 0.8))
     with pytest.raises(ValueError):
         small_config(quantities=("qfi", "bogus"))
     with pytest.raises(ValueError):
