@@ -110,86 +110,108 @@ def block_collision_superop(params: ModelParams, b: int) -> np.ndarray:
 @lru_cache(maxsize=128)
 def _block_map_tensor(params: ModelParams, b: int) -> np.ndarray:
     """Block superoperator pair with the ancilla output already traced, as a
-    (2*16, 4^b) matrix acting on the vectorized block input state: rows
-    0-15 give Phi and rows 16-31 give dPhi/dnbar."""
+    read-only (2*16, 4^b) matrix acting on the vectorized block input state:
+    rows 0-15 give Phi and rows 16-31 give dPhi/dnbar."""
     big_b = 2 ** b
     t = block_collision_superop(params, b).reshape(
         2, 2, big_b, 2, big_b, 2, big_b, 2, big_b)
     t = np.einsum('kiajaxbyc->kijxybc', t)
-    return np.ascontiguousarray(t.reshape(32, big_b * big_b))
+    t = np.ascontiguousarray(t.reshape(32, big_b * big_b))
+    t.flags.writeable = False
+    return t
+
+
+def _projectors(psi: np.ndarray) -> np.ndarray:
+    """Stack of projectors |psi><psi| for a (B, d) stack of state vectors."""
+    return psi[:, :, None] * psi.conj()[:, None, :]
 
 
 def _block_maps(params: ModelParams, b: int, proj: np.ndarray) -> np.ndarray:
-    """Phi and dPhi/dnbar for block input state ``proj``, as a (2, 4, 4) array."""
-    return (_block_map_tensor(params, b) @ proj.reshape(-1)).reshape(2, 4, 4)
+    """Phi and dPhi/dnbar for a (B, 2^b, 2^b) stack of block input states
+    ``proj``, as a (B, 2, 4, 4) array: one matmul for the whole stack."""
+    tensor = _block_map_tensor(params, b)
+    return (proj.reshape(len(proj), -1) @ tensor.T).reshape(-1, 2, 4, 4)
 
 
 def block_map_superop(params: ModelParams, block: AncillaBlock) -> np.ndarray:
     """4x4 superoperator of Phi: rho_S -> tr_A{C[rho_S (x) Psi]}."""
-    return _block_maps(params, block.b, block.projector)[0]
+    return _block_maps(params, block.b, block.projector[None])[0, 0]
 
 
+_I4 = np.eye(4)
 _TRACE_ROW = np.array([1.0, 0.0, 0.0, 1.0])
 _E3 = np.array([0.0, 0.0, 0.0, 1.0])
+_B5 = np.array([0, 0, 0, 0, 1.0], dtype=complex)
+
+
+def _inverse_or_nan(a: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return np.full_like(a, np.nan)
 
 
 def _solve_fixed_point(superop: np.ndarray):
-    """Solve (Phi - I) rho = 0 with tr rho = 1.
+    """Solve (Phi - I) rho = 0 with tr rho = 1 for a (B, 4, 4) stack of maps.
 
     Trace preservation makes the rows of (Phi - I) at the two diagonal slots
     linearly dependent, so one of them can be replaced by the trace
     constraint, giving a square system. This avoids eigenvector extraction,
     which loses half the digits when the decaying part of the spectrum is
-    defective (exact full-swap collisions). Returns rho and the inverse of
-    the square system, which is None when the fixed space is degenerate.
+    defective (exact full-swap collisions). Returns rho (B, 2, 2), the
+    inverses of the square systems (B, 4, 4) and a mask of the rows whose
+    inverse passed the residual check. A row that fails it has a degenerate
+    fixed space and takes the minimum-norm fixed point by least squares.
     """
-    a = superop - np.eye(4)
-    a[3, :] = _TRACE_ROW
+    a = superop - _I4
+    a[:, 3, :] = _TRACE_ROW
     try:
         inv = np.linalg.inv(a)
-        x = inv[:, 3]
-        if not np.all(np.isfinite(x)) or np.max(np.abs(a @ x - _E3)) > 1e-9:
-            inv = None
     except np.linalg.LinAlgError:
-        inv = None
-    if inv is None:
-        # Degenerate fixed space: fall back to the minimum-norm fixed point.
-        b5 = np.array([0, 0, 0, 0, 1.0], dtype=complex)
-        x = np.linalg.lstsq(_stacked_system(superop), b5, rcond=None)[0]
-    rho = x.reshape(2, 2)
-    rho = (rho + rho.conj().T) / 2.0
-    rho = rho / rho.trace().real
-    return rho, inv
+        inv = np.array([_inverse_or_nan(m) for m in a])
+    x = inv[:, :, 3]
+    # NaN or inf in x fails the comparison too
+    ok = np.abs((a @ x[:, :, None])[:, :, 0] - _E3).max(axis=1) <= 1e-9
+    if not ok.all():
+        for i in np.flatnonzero(~ok):
+            x[i] = np.linalg.lstsq(_stacked_system(superop[i]), _B5,
+                                   rcond=None)[0]
+    rho = x.reshape(-1, 2, 2)
+    rho = (rho + rho.conj().transpose(0, 2, 1)) / 2.0
+    rho /= (rho[:, 0, 0].real + rho[:, 1, 1].real)[:, None, None]
+    return rho, inv, ok
 
 
 def _stacked_system(superop: np.ndarray) -> np.ndarray:
     """(Phi - I) with the trace row appended, for the least-squares branch."""
-    return np.vstack([superop - np.eye(4), _TRACE_ROW])
+    return np.vstack([superop - _I4, _TRACE_ROW])
 
 
 def _fixed_point_pair(superop: np.ndarray, dsuperop: np.ndarray):
-    """Fixed point rho* of Phi and its derivative drho*/dnbar.
+    """Fixed points rho* of a (B, 4, 4) stack of maps Phi and their
+    derivatives drho*/dnbar, each as a (B, 2, 2) stack.
 
     Differentiating (Phi - I) rho* = 0 gives (Phi - I) drho* = -(dPhi) rho*
     with tr drho* = 0: the same system as the fixed point, solved again with
     a new right-hand side. Trace preservation of every Phi(nbar) keeps that
     right-hand side traceless, so the bordered row can again be dropped. A
-    degenerate fixed space solves the tangent by the same least squares.
+    row with a degenerate fixed space solves the tangent by the same least
+    squares, alone.
     """
-    rho, inv = _solve_fixed_point(superop)
-    if inv is None:
-        # Re-derive through the checked path so non-unique or missing fixed
-        # points surface the same way they do in steady_state_for.
-        rho = steady_state(superop).rho_s_star
-    r = -(dsuperop @ rho.reshape(-1))
-    if inv is None:
-        x = np.linalg.lstsq(_stacked_system(superop), np.append(r, 0.0),
-                            rcond=None)[0]
-    else:
-        r[3] = 0.0
-        x = inv @ r
-    drho = x.reshape(2, 2)
-    return rho, (drho + drho.conj().T) / 2.0
+    rho, inv, ok = _solve_fixed_point(superop)
+    r = -(dsuperop @ rho.reshape(-1, 4, 1))
+    r[:, 3] = 0.0
+    x = (inv @ r)[:, :, 0]
+    if not ok.all():
+        for i in np.flatnonzero(~ok):
+            # Re-derive through the checked path so non-unique or missing
+            # fixed points surface the same way they do in steady_state_for.
+            rho[i] = steady_state(superop[i]).rho_s_star
+            ri = -(dsuperop[i] @ rho[i].reshape(-1))
+            x[i] = np.linalg.lstsq(_stacked_system(superop[i]),
+                                   np.append(ri, 0.0), rcond=None)[0]
+    drho = x.reshape(-1, 2, 2)
+    return rho, (drho + drho.conj().transpose(0, 2, 1)) / 2.0
 
 
 def steady_state(superop: np.ndarray) -> SteadyStateResult:
@@ -201,7 +223,7 @@ def steady_state(superop: np.ndarray) -> SteadyStateResult:
     if near.size == 0:
         raise FixedPointError(
             f"no eigenvalue within 1e-8 of 1 (closest: {evals[np.argmin(dist)]})")
-    rho, _ = _solve_fixed_point(superop)
+    rho = _solve_fixed_point(superop[None])[0][0]
     diff = (superop @ rho.reshape(-1)).reshape(2, 2) - rho
     # Trace norm of a Hermitian 2x2 in closed form.
     t, d = diff.trace().real, np.linalg.det(diff).real
@@ -216,50 +238,55 @@ def steady_state_for(params: ModelParams, block: AncillaBlock) -> SteadyStateRes
 
 
 def _collide_block(pair: np.ndarray, x: np.ndarray, proj: np.ndarray) -> np.ndarray:
-    """Let a fresh block in state ``proj`` collide with the system.
+    """Let a fresh block collide with the system, for a stack of inputs.
 
-    ``x[k, iS, jS, iD, jD]`` holds the joint state of the system and the
-    ancillas already out (k=0) and its derivative (k=1). The pair (S, dS)
-    acts on (system, new block): rho -> S rho and drho -> S drho + dS rho.
+    ``x[n, k, iS, jS, iD, jD]`` holds, for stack row n, the joint state of
+    the system and the ancillas already out (k=0) and its derivative (k=1);
+    ``proj[n]`` is that row's block state. The pair (S, dS) acts on (system,
+    new block): rho -> S rho and drho -> S drho + dS rho. The stack rows and
+    k fold into the matmul columns, so one matmul serves the whole stack.
     The new block is appended after the earlier ancillas.
     """
-    d = x.shape[3]
-    big_b = proj.shape[0]
+    n, d = x.shape[0], x.shape[4]
+    big_b = proj.shape[1]
     dim = 4 * big_b * big_b
-    # rows (iS, iB, jS, jB), columns (k, iD, jD)
-    inp = (x.transpose(1, 2, 0, 3, 4)[:, None, :, None]
-           * proj[None, :, None, :, None, None, None]).reshape(dim, -1)
-    out = (pair.reshape(2 * dim, dim) @ inp).reshape(2, dim, 2, d * d)
+    # rows (iS, iB, jS, jB), columns (n, k, iD, jD)
+    inp = (x.transpose(2, 3, 0, 1, 4, 5)[:, None, :, None]
+           * proj.transpose(1, 2, 0)[None, :, None, :, :, None, None, None]
+           ).reshape(dim, -1)
+    out = (pair.reshape(2 * dim, dim) @ inp).reshape(2, dim, n, 2, d * d)
     y = out[0]
-    y[:, 1] += out[1, :, 0]
-    y = y.reshape(2, big_b, 2, big_b, 2, d, d)
-    return y.transpose(4, 0, 2, 5, 1, 6, 3).reshape(
-        2, 2, 2, d * big_b, d * big_b)
+    y[:, :, 1] += out[1, :, :, 0]
+    y = y.reshape(2, big_b, 2, big_b, n, 2, d, d)
+    return y.transpose(4, 5, 0, 2, 6, 1, 7, 3).reshape(
+        n, 2, 2, 2, d * big_b, d * big_b)
 
 
-def outgoing_with_derivative(params: ModelParams, block: AncillaBlock,
+def outgoing_with_derivative(params: ModelParams, b: int, psi: np.ndarray,
                              n_measured: int):
     """Joint state of N consecutive outgoing ancillas at steady-state
-    operation and its exact derivative in nbar, as (rho, drho).
+    operation and its exact derivative in nbar, for a (B, 2^b) stack of
+    normalized block states ``psi``; returns (rho, drho), each (B, 2^N, 2^N).
 
     Starts from (rho_S*, drho_S*) (x) Psi and applies the cached block
     superoperator pair to the system and one fresh block at a time, carrying
-    the derivative forward by the product rule; then traces out S.
+    the derivative forward by the product rule; then traces out S. Every
+    step runs on the whole stack at once.
     """
     if not 1 <= n_measured <= MAX_MEASURED:
         raise ValueError(f"n_measured must be in 1..{MAX_MEASURED}")
-    if n_measured % block.b != 0:
+    if n_measured % b != 0:
         raise ValueError(
-            f"n_measured={n_measured} is not a multiple of block size {block.b}")
-    proj = block.projector
-    phi, dphi = _block_maps(params, block.b, proj)
-    rho_s, drho_s = _fixed_point_pair(phi, dphi)
-    pair = block_collision_superop(params, block.b)
-    x = np.stack([rho_s, drho_s])[:, :, :, None, None]
-    for _ in range(n_measured // block.b):
+            f"n_measured={n_measured} is not a multiple of block size {b}")
+    proj = _projectors(psi)
+    maps = _block_maps(params, b, proj)
+    rho_s, drho_s = _fixed_point_pair(maps[:, 0], maps[:, 1])
+    pair = block_collision_superop(params, b)
+    x = np.stack([rho_s, drho_s], axis=1)[..., None, None]
+    for _ in range(n_measured // b):
         x = _collide_block(pair, x, proj)
-    out = x[:, 0, 0] + x[:, 1, 1]
-    return out[0], out[1]
+    out = x[:, :, 0, 0] + x[:, :, 1, 1]
+    return out[:, 0], out[:, 1]
 
 
 def outgoing_joint_state(params: ModelParams, block: AncillaBlock,
@@ -268,9 +295,10 @@ def outgoing_joint_state(params: ModelParams, block: AncillaBlock,
 
     Starts from rho_S* (x) Psi^{(x) N/b}, applies per ancilla the collision
     unitary on (S, A_i) followed by the thermal map on S, then traces out S.
-    This is the state half of ``outgoing_with_derivative``.
+    This is the state half of ``outgoing_with_derivative`` for one block.
     """
-    return outgoing_with_derivative(params, block, n_measured)[0]
+    return outgoing_with_derivative(params, block.b, block.psi[None],
+                                    n_measured)[0][0]
 
 
 def power_iteration_fixed_point(superop: np.ndarray, rho0: np.ndarray,

@@ -102,22 +102,28 @@ def state_derivative(builder, nbar: float, step: float) -> np.ndarray:
     return (builder(nbar + step) - builder(nbar - step)) / (2.0 * step)
 
 
-def qfi(rho: np.ndarray, drho: np.ndarray) -> float:
+def qfi(rho: np.ndarray, drho: np.ndarray):
     """Quantum Fisher information from rho and its parameter derivative.
 
     In the eigenbasis of rho, QFI = sum_{ij} 2 |<i|drho|j>|^2 / (lambda_i +
-    lambda_j) over pairs outside the kernel.
+    lambda_j) over pairs outside the kernel. A leading batch axis gives one
+    value per row from one stacked eigendecomposition; a single state gives
+    a float. Any row whose derivative leaks into its kernel raises.
     """
     lam, v = qmat.herm_eigen(rho)
-    a = v.conj().T @ drho @ v
-    denom = lam[:, None] + lam[None, :]
-    cutoff = KERNEL_REL_CUTOFF * float(lam.max())
-    mask = denom > cutoff
-    leak = np.abs(a)[~mask]
-    if leak.size and float(leak.max()) > KERNEL_LEAK_TOL:
-        raise RankChangeError(float(leak.max()))
-    val = float(np.sum(2.0 * np.abs(a[mask]) ** 2 / denom[mask]))
-    return max(val, 0.0)
+    a = v.conj().swapaxes(-1, -2) @ drho @ v
+    denom = lam[..., :, None] + lam[..., None, :]
+    # eigh sorts ascending, so the last eigenvalue is the largest
+    mask = denom > KERNEL_REL_CUTOFF * lam[..., -1, None, None]
+    if not mask.all():
+        leak = np.where(mask, 0.0, np.abs(a)).max(axis=(-2, -1))
+        leaking = np.flatnonzero(leak > KERNEL_LEAK_TOL)
+        if leaking.size:
+            raise RankChangeError(float(leak.flat[leaking[0]]))
+        denom = np.where(mask, denom, np.inf)
+    terms = (a.real * a.real + a.imag * a.imag) / denom
+    val = np.maximum(2.0 * terms.sum(axis=(-2, -1)), 0.0)
+    return float(val) if val.ndim == 0 else val
 
 
 def cfi(rho_builder, povm: Povm, nbar: float, step: float | None = None) -> float:
@@ -149,16 +155,30 @@ def joint_state_builder(params: ModelParams, block: AncillaBlock,
     return build
 
 
+def qfi_values(params: ModelParams, b: int, psi: np.ndarray,
+               n_measured: int) -> np.ndarray:
+    """QFI in nbar units of the N-ancilla outgoing state for each row of a
+    (B, 2^b) stack of block states, from one stacked pass through the
+    collision chain and one stacked eigendecomposition."""
+    psi = qmat.pure_states(psi)
+    if psi.ndim != 2 or psi.shape[1] != 2 ** b:
+        raise ValueError(f"psi stack shape {psi.shape} does not match b={b}")
+    return qfi(*outgoing_with_derivative(params, b, psi, n_measured))
+
+
 def fisher_for(params: ModelParams, block: AncillaBlock, n_measured: int,
                step: float | None = None) -> FisherResult:
     """QFI of the N-ancilla outgoing state, in nbar units, plus the thermal ratio.
 
     The state and its exact nbar-derivative come from one pass through the
-    collision chain. Given a ``step``, the derivative is instead the central
-    difference of three builds, the oracle for the exact one.
+    collision chain: the one-row case of ``qfi_values``. Given a ``step``,
+    the derivative is instead the central difference of three builds, the
+    oracle for the exact one.
     """
     if step is None:
-        rho, drho = outgoing_with_derivative(params, block, n_measured)
+        rho, drho = outgoing_with_derivative(params, block.b, block.psi[None],
+                                             n_measured)
+        rho, drho = rho[0], drho[0]
     else:
         build = joint_state_builder(params, block, n_measured)
         rho = build(params.nbar)

@@ -60,13 +60,20 @@ def check_density_matrix(rho, herm_tol: float = HERM_TOL,
     return rho
 
 
+def pure_states(amplitudes) -> np.ndarray:
+    """Validate and return a stack of normalized state vectors, one per row
+    of the last axis."""
+    psi = np.asarray(amplitudes, dtype=complex)
+    nrm2 = np.sum(psi.real ** 2 + psi.imag ** 2, axis=-1)
+    bad = np.flatnonzero(~(np.abs(nrm2 - 1.0) <= HERM_TOL))
+    if bad.size:
+        raise ValueError(f"state norm^2 = {nrm2.flat[bad[0]]} differs from 1")
+    return psi
+
+
 def pure_state(amplitudes) -> np.ndarray:
     """Validate and return a normalized state vector."""
-    psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    nrm2 = float(np.vdot(psi, psi).real)
-    if abs(nrm2 - 1.0) > HERM_TOL:
-        raise ValueError(f"state norm^2 = {nrm2} differs from 1")
-    return psi
+    return pure_states(np.asarray(amplitudes, dtype=complex).reshape(-1))
 
 
 def projector(psi) -> np.ndarray:
@@ -105,15 +112,18 @@ def partial_trace(rho, keep, dims) -> np.ndarray:
 
 
 def herm_eigen(h, tol: float = EIG_TOL):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix in a stack
+    along the leading axes.
 
     Returns (eigenvalues ascending, eigenvector matrix V) with h = V diag(w) V^dag.
     """
-    h = _as_matrix(h)
-    if not is_hermitian(h, tol):
+    h = np.asarray(h, dtype=complex)
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {h.shape}")
+    h_dag = h.conj().swapaxes(-1, -2)
+    if not float(np.max(np.abs(h - h_dag))) <= tol:
         raise ValueError("input is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2)
-    return w, v
+    return np.linalg.eigh((h + h_dag) / 2)
 
 
 def trace_norm(a) -> float:

@@ -8,6 +8,8 @@ from collide_qfi.channels import (Interaction, ModelParams, apply_kraus_on,
                                   apply_unitary_on, collision_unitary, embed_op,
                                   gibbs_state, thermal_kraus)
 from collide_qfi.collision import (AncillaBlock, FixedPointError,
+                                   _block_map_tensor, _block_maps,
+                                   _fixed_point_pair,
                                    block_collision_superop, block_map_superop,
                                    outgoing_joint_state,
                                    power_iteration_fixed_point, steady_state,
@@ -237,3 +239,40 @@ def test_block_collision_superop_pair():
             assert np.max(np.abs(ds - (up - down) / (2 * h))) < 1e-8
             with pytest.raises(ValueError):
                 s[0, 0] = 0.0
+
+
+def test_block_map_tensor_is_read_only():
+    # lru_cache hands the same array to every caller: a write must fail
+    # rather than corrupt later evaluations with the same (params, b)
+    params = ModelParams(nbar=0.8, gamma_tau_se=0.4,
+                         interaction=Interaction.EXCHANGE)
+    for b in (1, 2):
+        tensor = _block_map_tensor(params, b)
+        with pytest.raises(ValueError):
+            tensor[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            tensor *= 2.0
+
+
+def test_fixed_point_pair_stack_mixes_degenerate_rows():
+    # a row with a degenerate fixed space (Phi = I) takes the least-squares
+    # branch alone; every row equals the one-row result for its map
+    maps = []
+    for interaction in Interaction:
+        params = ModelParams(nbar=0.9, gamma_tau_se=0.3, g_tau_sa=1.2,
+                             interaction=interaction)
+        for block in (plusx_block(),
+                      AncillaBlock(b=2, psi=np.kron(qmat.KET_G, qmat.KET_PLUS_Y))):
+            maps.append(_block_maps(params, block.b, block.projector[None])[0])
+    identity = (np.eye(4, dtype=complex), np.zeros((4, 4), dtype=complex))
+    maps.insert(2, identity)
+    phi = np.array([m[0] for m in maps])
+    dphi = np.array([m[1] for m in maps])
+    rho, drho = _fixed_point_pair(phi, dphi)
+    for i, (p, dp) in enumerate(maps):
+        rho_1, drho_1 = _fixed_point_pair(p[None], dp[None])
+        assert np.max(np.abs(rho[i] - rho_1[0])) < 1e-14
+        assert np.max(np.abs(drho[i] - drho_1[0])) < 1e-12
+    # the degenerate row keeps the minimum-norm fixed point I/2
+    assert np.max(np.abs(rho[2] - np.eye(2) / 2)) < 1e-15
+    assert np.max(np.abs(drho[2])) == 0.0

@@ -8,7 +8,8 @@ from collide_qfi.channels import Interaction, ModelParams, gibbs_state
 from collide_qfi.collision import AncillaBlock
 from collide_qfi.fisher import (Povm, RankChangeError, cfi, default_step,
                                 dnbar_dT, fisher_for, joint_state_builder,
-                                qfi, state_derivative, thermal_fi_nbar)
+                                qfi, qfi_values, state_derivative,
+                                thermal_fi_nbar)
 from collide_qfi.zz_analytic import zz_fn
 
 
@@ -203,3 +204,80 @@ def test_rank_change_message_names_the_step_only_when_given():
     with pytest.raises(RankChangeError) as info:
         fisher_for(params, AncillaBlock(b=1, psi=qmat.KET_PLUS_X), 4)
     assert info.value.step is None and "step" not in str(info.value)
+
+
+def random_states(rng, count, dim):
+    psi = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+
+
+def test_qfi_values_match_fisher_for():
+    # each row of one stacked call against the one-row evaluation of its state
+    rng = np.random.default_rng(11)
+    named = {1: [qmat.KET_PLUS_X, qmat.KET_G, qmat.KET_PLUS_Y],
+             2: [np.kron(qmat.KET_G, qmat.KET_PLUS_X),
+                 (np.kron(qmat.KET_G, qmat.KET_G)
+                  + np.kron(qmat.KET_E, qmat.KET_E)) / math.sqrt(2)]}
+    worst = 0.0
+    for interaction in Interaction:
+        for nbar, gt in ((0.3, 0.05), (2.0, 0.6), (10.0, 0.3)):
+            params = ModelParams(nbar=nbar, gamma_tau_se=gt, g_tau_sa=1.1,
+                                 interaction=interaction)
+            for b in (1, 2):
+                psi = np.vstack([named[b], random_states(rng, 5, 2 ** b)])
+                for n in range(b, 5, b):
+                    if n == 3:
+                        continue
+                    values = qfi_values(params, b, psi, n)
+                    assert values.shape == (len(psi),)
+                    for row, value in zip(psi, values):
+                        ref = fisher_for(params, AncillaBlock(b=b, psi=row),
+                                         n).value_nbar
+                        if ref == 0.0:
+                            assert value == 0.0
+                        else:
+                            worst = max(worst, abs(value - ref) / ref)
+    assert worst <= 1e-12
+
+
+def test_qfi_values_raise_rank_change_in_a_batch():
+    # one rank-changing row fails the whole stacked call, as the one-row
+    # call on that state does
+    params = ModelParams(nbar=1e-6, gamma_tau_se=1.0, interaction=Interaction.ZZ)
+    psi = np.array([qmat.KET_G, qmat.KET_PLUS_X, qmat.KET_E])
+    with pytest.raises(RankChangeError) as batch:
+        qfi_values(params, 1, psi, 4)
+    with pytest.raises(RankChangeError) as single:
+        fisher_for(params, AncillaBlock(b=1, psi=qmat.KET_PLUS_X), 4)
+    assert batch.value.max_kernel_element == pytest.approx(
+        single.value.max_kernel_element, rel=1e-6)
+    assert batch.value.step is None
+    # without that row the same point evaluates
+    values = qfi_values(params, 1, psi[[0, 2]], 4)
+    assert np.all(np.isfinite(values))
+
+
+def test_qfi_values_degenerate_fixed_point():
+    # Phi = I for every block state: each row takes the least-squares branch
+    # and returns the one-row value
+    params = ModelParams(nbar=1.0, gamma_tau_se=0.0, g_tau_sa=0.0,
+                         interaction=Interaction.EXCHANGE)
+    rng = np.random.default_rng(12)
+    for b in (1, 2):
+        psi = random_states(rng, 3, 2 ** b)
+        values = qfi_values(params, b, psi, 2)
+        for row, value in zip(psi, values):
+            assert value == fisher_for(params, AncillaBlock(b=b, psi=row),
+                                       2).value_nbar
+
+
+def test_qfi_values_validation():
+    params = ModelParams(nbar=1.0, gamma_tau_se=0.5)
+    with pytest.raises(ValueError):
+        qfi_values(params, 1, np.array([qmat.KET_G, [1.0, 1.0]]), 1)
+    with pytest.raises(ValueError):
+        qfi_values(params, 1, np.array([[np.nan, 0.0]]), 1)
+    with pytest.raises(ValueError):
+        qfi_values(params, 2, np.array([qmat.KET_G]), 2)
+    with pytest.raises(ValueError):
+        qfi_values(params, 2, np.array([np.kron(qmat.KET_G, qmat.KET_G)]), 3)

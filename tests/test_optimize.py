@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from collide_qfi import qmat
+from collide_qfi import optimize, qmat
 from collide_qfi.channels import Interaction, ModelParams
 from collide_qfi.collision import AncillaBlock
 from collide_qfi.fisher import fisher_for
@@ -127,3 +128,84 @@ def test_optimize_b2_deterministic_for_fixed_seed():
     b = optimize_b2(params, 2, seed=3, n_random_starts=2)
     assert a.value_nbar == b.value_nbar
     assert a.argmax == b.argmax
+    assert a == b
+
+
+def scipy_nelder_mead(g, x0, maxfev):
+    """scipy's bounded Nelder-Mead with the options optimize_b2 uses, plus
+    the number of loop passes it ended without completing."""
+    passes = []
+    res = minimize(g, x0, method="Nelder-Mead", bounds=optimize._B2_BOUNDS,
+                   callback=lambda intermediate_result: passes.append(1),
+                   options={"xatol": 1e-7, "fatol": 1e-7,
+                            "maxiter": maxfev, "maxfev": maxfev})
+    # The callback runs after every loop pass; nit - 1 counts the completed
+    # ones, so the difference is a pass cut short by the evaluation limit.
+    return res, len(passes) - (res.nit - 1)
+
+
+def assert_matches_scipy(g, starts, maxfev):
+    xs, funs, nfev = optimize._nelder_mead(
+        lambda x: np.array([g(row) for row in x]), np.array(starts))
+    cut = 0
+    for x0, x, fun, count in zip(starts, xs, funs, nfev):
+        res, unfinished = scipy_nelder_mead(g, x0, maxfev)
+        assert np.array_equal(x, res.x)
+        assert fun == res.fun
+        assert count == res.nfev
+        cut += unfinished
+    return nfev, cut
+
+
+def test_lockstep_nelder_mead_equals_scipy():
+    # the lock-step search must take each start through the same points as
+    # scipy, so one deterministic scalar objective drives both
+    params = ModelParams(nbar=10.0, gamma_tau_se=1.0,
+                         interaction=Interaction.EXCHANGE)
+
+    def g(x):
+        block = AncillaBlock(b=2, psi=schmidt_state(
+            optimize._schmidt_from_vector(x)))
+        return -fisher_for(params, block, 2).value_nbar
+
+    rng = np.random.default_rng(0)
+    randoms = [optimize._B2_LO + rng.random(5) * (optimize._B2_HI - optimize._B2_LO)
+               for _ in range(30)]
+    # the seeds put r = 1 on its upper bound, where the initial simplex step
+    # reflects into the interior; random start 29 runs into the evaluation
+    # limit inside an iteration
+    starts = [np.array(s) for s in optimize._B2_SEEDS] + [randoms[29]]
+    nfev, cut = assert_matches_scipy(g, starts, optimize._NM_MAXFEV)
+    assert nfev[-1] == optimize._NM_MAXFEV
+    assert cut >= 1
+
+
+def test_lockstep_nelder_mead_stops_like_scipy(monkeypatch):
+    # a rough objective with a low evaluation limit ends many starts inside
+    # an iteration, both before an expansion or contraction and in a shrink
+    weights = np.array([12.9898, 78.233, 37.719, 4.581, 91.17])
+
+    def g(x):
+        return float(np.sin(x @ weights) * 43758.5453 % 1.0)
+
+    limit = 30
+    monkeypatch.setattr(optimize, "_NM_MAXFEV", limit)
+    monkeypatch.setattr(optimize, "_NM_MAXITER", limit)
+    rng = np.random.default_rng(1)
+    starts = [optimize._B2_LO + rng.random(5) * (optimize._B2_HI - optimize._B2_LO)
+              for _ in range(40)]
+    nfev, cut = assert_matches_scipy(g, starts, limit)
+    assert np.all(nfev == limit)
+    assert cut >= 10
+
+
+def test_schmidt_states_clip_like_schmidt_from_vector():
+    # the stacked parameterization clips each row into the bounds exactly as
+    # the single-state path that reports the argmax does
+    rng = np.random.default_rng(2)
+    x = rng.uniform(-1.0, 7.0, size=(20, 5))
+    x[0] = (1.0, 0.0, 0.0, 2 * math.pi, 2 * math.pi)
+    stacked = optimize._schmidt_states(x)
+    for row, psi in zip(x, stacked):
+        assert np.array_equal(
+            psi, schmidt_state(optimize._schmidt_from_vector(row)))

@@ -108,6 +108,33 @@ def test_herm_eigen_rejects_nonhermitian():
         qmat.herm_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_herm_eigen_stack_matches_each_matrix():
+    rng = np.random.default_rng(6)
+    h = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    h = h + h.conj().transpose(0, 2, 1)
+    w, v = qmat.herm_eigen(h)
+    for i in range(5):
+        wi, vi = qmat.herm_eigen(h[i])
+        assert np.allclose(w[i], wi, atol=1e-12)
+        assert np.allclose(v[i] @ np.diag(w[i]) @ v[i].conj().T, h[i],
+                           atol=1e-10)
+    # one non-Hermitian matrix in the stack fails the call
+    h[3, 0, 1] += 1.0
+    with pytest.raises(ValueError):
+        qmat.herm_eigen(h)
+
+
+def test_pure_states_checks_each_row():
+    good = np.array([qmat.KET_G, qmat.KET_PLUS_X])
+    assert np.array_equal(qmat.pure_states(good), good)
+    with pytest.raises(ValueError):
+        qmat.pure_states(np.array([qmat.KET_G, [1.0, 1.0]]))
+    with pytest.raises(ValueError):
+        qmat.pure_states(np.array([[np.nan, 0.0]]))
+    with pytest.raises(ValueError):
+        qmat.pure_state([np.nan, 0.0])
+
+
 def test_trace_norm():
     assert abs(qmat.trace_norm(np.diag([1.0, -2.0])) - 3.0) < 1e-12
     rng = np.random.default_rng(5)
