@@ -96,35 +96,38 @@ def thermal_kraus(nbar: float, gamma_tau: float) -> KrausChannel:
     return KrausChannel(tuple(k for k in ops if np.any(k)))
 
 
-def thermal_superop(nbar: float, gamma_tau: float):
+def thermal_superop(nbar, gamma_tau):
     """Superoperator T of the thermal map and its derivative dT/dnbar.
 
     Both are 4x4 in the row-major vectorization (rho_gg, rho_ge, rho_eg,
     rho_ee). With q = nbar/(2nbar+1), p = 1 - q and eta = 1 - e^-Gamma, the
     map moves population q*eta from |g> to |e> and p*eta back, and scales the
     coherences by e^-Gamma/2. The entries are smooth in nbar, with
-    dGamma/dnbar = 2 gamma_tau, so dT is exact.
+    dGamma/dnbar = 2 gamma_tau, so dT is exact. Array arguments broadcast
+    against each other and give stacks of shape (..., 4, 4).
     """
-    if nbar < 0 or gamma_tau < 0:
+    nbar = np.asarray(nbar, dtype=float)
+    gamma_tau = np.asarray(gamma_tau, dtype=float)
+    if np.any(nbar < 0) or np.any(gamma_tau < 0):
         raise ValueError("nbar and gamma_tau must be nonnegative")
     d = 2.0 * nbar + 1.0
     q = nbar / d
     dq = 1.0 / (d * d)
-    decay = math.exp(-gamma_tau * d)
-    eta = -math.expm1(-gamma_tau * d)
+    decay = np.exp(-gamma_tau * d)
+    eta = -np.expm1(-gamma_tau * d)
     deta = 2.0 * gamma_tau * decay
-    coh = math.exp(-0.5 * gamma_tau * d)
+    coh = np.exp(-0.5 * gamma_tau * d)
     up, down = q * eta, (1.0 - q) * eta
     dup, ddown = dq * eta + q * deta, -dq * eta + (1.0 - q) * deta
-    t = np.array([[1.0 - up, 0.0, 0.0, down],
-                  [0.0, coh, 0.0, 0.0],
-                  [0.0, 0.0, coh, 0.0],
-                  [up, 0.0, 0.0, 1.0 - down]])
     dcoh = -gamma_tau * coh
-    dt = np.array([[-dup, 0.0, 0.0, ddown],
-                   [0.0, dcoh, 0.0, 0.0],
-                   [0.0, 0.0, dcoh, 0.0],
-                   [dup, 0.0, 0.0, -ddown]])
+    t = np.zeros(np.shape(eta) + (4, 4))
+    dt = np.zeros_like(t)
+    t[..., 0, 0], t[..., 0, 3], t[..., 3, 0], t[..., 3, 3] = (
+        1.0 - up, down, up, 1.0 - down)
+    t[..., 1, 1] = t[..., 2, 2] = coh
+    dt[..., 0, 0], dt[..., 0, 3], dt[..., 3, 0], dt[..., 3, 3] = (
+        -dup, ddown, dup, -ddown)
+    dt[..., 1, 1] = dt[..., 2, 2] = dcoh
     return t, dt
 
 

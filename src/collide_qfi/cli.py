@@ -204,6 +204,21 @@ def _sweep_settings(args) -> dict:
     return settings
 
 
+def _threads(settings) -> int:
+    """Worker count from --threads or the config file, else the environment;
+    anything but an integer >= 1 is rejected."""
+    raw, source = settings["threads"], "threads"
+    if raw is None:
+        raw, source = os.environ.get(THREADS_ENV, "1"), THREADS_ENV
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"{source} must be an integer >= 1, got {raw!r}")
+    return threads
+
+
 def cmd_sweep(args) -> int:
     settings = _sweep_settings(args)
     nbar_grid = (parse_grid(settings["nbar_grid"])
@@ -220,10 +235,8 @@ def cmd_sweep(args) -> int:
         block=block, n_measured=int(settings["n"]),
         quantities=quantities,
         g_tau_sa=float(settings["g_tau_sa"]) if settings["g_tau_sa"] else math.pi / 2)
-    threads = settings["threads"]
-    if threads is None:
-        threads = os.environ.get(THREADS_ENV, "1")
-    rows = run_sweep(config, seed=int(settings["seed"]), threads=int(threads))
+    rows = run_sweep(config, seed=int(settings["seed"]),
+                     threads=_threads(settings))
     write_output(rows, quantities, settings["format"], settings["output"])
     return 0
 

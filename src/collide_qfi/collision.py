@@ -1,9 +1,20 @@
-"""Stroboscopic block dynamics: the per-block map on the system, its fixed
-point, and the joint outgoing state of N consecutive ancillas at steady state.
+"""Stroboscopic block dynamics: the per-block step map, the block map on the
+system and its fixed point, and the joint outgoing state of N consecutive
+ancillas at steady state.
 
 Subsystem ordering is system first, then ancillas in arrival order. Vectorized
 density matrices use row-major flattening, so a map rho -> A rho B has
 superoperator kron(A, B.T).
+
+The outgoing stream is a finitely correlated state with the system as its
+memory, so one step map per block carries everything the chain needs:
+E: rho_S -> C_b...C_1(rho_S (x) Psi), with C_i the collision with ancilla i
+followed by the thermal map on S. A stack of step maps and their nbar
+derivatives is an (R, 2, 4*4^b, 4) array: ``maps[r, 0]`` is E and
+``maps[r, 1]`` is dE/dnbar for stack row r. Rows index the output as (iS, jS,
+block row, block column), the block operator flattened row-major; columns
+index the system input (iS, jS). The block map Phi on the system is the
+block trace of E.
 """
 
 from __future__ import annotations
@@ -54,39 +65,50 @@ class SteadyStateResult:
     unique: bool
 
 
-def _collision_pair(params: ModelParams) -> np.ndarray:
-    """Pair (C, dC/dnbar) of one collision on (S, A): the collision unitary,
-    then the thermal map on S. Stacked as a (2, 16, 16) array."""
-    u = collision_unitary(params).reshape(2, 2, 2, 2)
-    # kron(u, u*) with the system legs (s, t) of its output in front.
-    w = np.einsum('saSA,tcTC->stacSATC', u, u.conj()).reshape(4, 64)
-    thermal = np.stack(thermal_superop(params.nbar, params.gamma_tau_se))
-    c = (thermal.reshape(8, 4) @ w).reshape(2, 2, 2, 2, 2, 16)
-    return c.transpose(0, 1, 3, 2, 4, 5).reshape(2, 16, 16)
+def _collision_pairs(params) -> np.ndarray:
+    """Pairs (C, dC/dnbar) of one collision on (S, A), the collision unitary
+    then the thermal map on S, for a sequence of model parameters that share
+    the unitary: an (R, 2, 16, 16) array whose rows index the output and
+    columns the input, each as (iS, jS, iA, jA). One ``thermal_superop``
+    call serves the whole sequence."""
+    first = params[0]
+    if any(p.g_tau_sa != first.g_tau_sa or p.interaction is not first.interaction
+           for p in params):
+        raise ValueError("stacked parameters must share g_tau_sa and interaction")
+    u = collision_unitary(first).reshape(2, 2, 2, 2)
+    # kron(u, u*) with system legs first: rows (s, t, a, c), columns (S, T, A, C)
+    w = np.einsum('saSA,tcTC->stacSTAC', u, u.conj()).reshape(4, 64)
+    t, dt = thermal_superop(np.array([p.nbar for p in params]),
+                            np.array([p.gamma_tau_se for p in params]))
+    return (np.stack([t, dt], axis=1).reshape(-1, 4) @ w).reshape(-1, 2, 16, 16)
 
 
-def _append_collision(collision: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Pair of the block superoperator on (S, A_1..A_i), from the pair on
-    (S, A_1..A_{i-1}) and the one-collision pair on (S, A_i).
+def _step_maps(pairs: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Step maps (E, dE/dnbar) of one block from one-collision pairs ``pairs``
+    (P, 2, 16, 16) and block input operators ``ops`` (Q, 2^b, 2^b), with P
+    and Q equal or 1: an (max(P, Q), 2, 4*4^b, 4) stack.
 
-    S_i = C S_{i-1} and dS_i = dC S_{i-1} + C dS_{i-1}; the two maps share
-    only the system legs, so one matmul over those legs gives every product.
+    The first ancilla's collision contracts its input legs with Psi. The
+    second collides on (S, A_2) with A_1 and the system input as spectators;
+    its derivative is C dY + dC Y, so dC dY is never formed.
     """
-    m = math.isqrt(block.shape[1]) // 2
-    # rows (k, s, a, t, c, a', c'), columns (s'', t'')
-    x = collision.reshape(2, 2, 2, 2, 2, 2, 2, 2, 2)
-    x = x.transpose(0, 1, 2, 3, 4, 6, 8, 5, 7).reshape(128, 4)
-    # rows (s'', t''), columns (l, A, C, s', A', t', C')
-    y = block.reshape(2, 2, m, 2, m, 2, m, 2, m)
-    y = y.transpose(1, 3, 0, 2, 4, 5, 6, 7, 8).reshape(4, -1)
-    z = (x @ y).reshape(2, 2, 2, 2, 2, 2, 2, 2, m, m, 2, m, 2, m)
-    # z[k, s, a, t, c, a', c', l, A, C, s', A', t', C']
-    pair = np.stack([z[0, ..., 0, :, :, :, :, :, :],
-                     z[1, ..., 0, :, :, :, :, :, :]
-                     + z[0, ..., 1, :, :, :, :, :, :]])
-    d = 4 * m
-    return pair.transpose(0, 1, 7, 2, 3, 8, 4, 9, 10, 5, 11, 12, 6).reshape(
-        2, d * d, d * d)
+    big_b = ops.shape[1]
+    m = big_b // 2  # dimension of the ancillas after the first
+    # rows (a1, c1), columns (a2, c2) of each input operator
+    psi = ops.reshape(-1, 2, m, 2, m).transpose(0, 1, 3, 2, 4).reshape(-1, 4, m * m)
+    # y[r, k, s, t, a1, c1, S, T, (a2, c2)]
+    y = pairs.reshape(-1, 128, 4) @ psi
+    if m == 1:
+        return y.reshape(-1, 2, 16, 4)
+    r = len(y)
+    # rows (s, t, a2, c2) on which the second collision acts
+    y = y.reshape(r, 2, 2, 2, 2, 2, 2, 2, 2, 2).transpose(
+        0, 1, 2, 3, 8, 9, 4, 5, 6, 7).reshape(r, 2, 16, 16)
+    z = pairs.reshape(-1, 32, 16) @ y[:, 0]
+    z[:, 16:] += pairs[:, 0] @ y[:, 1]
+    # z[r, k, s, t, a2, c2, a1, c1, (S, T)] -> rows (s, t, a1, a2, c1, c2)
+    z = z.reshape(r, 2, 2, 2, 2, 2, 2, 2, 4).transpose(0, 1, 2, 3, 6, 4, 7, 5, 8)
+    return z.reshape(r, 2, 64, 4)
 
 
 @lru_cache(maxsize=128)
@@ -96,29 +118,33 @@ def block_collision_superop(params: ModelParams, b: int) -> np.ndarray:
     array: ``s, ds = block_collision_superop(params, b)``.
 
     The block applies, per ancilla in arrival order, the collision unitary on
-    (S, A_i) followed by the thermal map on S. Only the thermal map depends
-    on nbar, so dS follows from T and dT by the product rule.
+    (S, A_i) followed by the thermal map on S. S on rho_S (x) |a><c| is the
+    step map of the block input |a><c|, so S is the step-map builder run on
+    the operator basis of the block.
     """
-    collision = _collision_pair(params)
-    pair = collision
-    for _ in range(1, b):
-        pair = _append_collision(collision, pair)
+    big_b = 2 ** b
+    basis = np.eye(big_b * big_b).reshape(-1, big_b, big_b)
+    e = _step_maps(_collision_pairs([params]), basis).reshape(
+        big_b, big_b, 2, 2, 2, big_b, big_b, 2, 2)
+    # e[a, c, k, s, t, A, C, S, T] -> pair[k, (s, A, t, C), (S, a, T, c)]
+    pair = e.transpose(2, 3, 5, 4, 6, 7, 0, 8, 1).reshape(
+        2, 4 * big_b * big_b, 4 * big_b * big_b)
     pair.flags.writeable = False
     return pair
 
 
 @lru_cache(maxsize=128)
-def _block_map_tensor(params: ModelParams, b: int) -> np.ndarray:
-    """Block superoperator pair with the ancilla output already traced, as a
-    read-only (2*16, 4^b) matrix acting on the vectorized block input state:
-    rows 0-15 give Phi and rows 16-31 give dPhi/dnbar."""
+def _step_map_tensor(params: ModelParams, b: int) -> np.ndarray:
+    """The cached block pair arranged as a read-only (4^b, 32*4^b) matrix
+    that maps a vectorized block input state to its flattened step maps."""
     big_b = 2 ** b
-    t = block_collision_superop(params, b).reshape(
+    pair = block_collision_superop(params, b).reshape(
         2, 2, big_b, 2, big_b, 2, big_b, 2, big_b)
-    t = np.einsum('kiajaxbyc->kijxybc', t)
-    t = np.ascontiguousarray(t.reshape(32, big_b * big_b))
-    t.flags.writeable = False
-    return t
+    # pair[k, s, A, t, C, S, a, T, c] -> tensor[(a, c), (k, s, t, A, C, S, T)]
+    tensor = np.ascontiguousarray(pair.transpose(6, 8, 0, 1, 3, 2, 4, 5, 7)
+                                  ).reshape(big_b * big_b, -1)
+    tensor.flags.writeable = False
+    return tensor
 
 
 def _projectors(psi: np.ndarray) -> np.ndarray:
@@ -126,16 +152,31 @@ def _projectors(psi: np.ndarray) -> np.ndarray:
     return psi[:, :, None] * psi.conj()[:, None, :]
 
 
-def _block_maps(params: ModelParams, b: int, proj: np.ndarray) -> np.ndarray:
-    """Phi and dPhi/dnbar for a (B, 2^b, 2^b) stack of block input states
-    ``proj``, as a (B, 2, 4, 4) array: one matmul for the whole stack."""
-    tensor = _block_map_tensor(params, b)
-    return (proj.reshape(len(proj), -1) @ tensor.T).reshape(-1, 2, 4, 4)
+def step_maps(params: ModelParams, b: int, psi: np.ndarray) -> np.ndarray:
+    """Step maps of one set of model parameters for each row of a (B, 2^b)
+    stack of block states: one matmul against the cached tensor."""
+    tensor = _step_map_tensor(params, b)
+    return (_projectors(psi).reshape(len(psi), -1) @ tensor).reshape(
+        len(psi), 2, -1, 4)
+
+
+def step_maps_over_params(params, psi: np.ndarray) -> np.ndarray:
+    """Step maps of one block state ``psi`` for each point of a sequence of
+    model parameters that share the collision unitary, built per ancilla
+    from the stacked one-collision pairs; no block superoperator is formed."""
+    return _step_maps(_collision_pairs(params), _projectors(psi[None]))
+
+
+def _block_trace(maps: np.ndarray) -> np.ndarray:
+    """Block trace of a step-map stack: Phi and dPhi/dnbar, (R, 2, 4, 4)."""
+    r, _, rows, _ = maps.shape
+    big_b = math.isqrt(rows // 4)
+    return maps.reshape(r, 2, 4, big_b * big_b, 4)[:, :, :, ::big_b + 1].sum(axis=3)
 
 
 def block_map_superop(params: ModelParams, block: AncillaBlock) -> np.ndarray:
     """4x4 superoperator of Phi: rho_S -> tr_A{C[rho_S (x) Psi]}."""
-    return _block_maps(params, block.b, block.projector[None])[0, 0]
+    return _block_trace(step_maps(params, block.b, block.psi[None]))[0, 0]
 
 
 _I4 = np.eye(4)
@@ -237,56 +278,46 @@ def steady_state_for(params: ModelParams, block: AncillaBlock) -> SteadyStateRes
     return steady_state(block_map_superop(params, block))
 
 
-def _collide_block(pair: np.ndarray, x: np.ndarray, proj: np.ndarray) -> np.ndarray:
-    """Let a fresh block collide with the system, for a stack of inputs.
-
-    ``x[n, k, iS, jS, iD, jD]`` holds, for stack row n, the joint state of
-    the system and the ancillas already out (k=0) and its derivative (k=1);
-    ``proj[n]`` is that row's block state. The pair (S, dS) acts on (system,
-    new block): rho -> S rho and drho -> S drho + dS rho. The stack rows and
-    k fold into the matmul columns, so one matmul serves the whole stack.
-    The new block is appended after the earlier ancillas.
-    """
-    n, d = x.shape[0], x.shape[4]
-    big_b = proj.shape[1]
-    dim = 4 * big_b * big_b
-    # rows (iS, iB, jS, jB), columns (n, k, iD, jD)
-    inp = (x.transpose(2, 3, 0, 1, 4, 5)[:, None, :, None]
-           * proj.transpose(1, 2, 0)[None, :, None, :, :, None, None, None]
-           ).reshape(dim, -1)
-    out = (pair.reshape(2 * dim, dim) @ inp).reshape(2, dim, n, 2, d * d)
-    y = out[0]
-    y[:, :, 1] += out[1, :, :, 0]
-    y = y.reshape(2, big_b, 2, big_b, n, 2, d, d)
-    return y.transpose(4, 5, 0, 2, 6, 1, 7, 3).reshape(
-        n, 2, 2, 2, d * big_b, d * big_b)
-
-
-def outgoing_with_derivative(params: ModelParams, b: int, psi: np.ndarray,
-                             n_measured: int):
+def outgoing_with_derivative(maps: np.ndarray, n_measured: int):
     """Joint state of N consecutive outgoing ancillas at steady-state
-    operation and its exact derivative in nbar, for a (B, 2^b) stack of
-    normalized block states ``psi``; returns (rho, drho), each (B, 2^N, 2^N).
+    operation and its exact derivative in nbar, for each row of a step-map
+    stack ``maps``; returns (rho, drho), each (R, 2^N, 2^N).
 
-    Starts from (rho_S*, drho_S*) (x) Psi and applies the cached block
-    superoperator pair to the system and one fresh block at a time, carrying
-    the derivative forward by the product rule; then traces out S. Every
-    step runs on the whole stack at once.
+    The block trace of the maps gives the fixed point and its tangent
+    (rho_S*, drho_S*). Each block then takes matmuls over the system legs
+    only: [E; dE] x and E dx, the product rule without dE dx. The last
+    block's maps are traced over the system first, which ends the chain.
+    The ancilla legs pile up latest first and are put in arrival order once,
+    at the end.
     """
+    r, _, rows, _ = maps.shape
+    big_b = math.isqrt(rows // 4)
+    b = big_b.bit_length() - 1
     if not 1 <= n_measured <= MAX_MEASURED:
         raise ValueError(f"n_measured must be in 1..{MAX_MEASURED}")
     if n_measured % b != 0:
         raise ValueError(
             f"n_measured={n_measured} is not a multiple of block size {b}")
-    proj = _projectors(psi)
-    maps = _block_maps(params, b, proj)
-    rho_s, drho_s = _fixed_point_pair(maps[:, 0], maps[:, 1])
-    pair = block_collision_superop(params, b)
-    x = np.stack([rho_s, drho_s], axis=1)[..., None, None]
-    for _ in range(n_measured // b):
-        x = _collide_block(pair, x, proj)
-    out = x[:, :, 0, 0] + x[:, :, 1, 1]
-    return out[:, 0], out[:, 1]
+    phi = _block_trace(maps)
+    rho_s, drho_s = _fixed_point_pair(phi[:, 0], phi[:, 1])
+    # x[r, (iS, jS), columns]: the state; dx its derivative
+    x, dx = rho_s.reshape(r, 4, 1), drho_s.reshape(r, 4, 1)
+    blocks = n_measured // b
+    split = maps.reshape(r, 2, 4, -1, 4)
+    last = split[:, :, 0] + split[:, :, 3]
+    for i in range(blocks):
+        step = maps if i < blocks - 1 else last
+        z = step.reshape(r, -1, 4) @ x
+        half = z.shape[1] // 2
+        x, dx = z[:, :half], step[:, 0] @ dx + z[:, half:]
+        if i < blocks - 1:
+            x, dx = x.reshape(r, 4, -1), dx.reshape(r, 4, -1)
+    # columns (i_L, j_L, ..., i_1, j_1) -> (i_1..i_L), (j_1..j_L)
+    order = [1 + 2 * (blocks - 1 - k) for k in range(blocks)]
+    perm = [0] + order + [o + 1 for o in order]
+    dim = big_b ** blocks
+    return tuple(y.reshape(r, *[big_b] * (2 * blocks)).transpose(perm).reshape(
+        r, dim, dim) for y in (x, dx))
 
 
 def outgoing_joint_state(params: ModelParams, block: AncillaBlock,
@@ -297,8 +328,8 @@ def outgoing_joint_state(params: ModelParams, block: AncillaBlock,
     unitary on (S, A_i) followed by the thermal map on S, then traces out S.
     This is the state half of ``outgoing_with_derivative`` for one block.
     """
-    return outgoing_with_derivative(params, block.b, block.psi[None],
-                                    n_measured)[0][0]
+    maps = step_maps(params, block.b, block.psi[None])
+    return outgoing_with_derivative(maps, n_measured)[0][0]
 
 
 def power_iteration_fixed_point(superop: np.ndarray, rho0: np.ndarray,

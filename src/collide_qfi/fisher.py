@@ -19,7 +19,8 @@ import numpy as np
 from . import qmat
 from .channels import ModelParams
 from .collision import (AncillaBlock, outgoing_joint_state,
-                        outgoing_with_derivative)
+                        outgoing_with_derivative, step_maps,
+                        step_maps_over_params)
 
 KERNEL_REL_CUTOFF = 1e-12
 KERNEL_LEAK_TOL = 1e-8
@@ -96,9 +97,16 @@ def default_step(nbar: float) -> float:
 
 
 def state_derivative(builder, nbar: float, step: float) -> np.ndarray:
-    """Central-difference derivative of a state family with respect to nbar."""
+    """Central-difference derivative of a state family with respect to nbar.
+
+    The step may not exceed nbar: nbar - step would cross nbar = 0, where a
+    model state does not exist and a thermal state has no physical meaning.
+    """
     if step <= 0:
         raise ValueError("step must be > 0")
+    if step > nbar:
+        raise ValueError(f"finite-difference step {step:.3g} exceeds nbar = "
+                         f"{nbar:.3g}; use a step no larger than nbar")
     return (builder(nbar + step) - builder(nbar - step)) / (2.0 * step)
 
 
@@ -160,10 +168,21 @@ def qfi_values(params: ModelParams, b: int, psi: np.ndarray,
     """QFI in nbar units of the N-ancilla outgoing state for each row of a
     (B, 2^b) stack of block states, from one stacked pass through the
     collision chain and one stacked eigendecomposition."""
+    if b not in (1, 2):
+        raise ValueError(f"block size must be 1 or 2, got {b}")
     psi = qmat.pure_states(psi)
     if psi.ndim != 2 or psi.shape[1] != 2 ** b:
         raise ValueError(f"psi stack shape {psi.shape} does not match b={b}")
-    return qfi(*outgoing_with_derivative(params, b, psi, n_measured))
+    return qfi(*outgoing_with_derivative(step_maps(params, b, psi), n_measured))
+
+
+def qfi_row(params, block: AncillaBlock, n_measured: int) -> np.ndarray:
+    """QFI in nbar units of the N-ancilla outgoing state of one block at each
+    point of a sequence of model parameters that share g_tau_sa and the
+    interaction, such as one row of a sweep grid: one stacked pass through
+    the same chain as ``qfi_values``."""
+    maps = step_maps_over_params(params, block.psi)
+    return qfi(*outgoing_with_derivative(maps, n_measured))
 
 
 def fisher_for(params: ModelParams, block: AncillaBlock, n_measured: int,
@@ -176,8 +195,8 @@ def fisher_for(params: ModelParams, block: AncillaBlock, n_measured: int,
     oracle for the exact one.
     """
     if step is None:
-        rho, drho = outgoing_with_derivative(params, block.b, block.psi[None],
-                                             n_measured)
+        rho, drho = outgoing_with_derivative(
+            step_maps(params, block.b, block.psi[None]), n_measured)
         rho, drho = rho[0], drho[0]
     else:
         build = joint_state_builder(params, block, n_measured)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,7 +11,7 @@ from scipy.optimize import minimize_scalar
 from . import qmat
 from .channels import Interaction, ModelParams
 from .collision import AncillaBlock, FixedPointError
-from .fisher import fisher_for, thermal_fi_nbar
+from .fisher import fisher_for, qfi_row, thermal_fi_nbar
 from .optimize import optimize_b1, optimize_b2
 from .zz_analytic import zz_delta, zz_fn
 
@@ -65,62 +64,99 @@ def default_grids():
             tuple(np.logspace(-2, math.log10(3.0), 41)))
 
 
-def _eval_point(config: SweepConfig, nbar: float, gamma_tau: float,
-                seed: int) -> SweepRow:
-    params = ModelParams(nbar=nbar, gamma_tau_se=gamma_tau,
-                         g_tau_sa=config.g_tau_sa,
-                         interaction=config.interaction)
+def _params(config: SweepConfig, nbar: float, gamma_tau: float) -> ModelParams:
+    return ModelParams(nbar=nbar, gamma_tau_se=gamma_tau,
+                       g_tau_sa=config.g_tau_sa, interaction=config.interaction)
+
+
+def _optimized_values(config: SweepConfig, params: ModelParams,
+                      seed: int) -> dict:
+    """Values at one grid point of an ``optimize-b1``/``optimize-b2`` config."""
     n = config.n_measured
     values = {}
+    if config.block == "optimize-b1":
+        opt = optimize_b1(params, n)
+        values["theta_opt"] = opt.argmax.theta
+        if "ratio_per_copy" in config.quantities:
+            base = opt.value_nbar if n == 1 else optimize_b1(params, 1).value_nbar
+            values["ratio_per_copy"] = opt.value_nbar / (n * base)
+    else:
+        opt = optimize_b2(params, n, seed=seed)
+        if "ratio_per_copy" in config.quantities:
+            base = opt.value_nbar if n == 2 else optimize_b2(params, 2, seed=seed).value_nbar
+            values["ratio_per_copy"] = opt.value_nbar / ((n // 2) * base)
+    values["qfi"] = opt.value_nbar
+    return values
+
+
+def _fixed_block_values(config: SweepConfig, nbar: float,
+                        gamma_taus: tuple) -> list:
+    """Values of a fixed-block config at each gamma_tau of one nbar row, from
+    one stacked call (two with ``ratio_per_copy`` beyond one block)."""
+    params = [_params(config, nbar, gt) for gt in gamma_taus]
+    block, n = config.block, config.n_measured
+    qfi = qfi_row(params, block, n)
+    columns = {"qfi": qfi}
+    if "ratio_per_copy" in config.quantities:
+        base = qfi if n == block.b else qfi_row(params, block, block.b)
+        columns["ratio_per_copy"] = qfi / ((n // block.b) * base)
+    return [{q: float(v[i]) for q, v in columns.items()}
+            for i in range(len(gamma_taus))]
+
+
+def _row(config: SweepConfig, nbar: float, gamma_tau: float,
+         values: dict) -> SweepRow:
+    """Add the closed-form quantities to a point's values."""
+    if "ratio_thermal" in config.quantities:
+        values["ratio_thermal"] = values["qfi"] / (
+            config.n_measured * thermal_fi_nbar(nbar))
+    if "delta_zz" in config.quantities:
+        values["delta_zz"] = zz_delta(nbar, gamma_tau) / thermal_fi_nbar(nbar)
+    out = {q: values.get(q, math.nan) for q in config.quantities}
+    return SweepRow(nbar=nbar, gamma_tau=gamma_tau, values=out)
+
+
+def _eval_point(config: SweepConfig, nbar: float, gamma_tau: float,
+                seed: int) -> SweepRow:
     try:
-        if config.block == "optimize-b1":
-            opt = optimize_b1(params, n)
-            value = opt.value_nbar
-            values["theta_opt"] = opt.argmax.theta
-            if "ratio_per_copy" in config.quantities:
-                base = opt.value_nbar if n == 1 else optimize_b1(params, 1).value_nbar
-                values["ratio_per_copy"] = value / (n * base)
-        elif config.block == "optimize-b2":
-            opt = optimize_b2(params, n, seed=seed)
-            value = opt.value_nbar
-            if "ratio_per_copy" in config.quantities:
-                base = opt.value_nbar if n == 2 else optimize_b2(params, 2, seed=seed).value_nbar
-                values["ratio_per_copy"] = value / ((n // 2) * base)
+        if isinstance(config.block, str):
+            values = _optimized_values(config, _params(config, nbar, gamma_tau),
+                                       seed)
         else:
-            block = config.block
-            value = fisher_for(params, block, n).value_nbar
-            base_b = block.b
-            if "ratio_per_copy" in config.quantities:
-                base = value if n == base_b else fisher_for(params, block, base_b).value_nbar
-                values["ratio_per_copy"] = value / ((n // base_b) * base)
-        values["qfi"] = value
-        if "ratio_thermal" in config.quantities:
-            values["ratio_thermal"] = value / (n * thermal_fi_nbar(nbar))
-        if "delta_zz" in config.quantities:
-            values["delta_zz"] = zz_delta(nbar, gamma_tau) / thermal_fi_nbar(nbar)
-        out = {q: values.get(q, math.nan) for q in config.quantities}
-        return SweepRow(nbar=nbar, gamma_tau=gamma_tau, values=out)
-    except FixedPointError:
-        out = {q: math.nan for q in config.quantities}
-        return SweepRow(nbar=nbar, gamma_tau=gamma_tau, values=out,
-                        status="degenerate")
+            values = _fixed_block_values(config, nbar, (gamma_tau,))[0]
+        return _row(config, nbar, gamma_tau, values)
     except (ValueError, RuntimeError) as exc:
+        status = ("degenerate" if isinstance(exc, FixedPointError)
+                  else type(exc).__name__)
         out = {q: math.nan for q in config.quantities}
         return SweepRow(nbar=nbar, gamma_tau=gamma_tau, values=out,
-                        status=type(exc).__name__)
+                        status=status)
+
+
+def _eval_nbar_row(config: SweepConfig, nbar: float, seed: int) -> list:
+    """Rows of one nbar value. A fixed block takes one stacked pass over the
+    gamma_tau grid; if any point of it raises, every point is evaluated
+    again alone, so each gets its own status."""
+    grid = config.gamma_tau_grid
+    if not isinstance(config.block, str):
+        try:
+            return [_row(config, nbar, gt, values) for gt, values
+                    in zip(grid, _fixed_block_values(config, nbar, grid))]
+        except (ValueError, RuntimeError):
+            pass
+    return [_eval_point(config, nbar, gt, seed) for gt in grid]
 
 
 def run_sweep(config: SweepConfig, seed: int = 0, threads: int = 1):
-    """Evaluate every grid point; row order follows the grid regardless of
-    evaluation order."""
-    points = [(nb, gt) for nb in config.nbar_grid for gt in config.gamma_tau_grid]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(
-                lambda p: _eval_point(config, p[0], p[1], seed), points))
-    else:
-        rows = [_eval_point(config, nb, gt, seed) for nb, gt in points]
-    return rows
+    """Evaluate every grid point, nbar outer and gamma_tau inner.
+
+    Evaluation is serial: a fixed block is stacked one nbar row at a time,
+    which was measured faster than a thread pool over points. ``threads``
+    is kept for callers that pass a worker count; the rows are the same
+    for every value.
+    """
+    return [row for nbar in config.nbar_grid
+            for row in _eval_nbar_row(config, nbar, seed)]
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,26 @@ def test_thermal_superop_matches_kraus_set():
         thermal_superop(-1.0, 0.5)
 
 
+def test_thermal_superop_array_matches_scalar():
+    # np.exp and math.exp may differ in the last bit, so compare to 1e-15
+    # absolute rather than bit for bit
+    rng = np.random.default_rng(5)
+    nbar = np.concatenate([[0.0, 1e-6], 10.0 ** rng.uniform(-2, 1, 40)])
+    gt = np.concatenate([[0.5, 0.0], 10.0 ** rng.uniform(-3, 0.5, 40)])
+    t, dt = thermal_superop(nbar, gt)
+    assert t.shape == dt.shape == (42, 4, 4)
+    for i in range(len(nbar)):
+        t1, dt1 = thermal_superop(float(nbar[i]), float(gt[i]))
+        assert np.max(np.abs(t[i] - t1)) <= 1e-15
+        assert np.max(np.abs(dt[i] - dt1)) <= 1e-15
+    # a scalar nbar broadcasts against a gamma_tau row
+    t, dt = thermal_superop(2.0, gt[:5])
+    assert t.shape == (5, 4, 4)
+    assert np.max(np.abs(t[3] - thermal_superop(2.0, float(gt[3]))[0])) <= 1e-15
+    with pytest.raises(ValueError):
+        thermal_superop(np.array([1.0, 2.0]), np.array([0.5, -0.1]))
+
+
 def test_lindblad_rk4_validates_steps():
     with pytest.raises(ValueError):
         lindblad_rk4(np.eye(2) / 2, 1.0, 0.1, 0)

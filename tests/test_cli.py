@@ -78,6 +78,17 @@ def test_fisher_command_bad_block(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_fisher_command_fd_step_larger_than_nbar(capsys):
+    # the step is named, not the negative nbar that nbar - step would give
+    rc = cli.main(["fisher", "--nbar", "1e-7", "--gamma-tau", "0.5",
+                   "--interaction", "zz", "--block", "plusx", "--n", "1",
+                   "--fd-step", "1e-6"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "step 1e-06 exceeds nbar = 1e-07" in err
+    assert "must be >= 0" not in err
+
+
 def test_zz_closed_command(capsys):
     rc = cli.main(["zz-closed", "--nbar", "1.0", "--gamma-tau", "0.5",
                    "--n", "3"])
@@ -163,6 +174,23 @@ def test_sweep_threads_env(monkeypatch, capsys):
                    "--quantities", "qfi"])
     assert rc == 0
     assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def test_sweep_threads_below_one_rejected(monkeypatch, capsys):
+    args = ["sweep", "--nbar-grid", "0.5", "--gamma-tau-grid", "0.5",
+            "--block", "plusx", "--n", "1", "--quantities", "qfi"]
+    for flag in ("0", "-3"):
+        assert cli.main(args + ["--threads", flag]) == 2
+        captured = capsys.readouterr()
+        assert f"threads must be an integer >= 1, got '{flag}'" in captured.err
+        assert captured.out == ""
+    for value in ("0", "two"):
+        monkeypatch.setenv(cli.THREADS_ENV, value)
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert f"{cli.THREADS_ENV} must be an integer >= 1, got '{value}'" in err
+    # the flag wins over the environment
+    assert cli.main(args + ["--threads", "1"]) == 0
 
 
 def stub_report(passed):

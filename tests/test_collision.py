@@ -8,12 +8,12 @@ from collide_qfi.channels import (Interaction, ModelParams, apply_kraus_on,
                                   apply_unitary_on, collision_unitary, embed_op,
                                   gibbs_state, thermal_kraus)
 from collide_qfi.collision import (AncillaBlock, FixedPointError,
-                                   _block_map_tensor, _block_maps,
-                                   _fixed_point_pair,
-                                   block_collision_superop, block_map_superop,
-                                   outgoing_joint_state,
+                                   _block_trace, _fixed_point_pair,
+                                   _step_map_tensor, block_collision_superop,
+                                   block_map_superop, outgoing_joint_state,
                                    power_iteration_fixed_point, steady_state,
-                                   steady_state_for)
+                                   steady_state_for, step_maps,
+                                   step_maps_over_params)
 
 
 def random_density(rng, d=2):
@@ -241,13 +241,44 @@ def test_block_collision_superop_pair():
                 s[0, 0] = 0.0
 
 
-def test_block_map_tensor_is_read_only():
+def test_step_maps_match_block_collision_superop():
+    # E rho_S = S (rho_S (x) Psi) and dE rho_S = dS (rho_S (x) Psi), from the
+    # cached tensor (shared parameters, stacked states) and from the
+    # per-ancilla builder (stacked parameters, one state)
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for interaction in Interaction:
+        grid = [ModelParams(nbar=nbar, gamma_tau_se=gt, g_tau_sa=1.1,
+                            interaction=interaction)
+                for nbar, gt in ((0.1, 0.01), (0.8, 0.4), (10.0, 3.0))]
+        for b in (1, 2):
+            d = 2 ** b
+            psi = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
+            psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+            over_params = step_maps_over_params(grid, psi[0])
+            for i, params in enumerate(grid):
+                pair = block_collision_superop(params, b)
+                shared = step_maps(params, b, psi)
+                for maps, state in ((shared[0], psi[0]), (shared[2], psi[2]),
+                                    (over_params[i], psi[0])):
+                    for _ in range(2):
+                        rho_s = random_density(rng)
+                        joint = np.kron(rho_s, np.outer(state, state.conj()))
+                        for k in (0, 1):
+                            want = (pair[k] @ joint.reshape(-1)).reshape(
+                                2, d, 2, d).transpose(0, 2, 1, 3).reshape(-1)
+                            got = maps[k] @ rho_s.reshape(-1)
+                            worst = max(worst, float(np.max(np.abs(got - want))))
+    assert worst <= 1e-13
+
+
+def test_step_map_tensor_is_read_only():
     # lru_cache hands the same array to every caller: a write must fail
     # rather than corrupt later evaluations with the same (params, b)
     params = ModelParams(nbar=0.8, gamma_tau_se=0.4,
                          interaction=Interaction.EXCHANGE)
     for b in (1, 2):
-        tensor = _block_map_tensor(params, b)
+        tensor = _step_map_tensor(params, b)
         with pytest.raises(ValueError):
             tensor[0, 0] = 0.0
         with pytest.raises(ValueError):
@@ -263,7 +294,8 @@ def test_fixed_point_pair_stack_mixes_degenerate_rows():
                              interaction=interaction)
         for block in (plusx_block(),
                       AncillaBlock(b=2, psi=np.kron(qmat.KET_G, qmat.KET_PLUS_Y))):
-            maps.append(_block_maps(params, block.b, block.projector[None])[0])
+            maps.append(_block_trace(step_maps(params, block.b,
+                                               block.psi[None]))[0])
     identity = (np.eye(4, dtype=complex), np.zeros((4, 4), dtype=complex))
     maps.insert(2, identity)
     phi = np.array([m[0] for m in maps])

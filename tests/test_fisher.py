@@ -114,6 +114,19 @@ def test_cfi_never_exceeds_qfi():
         assert cfi(build, povm, 1.0) <= value + 1e-9
 
 
+def test_step_larger_than_nbar_is_rejected():
+    # nbar - step would cross nbar = 0: the thermal family would be
+    # differentiated through unphysical states, the model one not at all
+    z = Povm(effects=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+    with pytest.raises(ValueError, match=r"step 1e-06 exceeds nbar = 1e-07"):
+        cfi(gibbs_state, z, 1e-7)
+    with pytest.raises(ValueError, match="exceeds nbar"):
+        state_derivative(gibbs_state, 0.5, 0.6)
+    # a step equal to nbar reaches nbar = 0 and no further
+    drho = state_derivative(gibbs_state, 0.5, 0.5)
+    assert np.allclose(drho, (gibbs_state(1.0) - gibbs_state(0.0)) / 1.0)
+
+
 def test_cfi_dimension_mismatch():
     z4 = Povm(effects=(np.eye(4),))
     with pytest.raises(ValueError):
@@ -281,3 +294,5 @@ def test_qfi_values_validation():
         qfi_values(params, 2, np.array([qmat.KET_G]), 2)
     with pytest.raises(ValueError):
         qfi_values(params, 2, np.array([np.kron(qmat.KET_G, qmat.KET_G)]), 3)
+    with pytest.raises(ValueError, match="block size"):
+        qfi_values(params, 3, np.eye(8)[:1], 3)

@@ -1,15 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
 from collide_qfi import qmat
 from collide_qfi.channels import Interaction, ModelParams
-from collide_qfi.collision import AncillaBlock
+from collide_qfi.collision import AncillaBlock, FixedPointError
 from collide_qfi.fisher import fisher_for, thermal_fi_nbar
 from collide_qfi.sweeps import (ClaimReport, ClaimResult, SweepConfig,
                                 _ground_swap_ratio, _maximize_1d,
                                 default_grids, render_report, run_sweep)
-from collide_qfi.zz_analytic import zz_fn
+from collide_qfi.zz_analytic import zz_delta, zz_fn
 from collide_qfi.cli import parse_block
 
 
@@ -65,6 +66,65 @@ def test_run_sweep_threads_match_serial():
     for a, b in zip(serial, threaded):
         assert a.nbar == b.nbar and a.gamma_tau == b.gamma_tau
         assert a.values == b.values
+
+
+def point_by_point(config):
+    """Status and values of each grid point from one fisher_for call per
+    point and quantity, the way a sweep evaluated them one at a time."""
+    out = []
+    for nbar in config.nbar_grid:
+        for gt in config.gamma_tau_grid:
+            params = ModelParams(nbar=nbar, gamma_tau_se=gt,
+                                 g_tau_sa=config.g_tau_sa,
+                                 interaction=config.interaction)
+            block, n = config.block, config.n_measured
+            try:
+                value = fisher_for(params, block, n).value_nbar
+                values = {"qfi": value,
+                          "ratio_thermal": value / (n * thermal_fi_nbar(nbar)),
+                          "delta_zz": zz_delta(nbar, gt) / thermal_fi_nbar(nbar)}
+                base = fisher_for(params, block, block.b).value_nbar
+                values["ratio_per_copy"] = value / ((n // block.b) * base)
+                out.append(("ok", values))
+            except FixedPointError:
+                out.append(("degenerate", None))
+            except (ValueError, RuntimeError) as exc:
+                out.append((type(exc).__name__, None))
+    return out
+
+
+def test_run_sweep_stacked_rows_match_fisher_for():
+    # one stacked pass per nbar row gives what one fisher_for call per point
+    # gives: the same statuses, values to 1e-12 relative
+    rng = np.random.default_rng(2)
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    random_b2 = AncillaBlock(b=2, psi=psi / np.linalg.norm(psi))
+    gg = parse_block("gg")
+    quantities = ("qfi", "ratio_thermal", "ratio_per_copy", "delta_zz")
+    grid = dict(nbar_grid=(0.1, 0.7, 4.0), gamma_tau_grid=(0.01, 0.2, 1.0, 3.0))
+    cases = [dict(block=parse_block("plusx"), n_measured=n) for n in (1, 2, 3, 4)]
+    cases += [dict(interaction=Interaction.EXCHANGE, block=gg, n_measured=n)
+              for n in (2, 4)]
+    cases += [dict(interaction=interaction, block=random_b2, n_measured=n,
+                   g_tau_sa=0.9)
+              for interaction in Interaction for n in (2, 4)]
+    cases = [dict(grid, **case) for case in cases]
+    # n = 1e-6: a rank change at the three middle points only
+    cases.append(dict(nbar_grid=(1e-6,), gamma_tau_grid=(0.01, 0.1, 0.3, 1.0, 3.0),
+                      interaction=Interaction.EXCHANGE, block=gg, n_measured=4))
+    for case in cases:
+        config = small_config(quantities=quantities, **case)
+        rows = run_sweep(config)
+        expected = point_by_point(config)
+        assert len(rows) == len(expected)
+        for row, (status, values) in zip(rows, expected):
+            assert row.status == status, (case, row)
+            for q in quantities:
+                if values is None:
+                    assert math.isnan(row.values[q])
+                else:
+                    assert abs(row.values[q] - values[q]) <= 1e-12 * abs(values[q])
+    assert [r.status for r in rows] == ["ok"] + ["RankChangeError"] * 3 + ["ok"]
 
 
 def test_run_sweep_records_error_status():
