@@ -159,7 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.add_argument("--format", choices=["csv", "json"], default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted for compatibility and checked to be an "
+                        f"integer >= 1 (also from {THREADS_ENV}); it no longer "
+                        "changes anything, since a sweep runs in one thread")
 
     p = sub.add_parser("claims", help="run the scalar claim suite")
     p.add_argument("--seed", type=int, default=0)

@@ -154,10 +154,16 @@ def _projectors(psi: np.ndarray) -> np.ndarray:
 
 def step_maps(params: ModelParams, b: int, psi: np.ndarray) -> np.ndarray:
     """Step maps of one set of model parameters for each row of a (B, 2^b)
-    stack of block states: one matmul against the cached tensor."""
-    tensor = _step_map_tensor(params, b)
-    return (_projectors(psi).reshape(len(psi), -1) @ tensor).reshape(
-        len(psi), 2, -1, 4)
+    stack of block states: two real matmuls against the cached tensor."""
+    # Real products, not one complex one: numpy's OpenBLAS runs the complex
+    # product of a 17-row optimizer stack in several threads, scipy's
+    # L-BFGS-B wakes scipy's own OpenBLAS pool between two such calls, and
+    # when the two pools want more threads than there are cores they stall
+    # each other for a scheduler slice per call. These real products do not.
+    tensor = _step_map_tensor(params, b).view(float)
+    p = _projectors(psi).reshape(len(psi), -1)
+    maps = (p.real @ tensor).view(complex) + 1j * (p.imag @ tensor).view(complex)
+    return maps.reshape(len(psi), 2, -1, 4)
 
 
 def step_maps_over_params(params, psi: np.ndarray) -> np.ndarray:

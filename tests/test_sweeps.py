@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,22 @@ def test_run_sweep_ratio_per_copy():
     for r in rows:
         f1 = zz_fn(r.nbar, r.gamma_tau, 1)
         assert abs(r.values["ratio_per_copy"] - r.values["qfi"] / (2 * f1)) < 1e-6
+
+
+def test_run_sweep_ratio_per_copy_undefined_without_coupling():
+    # with no system-ancilla coupling the one-block QFI is 0, so the per-copy
+    # ratio has no value: the row says so instead of reading ok
+    config = small_config(interaction=Interaction.EXCHANGE,
+                          block=parse_block("g"), gamma_tau_grid=(0.0, 0.5),
+                          nbar_grid=(1.0,), g_tau_sa=0.0,
+                          quantities=("qfi", "ratio_per_copy"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = run_sweep(config)
+    assert [r.status for r in rows] == ["undefined", "undefined"]
+    for r in rows:
+        assert r.values["qfi"] == 0.0
+        assert math.isnan(r.values["ratio_per_copy"])
 
 
 def test_maximize_1d_interior_peak():
