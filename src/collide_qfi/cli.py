@@ -291,7 +291,7 @@ def main(argv=None) -> int:
             print(f"ratio_thermal = {_fmt(value / (args.n * fth))}")
             return 0
         parser.error(f"unknown command {args.command!r}")
-    except (ValueError, qmat.CapacityError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FixedPointError, RuntimeError, OSError) as exc:

@@ -112,6 +112,17 @@ def _step_maps(pairs: np.ndarray, ops: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
+def _step_map_tensor(params: ModelParams, b: int) -> np.ndarray:
+    """Read-only (4^b, 32*4^b) matrix that maps a vectorized block input
+    state to its flattened step maps: the step-map builder run on the
+    operator basis of the block, one basis element per row."""
+    basis = np.eye(4 ** b).reshape(-1, 2 ** b, 2 ** b)
+    tensor = _step_maps(_collision_pairs([params]), basis).reshape(4 ** b, -1)
+    tensor.flags.writeable = False
+    return tensor
+
+
+@lru_cache(maxsize=128)
 def block_collision_superop(params: ModelParams, b: int) -> np.ndarray:
     """Superoperator S of the full block collision on (system, A_1..A_b) and
     its derivative dS/dnbar, stacked as a read-only (2, 4^(1+b), 4^(1+b))
@@ -119,32 +130,18 @@ def block_collision_superop(params: ModelParams, b: int) -> np.ndarray:
 
     The block applies, per ancilla in arrival order, the collision unitary on
     (S, A_i) followed by the thermal map on S. S on rho_S (x) |a><c| is the
-    step map of the block input |a><c|, so S is the step-map builder run on
-    the operator basis of the block.
+    step map of the block input |a><c|, so S is the step-map tensor
+    rearranged. Nothing computes with S; it is the reference layout against
+    which tests check the step maps.
     """
     big_b = 2 ** b
-    basis = np.eye(big_b * big_b).reshape(-1, big_b, big_b)
-    e = _step_maps(_collision_pairs([params]), basis).reshape(
+    e = _step_map_tensor(params, b).reshape(
         big_b, big_b, 2, 2, 2, big_b, big_b, 2, 2)
     # e[a, c, k, s, t, A, C, S, T] -> pair[k, (s, A, t, C), (S, a, T, c)]
     pair = e.transpose(2, 3, 5, 4, 6, 7, 0, 8, 1).reshape(
         2, 4 * big_b * big_b, 4 * big_b * big_b)
     pair.flags.writeable = False
     return pair
-
-
-@lru_cache(maxsize=128)
-def _step_map_tensor(params: ModelParams, b: int) -> np.ndarray:
-    """The cached block pair arranged as a read-only (4^b, 32*4^b) matrix
-    that maps a vectorized block input state to its flattened step maps."""
-    big_b = 2 ** b
-    pair = block_collision_superop(params, b).reshape(
-        2, 2, big_b, 2, big_b, 2, big_b, 2, big_b)
-    # pair[k, s, A, t, C, S, a, T, c] -> tensor[(a, c), (k, s, t, A, C, S, T)]
-    tensor = np.ascontiguousarray(pair.transpose(6, 8, 0, 1, 3, 2, 4, 5, 7)
-                                  ).reshape(big_b * big_b, -1)
-    tensor.flags.writeable = False
-    return tensor
 
 
 def _projectors(psi: np.ndarray) -> np.ndarray:
@@ -188,7 +185,6 @@ def block_map_superop(params: ModelParams, block: AncillaBlock) -> np.ndarray:
 _I4 = np.eye(4)
 _TRACE_ROW = np.array([1.0, 0.0, 0.0, 1.0])
 _E3 = np.array([0.0, 0.0, 0.0, 1.0])
-_B5 = np.array([0, 0, 0, 0, 1.0], dtype=complex)
 
 
 def _inverse_or_nan(a: np.ndarray) -> np.ndarray:
@@ -198,17 +194,32 @@ def _inverse_or_nan(a: np.ndarray) -> np.ndarray:
         return np.full_like(a, np.nan)
 
 
-def _solve_fixed_point(superop: np.ndarray):
-    """Solve (Phi - I) rho = 0 with tr rho = 1 for a (B, 4, 4) stack of maps.
+def _unit_eigenvalues(superop: np.ndarray) -> int:
+    """Number of eigenvalues of a 4x4 map within 1e-8 of 1; FixedPointError
+    when there is none."""
+    evals = np.linalg.eigvals(superop)
+    dist = np.abs(evals - 1.0)
+    near = int(np.count_nonzero(dist < 1e-8))
+    if near == 0:
+        raise FixedPointError(
+            f"no eigenvalue within 1e-8 of 1 (closest: {evals[np.argmin(dist)]})")
+    return near
 
-    Trace preservation makes the rows of (Phi - I) at the two diagonal slots
-    linearly dependent, so one of them can be replaced by the trace
-    constraint, giving a square system. This avoids eigenvector extraction,
-    which loses half the digits when the decaying part of the spectrum is
-    defective (exact full-swap collisions). Returns rho (B, 2, 2), the
-    inverses of the square systems (B, 4, 4) and a mask of the rows whose
-    inverse passed the residual check. A row that fails it has a degenerate
-    fixed space and takes the minimum-norm fixed point by least squares.
+
+def _fixed_point_pair(superop: np.ndarray, dsuperop: np.ndarray):
+    """Fixed points rho* of a (B, 4, 4) stack of maps Phi and their
+    derivatives drho*/dnbar, each as a (B, 2, 2) stack.
+
+    rho* solves (Phi - I) rho = 0 with tr rho = 1. Trace preservation makes
+    the rows of (Phi - I) at the two diagonal slots linearly dependent, so one
+    of them is replaced by the trace constraint, giving a square system. This
+    avoids eigenvector extraction, which loses half the digits when the
+    decaying part of the spectrum is defective (exact full-swap collisions).
+    Differentiating gives (Phi - I) drho* = -(dPhi) rho* with tr drho* = 0:
+    the same system with a traceless right-hand side, solved by the same
+    inverse. A row whose inverse fails the residual check has a degenerate
+    fixed space, or none; once its map is seen to have a unit eigenvalue, the
+    pseudo-inverse of its system gives the minimum-norm solutions instead.
     """
     a = superop - _I4
     a[:, 3, :] = _TRACE_ROW
@@ -216,68 +227,31 @@ def _solve_fixed_point(superop: np.ndarray):
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         inv = np.array([_inverse_or_nan(m) for m in a])
-    x = inv[:, :, 3]
-    # NaN or inf in x fails the comparison too
-    ok = np.abs((a @ x[:, :, None])[:, :, 0] - _E3).max(axis=1) <= 1e-9
-    if not ok.all():
-        for i in np.flatnonzero(~ok):
-            x[i] = np.linalg.lstsq(_stacked_system(superop[i]), _B5,
-                                   rcond=None)[0]
-    rho = x.reshape(-1, 2, 2)
+    # NaN or inf in the inverse fails the comparison too
+    ok = np.abs((a @ inv[:, :, 3:])[:, :, 0] - _E3).max(axis=1) <= 1e-9
+    for i in np.flatnonzero(~ok):
+        _unit_eigenvalues(superop[i])
+        inv[i] = np.linalg.pinv(a[i])
+    rho = inv[:, :, 3].reshape(-1, 2, 2)
     rho = (rho + rho.conj().transpose(0, 2, 1)) / 2.0
     rho /= (rho[:, 0, 0].real + rho[:, 1, 1].real)[:, None, None]
-    return rho, inv, ok
-
-
-def _stacked_system(superop: np.ndarray) -> np.ndarray:
-    """(Phi - I) with the trace row appended, for the least-squares branch."""
-    return np.vstack([superop - _I4, _TRACE_ROW])
-
-
-def _fixed_point_pair(superop: np.ndarray, dsuperop: np.ndarray):
-    """Fixed points rho* of a (B, 4, 4) stack of maps Phi and their
-    derivatives drho*/dnbar, each as a (B, 2, 2) stack.
-
-    Differentiating (Phi - I) rho* = 0 gives (Phi - I) drho* = -(dPhi) rho*
-    with tr drho* = 0: the same system as the fixed point, solved again with
-    a new right-hand side. Trace preservation of every Phi(nbar) keeps that
-    right-hand side traceless, so the bordered row can again be dropped. A
-    row with a degenerate fixed space solves the tangent by the same least
-    squares, alone.
-    """
-    rho, inv, ok = _solve_fixed_point(superop)
     r = -(dsuperop @ rho.reshape(-1, 4, 1))
     r[:, 3] = 0.0
-    x = (inv @ r)[:, :, 0]
-    if not ok.all():
-        for i in np.flatnonzero(~ok):
-            # Re-derive through the checked path so non-unique or missing
-            # fixed points surface the same way they do in steady_state_for.
-            rho[i] = steady_state(superop[i]).rho_s_star
-            ri = -(dsuperop[i] @ rho[i].reshape(-1))
-            x[i] = np.linalg.lstsq(_stacked_system(superop[i]),
-                                   np.append(ri, 0.0), rcond=None)[0]
-    drho = x.reshape(-1, 2, 2)
+    drho = (inv @ r).reshape(-1, 2, 2)
     return rho, (drho + drho.conj().transpose(0, 2, 1)) / 2.0
 
 
 def steady_state(superop: np.ndarray) -> SteadyStateResult:
     """Fixed point of a trace-preserving qubit map given as a 4x4 superoperator."""
     superop = np.asarray(superop, dtype=complex)
-    evals = np.linalg.eigvals(superop)
-    dist = np.abs(evals - 1.0)
-    near = np.where(dist < 1e-8)[0]
-    if near.size == 0:
-        raise FixedPointError(
-            f"no eigenvalue within 1e-8 of 1 (closest: {evals[np.argmin(dist)]})")
-    rho = _solve_fixed_point(superop[None])[0][0]
+    near = _unit_eigenvalues(superop)
+    rho = _fixed_point_pair(superop[None], np.zeros_like(superop[None]))[0][0]
     diff = (superop @ rho.reshape(-1)).reshape(2, 2) - rho
     # Trace norm of a Hermitian 2x2 in closed form.
     t, d = diff.trace().real, np.linalg.det(diff).real
     root = math.sqrt(max(t * t - 4.0 * d, 0.0))
     residual = 0.5 * (abs(t + root) + abs(t - root))
-    return SteadyStateResult(rho_s_star=rho, residual=residual,
-                             unique=near.size == 1)
+    return SteadyStateResult(rho_s_star=rho, residual=residual, unique=near == 1)
 
 
 def steady_state_for(params: ModelParams, block: AncillaBlock) -> SteadyStateResult:
@@ -337,15 +311,3 @@ def outgoing_joint_state(params: ModelParams, block: AncillaBlock,
     maps = step_maps(params, block.b, block.psi[None])
     return outgoing_with_derivative(maps, n_measured)[0][0]
 
-
-def power_iteration_fixed_point(superop: np.ndarray, rho0: np.ndarray,
-                                max_steps: int = 500,
-                                tol: float = 1e-12) -> np.ndarray:
-    """Iterate the block map from rho0; cross-check for steady_state."""
-    rho = np.asarray(rho0, dtype=complex)
-    for _ in range(max_steps):
-        nxt = (superop @ rho.reshape(-1)).reshape(2, 2)
-        if qmat.trace_norm(nxt - rho) < tol:
-            return nxt
-        rho = nxt
-    return rho

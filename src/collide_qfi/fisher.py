@@ -79,6 +79,8 @@ class Povm:
 
 def thermal_fi_nbar(nbar: float) -> float:
     """Fisher information of a fully thermalized qubit probe, in nbar units."""
+    if not math.isfinite(nbar):
+        raise ValueError(f"nbar must be finite, got {nbar}")
     if nbar <= 0:
         raise ValueError("nbar must be > 0 (thermal FI diverges as nbar -> 0)")
     return 1.0 / (nbar * (nbar + 1.0) * (2.0 * nbar + 1.0) ** 2)
@@ -102,8 +104,9 @@ def state_derivative(builder, nbar: float, step: float) -> np.ndarray:
     The step may not exceed nbar: nbar - step would cross nbar = 0, where a
     model state does not exist and a thermal state has no physical meaning.
     """
-    if step <= 0:
-        raise ValueError("step must be > 0")
+    if not math.isfinite(step) or step <= 0:
+        raise ValueError(f"finite-difference step must be finite and > 0, "
+                         f"got {step}")
     if step > nbar:
         raise ValueError(f"finite-difference step {step:.3g} exceeds nbar = "
                          f"{nbar:.3g}; use a step no larger than nbar")

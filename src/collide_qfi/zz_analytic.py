@@ -25,7 +25,14 @@ class ZzProbabilities:
     big_gamma: float
 
 
+def _require_finite(nbar: float, gamma_tau: float) -> None:
+    for name, value in (("nbar", nbar), ("gamma_tau", gamma_tau)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def zz_probs(nbar: float, gamma_tau: float) -> ZzProbabilities:
+    _require_finite(nbar, gamma_tau)
     if nbar < 0 or gamma_tau < 0:
         raise ValueError("nbar and gamma_tau must be nonnegative")
     big_gamma = gamma_tau * (2.0 * nbar + 1.0)
@@ -84,6 +91,7 @@ def zz_delta(nbar: float, gamma_tau: float) -> float:
 
 def zz_fn(nbar: float, gamma_tau: float, n_measured: int) -> float:
     """N-ancilla QFI of the |+x> protocol at the optimal collision angle."""
+    _require_finite(nbar, gamma_tau)
     if n_measured < 1:
         raise ValueError("n_measured must be >= 1")
     f1 = zz_f1(nbar, math.pi / 2.0)

@@ -87,6 +87,14 @@ def test_fisher_command_fd_step_larger_than_nbar(capsys):
     err = capsys.readouterr().err
     assert "step 1e-06 exceeds nbar = 1e-07" in err
     assert "must be >= 0" not in err
+    # a NaN step is named too, not the NaN nbar that nbar + step would give
+    rc = cli.main(["fisher", "--nbar", "1.0", "--gamma-tau", "0.5",
+                   "--interaction", "zz", "--block", "plusx", "--n", "1",
+                   "--fd-step", "nan"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "finite-difference step must be finite" in err
+    assert "nbar must be finite" not in err
 
 
 def test_zz_closed_command(capsys):
@@ -97,6 +105,18 @@ def test_zz_closed_command(capsys):
     value = float(out.split("value_nbar = ")[1].splitlines()[0])
     assert abs(value - zz_fn(1.0, 0.5, 3)) < 1e-12
     assert "delta = " in out
+
+
+def test_closed_form_commands_reject_non_finite(capsys):
+    # rejected at the boundary: the closed forms would print nan or 0
+    for argv in (["thermal-fi", "--nbar", "nan"],
+                 ["thermal-fi", "--nbar", "inf"],
+                 ["zz-closed", "--nbar", "nan", "--gamma-tau", "0.5", "--n", "2"],
+                 ["zz-closed", "--nbar", "1.0", "--gamma-tau", "inf", "--n", "2"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "must be finite" in captured.err
+        assert captured.out == ""
 
 
 def test_optimize_command_b1(capsys):

@@ -11,8 +11,7 @@ from collide_qfi.collision import (AncillaBlock, FixedPointError,
                                    _block_trace, _fixed_point_pair,
                                    _step_map_tensor, block_collision_superop,
                                    block_map_superop, outgoing_joint_state,
-                                   power_iteration_fixed_point, steady_state,
-                                   steady_state_for, step_maps,
+                                   steady_state, steady_state_for, step_maps,
                                    step_maps_over_params)
 
 
@@ -20,6 +19,17 @@ def random_density(rng, d=2):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def power_iteration_fixed_point(superop, rho0, max_steps=500, tol=1e-12):
+    """Iterate the block map from rho0; cross-check for steady_state."""
+    rho = np.asarray(rho0, dtype=complex)
+    for _ in range(max_steps):
+        nxt = (superop @ rho.reshape(-1)).reshape(2, 2)
+        if qmat.trace_norm(nxt - rho) < tol:
+            return nxt
+        rho = nxt
+    return rho
 
 
 def plusx_block():
@@ -116,6 +126,14 @@ def test_steady_state_flags_non_unique():
 def test_steady_state_rejects_contraction():
     with pytest.raises(FixedPointError):
         steady_state(0.5 * np.eye(4))
+    # singular bordered system and no eigenvalue 1: the fallback row of the
+    # stacked solver must raise, not hand back a pseudo-inverse solution
+    phi = np.diag([2.0, 0.5, 0.5, 0.5]).astype(complex)
+    phi[0, 3] = 1.0
+    with pytest.raises(FixedPointError):
+        steady_state(phi)
+    with pytest.raises(FixedPointError):
+        _fixed_point_pair(phi[None], np.zeros((1, 4, 4), dtype=complex))
 
 
 def test_outgoing_joint_state_validation():
@@ -285,9 +303,22 @@ def test_step_map_tensor_is_read_only():
             tensor *= 2.0
 
 
+def test_step_maps_do_not_build_block_collision_superop():
+    # the block pair is a reference layout only: new parameters fill the
+    # step-map tensor cache and leave the pair's cache untouched
+    before = block_collision_superop.cache_info().misses
+    for b in (1, 2):
+        params = ModelParams(nbar=0.123457 + b, gamma_tau_se=0.345679,
+                             g_tau_sa=0.987654, interaction=Interaction.EXCHANGE)
+        misses = _step_map_tensor.cache_info().misses
+        step_maps(params, b, np.eye(2 ** b, dtype=complex))
+        assert _step_map_tensor.cache_info().misses == misses + 1
+    assert block_collision_superop.cache_info().misses == before
+
+
 def test_fixed_point_pair_stack_mixes_degenerate_rows():
-    # a row with a degenerate fixed space (Phi = I) takes the least-squares
-    # branch alone; every row equals the one-row result for its map
+    # a row with a degenerate fixed space (Phi = I) takes the pseudo-inverse
+    # alone; every row equals the one-row result for its map
     maps = []
     for interaction in Interaction:
         params = ModelParams(nbar=0.9, gamma_tau_se=0.3, g_tau_sa=1.2,
