@@ -8,7 +8,7 @@ from .collision import (AncillaBlock, FixedPointError, SteadyStateResult,
                         block_map_superop, outgoing_joint_state, steady_state,
                         steady_state_for)
 from .fisher import (FisherResult, Povm, RankChangeError, cfi, dnbar_dT,
-                     fisher_for, qfi, state_derivative, thermal_fi_nbar)
+                     fisher_for, qfi, thermal_fi_nbar)
 from .optimize import (BlochAngles, Optimum, SchmidtParams, bloch_state,
                        optimize_b1, optimize_b2, schmidt_state)
 from .sweeps import ClaimReport, SweepConfig, SweepRow, claim_suite, run_sweep

@@ -5,22 +5,19 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import qmat
 from .channels import Interaction, ModelParams
-from .collision import AncillaBlock, FixedPointError
+from .collision import AncillaBlock
 from .fisher import fisher_for, thermal_fi_nbar
 from .optimize import (BlochAngles, SchmidtParams, bloch_state, optimize_b1,
                        optimize_b2, schmidt_state)
 from .sweeps import (SweepConfig, claim_suite, default_grids, render_report,
                      run_sweep)
 from .zz_analytic import zz_delta, zz_fn
-
-THREADS_ENV = "COLLIDE_QFI_THREADS"
 
 
 def _fmt(x: float) -> str:
@@ -137,9 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_args(p)
     p.add_argument("--block", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--fd-step", type=float, default=None,
-                   help="take the nbar-derivative as a central difference with "
-                        "this step, the oracle for the default exact derivative")
 
     p = sub.add_parser("optimize", help="maximize QFI over ancilla input states")
     _add_point_args(p, interaction=False)
@@ -159,10 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.add_argument("--format", choices=["csv", "json"], default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility and checked to be an "
-                        f"integer >= 1 (also from {THREADS_ENV}); it no longer "
-                        "changes anything, since a sweep runs in one thread")
 
     p = sub.add_parser("claims", help="run the scalar claim suite")
     p.add_argument("--seed", type=int, default=0)
@@ -183,7 +173,6 @@ _SWEEP_DEFAULTS = {
     "format": "csv",
     "seed": "0",
     "output": None,
-    "threads": None,
     "g_tau_sa": None,
     "nbar_grid": None,
     "gamma_tau_grid": None,
@@ -207,21 +196,6 @@ def _sweep_settings(args) -> dict:
     return settings
 
 
-def _threads(settings) -> int:
-    """Worker count from --threads or the config file, else the environment;
-    anything but an integer >= 1 is rejected."""
-    raw, source = settings["threads"], "threads"
-    if raw is None:
-        raw, source = os.environ.get(THREADS_ENV, "1"), THREADS_ENV
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"{source} must be an integer >= 1, got {raw!r}")
-    return threads
-
-
 def cmd_sweep(args) -> int:
     settings = _sweep_settings(args)
     nbar_grid = (parse_grid(settings["nbar_grid"])
@@ -238,8 +212,7 @@ def cmd_sweep(args) -> int:
         block=block, n_measured=int(settings["n"]),
         quantities=quantities,
         g_tau_sa=float(settings["g_tau_sa"]) if settings["g_tau_sa"] else math.pi / 2)
-    rows = run_sweep(config, seed=int(settings["seed"]),
-                     threads=_threads(settings))
+    rows = run_sweep(config, seed=int(settings["seed"]))
     write_output(rows, quantities, settings["format"], settings["output"])
     return 0
 
@@ -254,7 +227,7 @@ def main(argv=None) -> int:
         if args.command == "fisher":
             params = _model_params(args)
             block = parse_block(args.block)
-            result = fisher_for(params, block, args.n, step=args.fd_step)
+            result = fisher_for(params, block, args.n)
             print(f"value_nbar = {_fmt(result.value_nbar)}")
             print(f"ratio_thermal = {_fmt(result.ratio_thermal)}")
             return 0
@@ -294,7 +267,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FixedPointError, RuntimeError, OSError) as exc:
+    except (RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2

@@ -35,7 +35,8 @@ MAX_MEASURED = 4
 
 
 class FixedPointError(RuntimeError):
-    """No eigenvalue of the block map lies close enough to 1."""
+    """The block map has no fixed point to solve for: it does not preserve
+    trace, or no eigenvalue lies close enough to 1."""
 
 
 @dataclass(frozen=True)
@@ -153,10 +154,10 @@ def step_maps(params: ModelParams, b: int, psi: np.ndarray) -> np.ndarray:
     """Step maps of one set of model parameters for each row of a (B, 2^b)
     stack of block states: two real matmuls against the cached tensor."""
     # Real products, not one complex one: numpy's OpenBLAS runs the complex
-    # product of a 17-row optimizer stack in several threads, scipy's
-    # L-BFGS-B wakes scipy's own OpenBLAS pool between two such calls, and
-    # when the two pools want more threads than there are cores they stall
-    # each other for a scheduler slice per call. These real products do not.
+    # product of a 17-row optimizer stack multithreaded, scipy's L-BFGS-B
+    # wakes scipy's own OpenBLAS pool between two such calls, and when the
+    # two pools want more workers than there are cores they stall each other
+    # for a scheduler slice per call. These real products do not.
     tensor = _step_map_tensor(params, b).view(float)
     p = _projectors(psi).reshape(len(psi), -1)
     maps = (p.real @ tensor).view(complex) + 1j * (p.imag @ tensor).view(complex)
@@ -217,11 +218,19 @@ def _fixed_point_pair(superop: np.ndarray, dsuperop: np.ndarray):
     decaying part of the spectrum is defective (exact full-swap collisions).
     Differentiating gives (Phi - I) drho* = -(dPhi) rho* with tr drho* = 0:
     the same system with a traceless right-hand side, solved by the same
-    inverse. A row whose inverse fails the residual check has a degenerate
-    fixed space, or none; once its map is seen to have a unit eigenvalue, the
-    pseudo-inverse of its system gives the minimum-norm solutions instead.
+    inverse. A map that does not preserve trace raises FixedPointError. A
+    trace-preserving map has a unit eigenvalue, so a row whose inverse fails
+    the residual check has a degenerate fixed space, and the pseudo-inverse
+    of its system gives the minimum-norm solutions instead.
     """
     a = superop - _I4
+    # Trace preservation: rows 0 and 3 of Phi sum to the trace functional
+    # (1, 0, 0, 1), so those rows of Phi - I cancel.
+    defect = np.abs((a[:, 0] + a[:, 3]).view(float))
+    if not defect.max() <= 1e-9:
+        row = int(np.argmax(defect.max(axis=1)))
+        raise FixedPointError(f"block map does not preserve trace (row {row}: "
+                              f"defect {defect[row].max():.3e})")
     a[:, 3, :] = _TRACE_ROW
     try:
         inv = np.linalg.inv(a)
@@ -230,7 +239,6 @@ def _fixed_point_pair(superop: np.ndarray, dsuperop: np.ndarray):
     # NaN or inf in the inverse fails the comparison too
     ok = np.abs((a @ inv[:, :, 3:])[:, :, 0] - _E3).max(axis=1) <= 1e-9
     for i in np.flatnonzero(~ok):
-        _unit_eigenvalues(superop[i])
         inv[i] = np.linalg.pinv(a[i])
     rho = inv[:, :, 3].reshape(-1, 2, 2)
     rho = (rho + rho.conj().transpose(0, 2, 1)) / 2.0

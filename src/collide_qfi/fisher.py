@@ -5,22 +5,23 @@ nbar; multiplying by (d nbar / dT)^2 converts to temperature units, a factor
 that cancels in every reported ratio. The QFI is evaluated directly from the
 eigendecomposition of rho, excluding the kernel, which sidesteps an explicit
 solve of the Lyapunov equation for the symmetric logarithmic derivative.
-The state derivative is exact by default (forward-mode through the collision
-chain); central differences in nbar remain available as an oracle.
+The state derivative is exact: forward-mode through the collision chain.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import qmat
 from .channels import ModelParams
-from .collision import (AncillaBlock, outgoing_joint_state,
-                        outgoing_with_derivative, step_maps,
+from .collision import (AncillaBlock, outgoing_with_derivative, step_maps,
                         step_maps_over_params)
+# Bound here as well for callers that look it up through this module, such
+# as the span wrappers of perfbench/spans.py.
+from .collision import outgoing_joint_state  # noqa: F401
 
 KERNEL_REL_CUTOFF = 1e-12
 KERNEL_LEAK_TOL = 1e-8
@@ -28,25 +29,16 @@ PROB_CUTOFF = 1e-14
 
 
 class RankChangeError(RuntimeError):
-    """The state derivative has support on the kernel of rho.
+    """The state derivative has support on the kernel of rho: a rank change
+    of the state at this nbar, where the QFI is discontinuous."""
 
-    With the exact derivative this is a real rank change of the state at this
-    nbar, where the QFI is discontinuous. With a finite-difference derivative
-    it can also mean a step too large for the state's rank structure; then
-    ``step`` holds that step and the message says to reduce it.
-    """
-
-    def __init__(self, max_kernel_element: float, step: float | None = None):
-        super().__init__(max_kernel_element, step)
+    def __init__(self, max_kernel_element: float):
+        super().__init__(max_kernel_element)
         self.max_kernel_element = max_kernel_element
-        self.step = step
 
     def __str__(self) -> str:
-        text = ("derivative leaves the state's support "
+        return ("derivative leaves the state's support "
                 f"(max kernel element {self.max_kernel_element:.3e})")
-        if self.step is not None:
-            text += f"; reduce the step ({self.step:.3g})"
-        return text
 
 
 @dataclass(frozen=True)
@@ -94,25 +86,6 @@ def dnbar_dT(temperature: float, omega: float) -> float:
     return (omega / temperature ** 2) * math.exp(x) / (math.exp(x) - 1.0) ** 2
 
 
-def default_step(nbar: float) -> float:
-    return max(1e-6, 1e-6 * nbar)
-
-
-def state_derivative(builder, nbar: float, step: float) -> np.ndarray:
-    """Central-difference derivative of a state family with respect to nbar.
-
-    The step may not exceed nbar: nbar - step would cross nbar = 0, where a
-    model state does not exist and a thermal state has no physical meaning.
-    """
-    if not math.isfinite(step) or step <= 0:
-        raise ValueError(f"finite-difference step must be finite and > 0, "
-                         f"got {step}")
-    if step > nbar:
-        raise ValueError(f"finite-difference step {step:.3g} exceeds nbar = "
-                         f"{nbar:.3g}; use a step no larger than nbar")
-    return (builder(nbar + step) - builder(nbar - step)) / (2.0 * step)
-
-
 def qfi(rho: np.ndarray, drho: np.ndarray):
     """Quantum Fisher information from rho and its parameter derivative.
 
@@ -137,13 +110,13 @@ def qfi(rho: np.ndarray, drho: np.ndarray):
     return float(val) if val.ndim == 0 else val
 
 
-def cfi(rho_builder, povm: Povm, nbar: float, step: float | None = None) -> float:
-    """Classical Fisher information of a POVM on a parameterized state family."""
-    h = default_step(nbar) if step is None else step
-    rho = rho_builder(nbar)
+def cfi(rho: np.ndarray, drho: np.ndarray, povm: Povm) -> float:
+    """Classical Fisher information of a POVM on a state rho with parameter
+    derivative drho: sum over outcomes of (d p)^2 / p, skipping p ~ 0. For a
+    model state the pair comes from ``outgoing_with_derivative``, as in
+    ``fisher_for``."""
     if povm.dim != rho.shape[0]:
         raise ValueError("POVM dimension does not match the state")
-    drho = state_derivative(rho_builder, nbar, h)
     total = 0.0
     for e in povm.effects:
         p = float(np.trace(e @ rho).real)
@@ -151,19 +124,6 @@ def cfi(rho_builder, povm: Povm, nbar: float, step: float | None = None) -> floa
             dp = float(np.trace(e @ drho).real)
             total += dp * dp / p
     return total
-
-
-def joint_state_builder(params: ModelParams, block: AncillaBlock,
-                        n_measured: int):
-    """nbar -> steady-state joint outgoing ancilla state, all else fixed.
-
-    The system fixed point is re-solved at each nbar: the map itself depends
-    on temperature through the thermal channel.
-    """
-    def build(nbar: float) -> np.ndarray:
-        return outgoing_joint_state(replace(params, nbar=nbar), block, n_measured)
-
-    return build
 
 
 def qfi_values(params: ModelParams, b: int, psi: np.ndarray,
@@ -188,28 +148,16 @@ def qfi_row(params, block: AncillaBlock, n_measured: int) -> np.ndarray:
     return qfi(*outgoing_with_derivative(maps, n_measured))
 
 
-def fisher_for(params: ModelParams, block: AncillaBlock, n_measured: int,
-               step: float | None = None) -> FisherResult:
+def fisher_for(params: ModelParams, block: AncillaBlock,
+               n_measured: int) -> FisherResult:
     """QFI of the N-ancilla outgoing state, in nbar units, plus the thermal ratio.
 
     The state and its exact nbar-derivative come from one pass through the
-    collision chain: the one-row case of ``qfi_values``. Given a ``step``,
-    the derivative is instead the central difference of three builds, the
-    oracle for the exact one.
+    collision chain: the one-row case of ``qfi_values``.
     """
-    if step is None:
-        rho, drho = outgoing_with_derivative(
-            step_maps(params, block.b, block.psi[None]), n_measured)
-        rho, drho = rho[0], drho[0]
-    else:
-        build = joint_state_builder(params, block, n_measured)
-        rho = build(params.nbar)
-        drho = state_derivative(build, params.nbar, step)
-    try:
-        value = qfi(rho, drho)
-    except RankChangeError as exc:
-        exc.step = step
-        raise
+    rho, drho = outgoing_with_derivative(
+        step_maps(params, block.b, block.psi[None]), n_measured)
+    value = qfi(rho[0], drho[0])
     ratio = value / (n_measured * thermal_fi_nbar(params.nbar))
     return FisherResult(value_nbar=value, ratio_thermal=ratio,
                         n_measured=n_measured, block_b=block.b)

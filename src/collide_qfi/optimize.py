@@ -2,9 +2,9 @@
 
 b=1 states are a polar angle on the Bloch sphere (the exchange interaction is
 invariant under Z rotations, so the azimuth is fixed to 0); the search is an
-exhaustive angle scan refined by golden section. b=2 states are searched as
-raw vectors psi in C^4 with scipy's L-BFGS-B from several seeded starts, and
-the optimum is reported in the five-parameter Schmidt form.
+exhaustive angle scan refined by scipy's bounded scalar search. b=2 states
+are searched as raw vectors psi in C^4 with scipy's L-BFGS-B from several
+seeded starts, and the optimum is reported in the five-parameter Schmidt form.
 """
 
 from __future__ import annotations
@@ -13,14 +13,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 from . import qmat
 from .channels import Interaction, ModelParams
 from .collision import AncillaBlock
 from .fisher import fisher_for, qfi_values, thermal_fi_nbar
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 TIE_TOL = 1e-9
 
 
@@ -128,56 +127,36 @@ def _qfi_of_theta(params: ModelParams, n_measured: int, theta: float) -> float:
     return fisher_for(params, block, n_measured).value_nbar
 
 
-def optimize_b1(params: ModelParams, n_measured: int,
-                scan_points: int = 181, refine_tol: float = 1e-6) -> Optimum:
-    """Maximize QFI over the single-ancilla polar angle.
+def refine_grid_max(f, grid, values, xatol: float):
+    """Refine the maximum of f found by a scan: ``values`` are f on the
+    sorted ``grid``, and the bracket around their first argmax is searched
+    with scipy's bounded scalar search. The refined point wins only when its
+    value is strictly larger. Returns (x, f(x), refinement evaluations)."""
+    i = int(np.argmax(values))
+    res = minimize_scalar(lambda x: -f(x), method="bounded",
+                          bounds=(grid[max(i - 1, 0)],
+                                  grid[min(i + 1, len(grid) - 1)]),
+                          options={"xatol": xatol})
+    if -res.fun > values[i]:
+        return float(res.x), float(-res.fun), res.nfev
+    return float(grid[i]), float(values[i]), res.nfev
 
-    Coarse uniform scan over [0, pi] followed by golden-section refinement of
-    the bracketing interval.
-    """
+
+def optimize_b1(params: ModelParams, n_measured: int) -> Optimum:
+    """Maximize QFI over the single-ancilla polar angle: a 181-point scan
+    over [0, pi], stacked into one evaluation, then refinement of the
+    bracket around its maximum to 1e-6 in theta."""
     if params.interaction is not Interaction.EXCHANGE:
         raise ValueError("b=1 optimization is defined for the exchange interaction")
     if not 1 <= n_measured <= 4:
         raise ValueError("n_measured must be in 1..4")
-    evals = 0
-
-    def f(theta):
-        nonlocal evals
-        evals += 1
-        return _qfi_of_theta(params, n_measured, theta)
-
-    thetas = np.linspace(0.0, math.pi, scan_points)
-    # The whole scan is one stacked evaluation.
+    thetas = np.linspace(0.0, math.pi, 181)
     psi = np.array([bloch_state(BlochAngles(float(t))) for t in thetas])
     values = qfi_values(params, 1, psi, n_measured)
-    evals += scan_points
-    best = int(np.argmax(values))  # first max wins: smaller theta on ties
-
-    lo = thetas[max(best - 1, 0)]
-    hi = thetas[min(best + 1, scan_points - 1)]
-    # Golden-section on [lo, hi]; the scan guarantees a bracket.
-    a, b = lo, hi
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > refine_tol:
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = f(x2)
-    theta_ref = x1 if f1 >= f2 else x2
-    val_ref = max(f1, f2)
-
-    theta_opt, val_opt = thetas[best], values[best]
-    if val_ref > val_opt + TIE_TOL or (val_ref > val_opt - TIE_TOL
-                                       and theta_ref < theta_opt):
-        theta_opt, val_opt = theta_ref, val_ref
-    return Optimum(argmax=BlochAngles(theta=float(theta_opt)),
-                   value_nbar=float(val_opt), evaluations=evals)
+    theta, value, nfev = refine_grid_max(
+        lambda t: _qfi_of_theta(params, n_measured, t), thetas, values, 1e-6)
+    return Optimum(argmax=BlochAngles(theta=theta), value_nbar=value,
+                   evaluations=len(thetas) + nfev)
 
 
 # The seeded starts: product and Bell corners.

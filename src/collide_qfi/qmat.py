@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for multi-qubit operators (dimension <= 32)."""
+"""Dense complex linear algebra for multi-qubit operators."""
 
 from __future__ import annotations
 
@@ -8,11 +8,6 @@ import numpy as np
 HERM_TOL = 1e-12
 PSD_TOL = 1e-10
 EIG_TOL = 1e-10
-MAX_DIM = 32
-
-
-class CapacityError(ValueError):
-    """Operator dimension would exceed MAX_DIM."""
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -20,22 +15,6 @@ def _as_matrix(a) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor product of two square operators, capped at MAX_DIM."""
-    a, b = _as_matrix(a), _as_matrix(b)
-    d = a.shape[0] * b.shape[0]
-    if d > MAX_DIM:
-        raise CapacityError(f"kron result dimension {d} exceeds {MAX_DIM}")
-    return np.kron(a, b)
-
-
-def kron_all(*ops) -> np.ndarray:
-    out = _as_matrix(ops[0])
-    for op in ops[1:]:
-        out = kron(out, op)
-    return out
 
 
 def is_hermitian(a, tol: float = HERM_TOL) -> bool:
@@ -141,4 +120,3 @@ KET_G = np.array([1, 0], dtype=complex)
 KET_E = np.array([0, 1], dtype=complex)
 KET_PLUS_X = np.array([1, 1], dtype=complex) / np.sqrt(2)
 KET_PLUS_Y = np.array([1, 1j], dtype=complex) / np.sqrt(2)
-KET_MINUS_Y = np.array([1, -1j], dtype=complex) / np.sqrt(2)

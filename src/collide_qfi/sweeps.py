@@ -6,13 +6,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import qmat
 from .channels import Interaction, ModelParams
 from .collision import AncillaBlock, FixedPointError
 from .fisher import fisher_for, qfi_row, thermal_fi_nbar
-from .optimize import optimize_b1, optimize_b2
+from .optimize import optimize_b1, optimize_b2, refine_grid_max
 from .zz_analytic import zz_delta, zz_fn
 
 QUANTITIES = ("qfi", "ratio_thermal", "ratio_per_copy", "theta_opt", "delta_zz")
@@ -158,13 +157,11 @@ def _eval_nbar_row(config: SweepConfig, nbar: float, seed: int) -> list:
     return [_eval_point(config, nbar, gt, seed) for gt in grid]
 
 
-def run_sweep(config: SweepConfig, seed: int = 0, threads: int = 1):
+def run_sweep(config: SweepConfig, seed: int = 0):
     """Evaluate every grid point, nbar outer and gamma_tau inner.
 
     Evaluation is serial: a fixed block is stacked one nbar row at a time,
-    which was measured faster than a thread pool over points. ``threads``
-    is kept for callers that pass a worker count; the rows are the same
-    for every value.
+    which was measured faster than a thread pool over points.
     """
     return [row for nbar in config.nbar_grid
             for row in _eval_nbar_row(config, nbar, seed)]
@@ -223,15 +220,7 @@ def _maximize_1d(f, lo, hi, coarse=25, tol=1e-4, log=True):
         xs = np.logspace(math.log10(lo), math.log10(hi), coarse)
     else:
         xs = np.linspace(lo, hi, coarse)
-    vals = [f(x) for x in xs]
-    i = int(np.argmax(vals))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, coarse - 1)]
-    res = minimize_scalar(lambda x: -f(x), bounds=(a, b), method="bounded",
-                          options={"xatol": tol})
-    if -res.fun >= vals[i]:
-        return float(res.x), float(-res.fun)
-    return float(xs[i]), float(vals[i])
+    return refine_grid_max(f, xs, [f(x) for x in xs], tol)[:2]
 
 
 def _claims_zz_angle():

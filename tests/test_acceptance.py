@@ -16,9 +16,9 @@ from collide_qfi import qmat
 from collide_qfi.channels import (Interaction, ModelParams, default_rk4_steps,
                                   lindblad_rk4, thermal_kraus)
 from collide_qfi.collision import AncillaBlock, block_map_superop, outgoing_joint_state
-from collide_qfi.fisher import (Povm, cfi, fisher_for, joint_state_builder,
-                                default_step)
+from collide_qfi.fisher import Povm, cfi, fisher_for
 from collide_qfi.sweeps import claim_suite, render_report
+from fd_oracle import default_step, fd_qfi, joint_state_builder, state_pair
 
 
 @pytest.fixture(scope="module")
@@ -158,10 +158,10 @@ def test_12_cfi_bounded_by_qfi():
     for nbar, gt, interaction in cases:
         params = ModelParams(nbar=nbar, gamma_tau_se=gt, interaction=interaction)
         value = fisher_for(params, block, 1).value_nbar
-        build = joint_state_builder(params, block, 1)
+        pair = state_pair(joint_state_builder(params, block, 1), nbar)
         for _ in range(20):
             povm = random_two_outcome_povm(rng, 2)
-            c = cfi(build, povm, nbar)
+            c = cfi(*pair, povm)
             worst_excess = max(worst_excess, (c - value) / value)
     bound_ok = worst_excess <= 1e-6
 
@@ -174,10 +174,10 @@ def test_12_cfi_bounded_by_qfi():
         for n in (1, 2):
             d = 2 ** n
             value = fisher_for(params, ground, n).value_nbar
-            build = joint_state_builder(params, ground, n)
+            pair = state_pair(joint_state_builder(params, ground, n), nbar)
             z = Povm(effects=tuple(np.diag(np.eye(d)[i]).astype(complex)
                                    for i in range(d)))
-            c = cfi(build, z, nbar)
+            c = cfi(*pair, z)
             worst_gap = max(worst_gap, abs(c - value) / value)
     equal_ok = worst_gap < 1e-6
     gate("acceptance-12 classical vs quantum Fisher information",
@@ -225,8 +225,8 @@ def test_14_finite_difference_convergence():
     for nbar, gt, interaction, block, n in cases:
         params = ModelParams(nbar=nbar, gamma_tau_se=gt, interaction=interaction)
         h = default_step(nbar)
-        full = fisher_for(params, block, n, step=h).value_nbar
-        half = fisher_for(params, block, n, step=h / 2).value_nbar
+        full = fd_qfi(params, block, n, h)
+        half = fd_qfi(params, block, n, h / 2)
         worst = max(worst, abs(half - full) / full)
     gate("acceptance-14 finite-difference convergence", worst < 1e-6,
          f"worst relative change on halving the step {worst:.2e}")

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -176,13 +177,17 @@ def test_collision_unitary_dispatch():
     assert np.allclose(collision_unitary(pe), exchange_unitary(0.3))
 
 
+def kron_all(*ops):
+    return reduce(np.kron, ops)
+
+
 def test_embed_op_single_target():
     rng = np.random.default_rng(4)
     op = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     dims = [2, 2, 2]
-    assert np.allclose(embed_op(op, [0], dims), qmat.kron_all(op, np.eye(2), np.eye(2)))
-    assert np.allclose(embed_op(op, [1], dims), qmat.kron_all(np.eye(2), op, np.eye(2)))
-    assert np.allclose(embed_op(op, [2], dims), qmat.kron_all(np.eye(2), np.eye(2), op))
+    assert np.allclose(embed_op(op, [0], dims), kron_all(op, np.eye(2), np.eye(2)))
+    assert np.allclose(embed_op(op, [1], dims), kron_all(np.eye(2), op, np.eye(2)))
+    assert np.allclose(embed_op(op, [2], dims), kron_all(np.eye(2), np.eye(2), op))
 
 
 def test_embed_op_two_targets_nonadjacent():
@@ -191,7 +196,7 @@ def test_embed_op_two_targets_nonadjacent():
     b = rng.normal(size=(2, 2))
     op = np.kron(a, b)
     got = embed_op(op, [0, 2], [2, 2, 2])
-    assert np.allclose(got, qmat.kron_all(a, np.eye(2), b))
+    assert np.allclose(got, kron_all(a, np.eye(2), b))
 
 
 def test_apply_unitary_on_matches_embedding():

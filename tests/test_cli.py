@@ -78,25 +78,6 @@ def test_fisher_command_bad_block(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_fisher_command_fd_step_larger_than_nbar(capsys):
-    # the step is named, not the negative nbar that nbar - step would give
-    rc = cli.main(["fisher", "--nbar", "1e-7", "--gamma-tau", "0.5",
-                   "--interaction", "zz", "--block", "plusx", "--n", "1",
-                   "--fd-step", "1e-6"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "step 1e-06 exceeds nbar = 1e-07" in err
-    assert "must be >= 0" not in err
-    # a NaN step is named too, not the NaN nbar that nbar + step would give
-    rc = cli.main(["fisher", "--nbar", "1.0", "--gamma-tau", "0.5",
-                   "--interaction", "zz", "--block", "plusx", "--n", "1",
-                   "--fd-step", "nan"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "finite-difference step must be finite" in err
-    assert "nbar must be finite" not in err
-
-
 def test_zz_closed_command(capsys):
     rc = cli.main(["zz-closed", "--nbar", "1.0", "--gamma-tau", "0.5",
                    "--n", "3"])
@@ -130,6 +111,15 @@ def test_optimize_command_b1(capsys):
 def test_missing_subcommand_exits():
     with pytest.raises(SystemExit):
         cli.main([])
+    # removed options are unknown arguments to argparse
+    for argv in (["fisher", "--nbar", "1.0", "--gamma-tau", "0.5",
+                  "--interaction", "zz", "--block", "plusx", "--n", "1",
+                  "--fd-step", "1e-5"],
+                 ["sweep", "--nbar-grid", "0.5", "--gamma-tau-grid", "0.5",
+                  "--block", "plusx", "--n", "1", "--threads", "2"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
 
 
 def test_sweep_command_csv(tmp_path, capsys):
@@ -181,36 +171,11 @@ def test_sweep_config_file_with_flag_override(tmp_path, capsys):
 
 def test_sweep_config_unknown_key(tmp_path, capsys):
     conf = tmp_path / "sweep.conf"
-    conf.write_text("volume = 11\n")
-    rc = cli.main(["sweep", "--config", str(conf)])
-    assert rc == 2
-    assert "unknown config key" in capsys.readouterr().err
-
-
-def test_sweep_threads_env(monkeypatch, capsys):
-    monkeypatch.setenv(cli.THREADS_ENV, "2")
-    rc = cli.main(["sweep", "--nbar-grid", "0.5,1.0", "--gamma-tau-grid",
-                   "0.5", "--block", "plusx", "--n", "1",
-                   "--quantities", "qfi"])
-    assert rc == 0
-    assert len(capsys.readouterr().out.splitlines()) == 3
-
-
-def test_sweep_threads_below_one_rejected(monkeypatch, capsys):
-    args = ["sweep", "--nbar-grid", "0.5", "--gamma-tau-grid", "0.5",
-            "--block", "plusx", "--n", "1", "--quantities", "qfi"]
-    for flag in ("0", "-3"):
-        assert cli.main(args + ["--threads", flag]) == 2
-        captured = capsys.readouterr()
-        assert f"threads must be an integer >= 1, got '{flag}'" in captured.err
-        assert captured.out == ""
-    for value in ("0", "two"):
-        monkeypatch.setenv(cli.THREADS_ENV, value)
-        assert cli.main(args) == 2
-        err = capsys.readouterr().err
-        assert f"{cli.THREADS_ENV} must be an integer >= 1, got '{value}'" in err
-    # the flag wins over the environment
-    assert cli.main(args + ["--threads", "1"]) == 0
+    for line in ("volume = 11\n", "threads = 2\n"):
+        conf.write_text(line)
+        rc = cli.main(["sweep", "--config", str(conf)])
+        assert rc == 2
+        assert "unknown config key" in capsys.readouterr().err
 
 
 def stub_report(passed):

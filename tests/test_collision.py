@@ -126,8 +126,13 @@ def test_steady_state_flags_non_unique():
 def test_steady_state_rejects_contraction():
     with pytest.raises(FixedPointError):
         steady_state(0.5 * np.eye(4))
-    # singular bordered system and no eigenvalue 1: the fallback row of the
-    # stacked solver must raise, not hand back a pseudo-inverse solution
+    # invertible bordered system, but the map does not preserve trace: the
+    # stacked solver must raise, not hand back diag(0, 1)
+    with pytest.raises(FixedPointError, match="trace"):
+        _fixed_point_pair(0.5 * np.eye(4, dtype=complex)[None],
+                          np.zeros((1, 4, 4), dtype=complex))
+    # singular bordered system and no eigenvalue 1: the stacked solver must
+    # raise, not hand back a pseudo-inverse solution
     phi = np.diag([2.0, 0.5, 0.5, 0.5]).astype(complex)
     phi[0, 3] = 1.0
     with pytest.raises(FixedPointError):

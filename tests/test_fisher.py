@@ -6,11 +6,11 @@ import pytest
 from collide_qfi import qmat
 from collide_qfi.channels import Interaction, ModelParams, gibbs_state
 from collide_qfi.collision import AncillaBlock
-from collide_qfi.fisher import (Povm, RankChangeError, cfi, default_step,
-                                dnbar_dT, fisher_for, joint_state_builder,
-                                qfi, qfi_values, state_derivative,
-                                thermal_fi_nbar)
+from collide_qfi.fisher import (Povm, RankChangeError, cfi, dnbar_dT,
+                                fisher_for, qfi, qfi_values, thermal_fi_nbar)
 from collide_qfi.zz_analytic import zz_fn
+from fd_oracle import (default_step, fd_qfi, joint_state_builder,
+                       state_derivative, state_pair)
 
 
 def test_thermal_fi_matches_binomial_oracle():
@@ -95,7 +95,7 @@ def test_povm_validation():
 def test_cfi_z_basis_on_gibbs_equals_qfi():
     z = Povm(effects=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
     for nbar in (0.5, 3.0):
-        c = cfi(gibbs_state, z, nbar)
+        c = cfi(*state_pair(gibbs_state, nbar), z)
         assert abs(c - thermal_fi_nbar(nbar)) < 1e-8 * thermal_fi_nbar(nbar)
 
 
@@ -104,22 +104,21 @@ def test_cfi_never_exceeds_qfi():
     params = ModelParams(nbar=1.0, gamma_tau_se=0.5,
                          interaction=Interaction.EXCHANGE)
     block = AncillaBlock(b=1, psi=qmat.KET_PLUS_X)
-    build = joint_state_builder(params, block, 1)
+    pair = state_pair(joint_state_builder(params, block, 1), 1.0)
     value = fisher_for(params, block, 1).value_nbar
     for _ in range(10):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         e1 = a @ a.conj().T
         e1 = e1 / np.linalg.eigvalsh(e1).max() * rng.random()
         povm = Povm(effects=(e1, np.eye(2) - e1))
-        assert cfi(build, povm, 1.0) <= value + 1e-9
+        assert cfi(*pair, povm) <= value + 1e-9
 
 
 def test_step_larger_than_nbar_is_rejected():
     # nbar - step would cross nbar = 0: the thermal family would be
     # differentiated through unphysical states, the model one not at all
-    z = Povm(effects=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
     with pytest.raises(ValueError, match=r"step 1e-06 exceeds nbar = 1e-07"):
-        cfi(gibbs_state, z, 1e-7)
+        state_pair(gibbs_state, 1e-7)
     with pytest.raises(ValueError, match="exceeds nbar"):
         state_derivative(gibbs_state, 0.5, 0.6)
     # a step equal to nbar reaches nbar = 0 and no further
@@ -130,7 +129,7 @@ def test_step_larger_than_nbar_is_rejected():
 def test_cfi_dimension_mismatch():
     z4 = Povm(effects=(np.eye(4),))
     with pytest.raises(ValueError):
-        cfi(gibbs_state, z4, 1.0)
+        cfi(*state_pair(gibbs_state, 1.0), z4)
 
 
 def test_fisher_for_matches_closed_form():
@@ -198,25 +197,25 @@ def test_exact_derivative_matches_finite_differences():
 
 def test_fisher_for_degenerate_fixed_point():
     # no bath contact and no collision: Phi = I, every state is fixed and
-    # nothing depends on nbar, so the QFI is 0 on both paths
+    # nothing depends on nbar, so the QFI is 0 on the exact path and the
+    # finite-difference oracle
     params = ModelParams(nbar=1.0, gamma_tau_se=0.0, g_tau_sa=0.0,
                          interaction=Interaction.EXCHANGE)
     for block in (AncillaBlock(b=1, psi=qmat.KET_PLUS_X),
                   AncillaBlock(b=2, psi=np.kron(qmat.KET_G, qmat.KET_PLUS_X))):
         assert fisher_for(params, block, 2).value_nbar == 0.0
-        assert fisher_for(params, block, 2, step=1e-4).value_nbar == 0.0
+        assert fd_qfi(params, block, 2, 1e-4) == 0.0
 
 
 def test_rank_change_message_names_the_step_only_when_given():
     exact = RankChangeError(3.1e-8)
     assert "max kernel element 3.100e-08" in str(exact)
     assert "step" not in str(exact)
-    assert "reduce the step" in str(RankChangeError(3.1e-8, step=1e-6))
     # on the exact path a kernel leak is a real rank change of the state
     params = ModelParams(nbar=1e-6, gamma_tau_se=1.0, interaction=Interaction.ZZ)
     with pytest.raises(RankChangeError) as info:
         fisher_for(params, AncillaBlock(b=1, psi=qmat.KET_PLUS_X), 4)
-    assert info.value.step is None and "step" not in str(info.value)
+    assert "step" not in str(info.value)
 
 
 def random_states(rng, count, dim):
@@ -264,7 +263,6 @@ def test_qfi_values_raise_rank_change_in_a_batch():
         fisher_for(params, AncillaBlock(b=1, psi=qmat.KET_PLUS_X), 4)
     assert batch.value.max_kernel_element == pytest.approx(
         single.value.max_kernel_element, rel=1e-6)
-    assert batch.value.step is None
     # without that row the same point evaluates
     values = qfi_values(params, 1, psi[[0, 2]], 4)
     assert np.all(np.isfinite(values))

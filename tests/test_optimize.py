@@ -91,6 +91,21 @@ def test_optimize_b1_beats_grid_and_reproduces_argmax():
     assert abs(fisher_for(params, block, 1).value_nbar - opt.value_nbar) < 1e-10
 
 
+def test_optimize_b1_ties_are_relative():
+    # at nbar=10, gamma_tau=0.5, N=4 the QFI is ~8.8e-5 and the refined
+    # optimum lies 6.6e-12 above the best scan point, inside an absolute
+    # TIE_TOL; it must still beat every point of a dense local scan
+    params = ModelParams(nbar=10.0, gamma_tau_se=0.5,
+                         interaction=Interaction.EXCHANGE)
+    opt = optimize_b1(params, 4)
+    theta = opt.argmax.theta
+    thetas = np.clip(np.linspace(theta - 0.02, theta + 0.02, 4001),
+                     0.0, math.pi)
+    psi = np.array([bloch_state(BlochAngles(float(t))) for t in thetas])
+    best = qfi_values(params, 1, psi, 4).max()
+    assert opt.value_nbar >= best * (1 - 1e-12)
+
+
 def test_optimize_b2_validation():
     params = ModelParams(nbar=1.0, gamma_tau_se=0.5, interaction=Interaction.ZZ)
     with pytest.raises(ValueError):

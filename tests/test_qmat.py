@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,31 +14,9 @@ def random_density(rng, d):
     return rho / np.trace(rho).real
 
 
-def test_kron_matches_numpy():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(4, 4))
-    assert np.allclose(qmat.kron(a, b), np.kron(a, b))
-
-
-def test_kron_capacity_cap():
-    big = np.eye(8)
-    with pytest.raises(qmat.CapacityError):
-        qmat.kron(big, big)
-    # 8 * 4 = 32 is still allowed
-    assert qmat.kron(big, np.eye(4)).shape == (32, 32)
-
-
-def test_kron_all_associates():
-    rng = np.random.default_rng(1)
-    ops = [rng.normal(size=(2, 2)) for _ in range(3)]
-    expect = np.kron(np.kron(ops[0], ops[1]), ops[2])
-    assert np.allclose(qmat.kron_all(*ops), expect)
-
-
-def test_kron_rejects_nonsquare():
+def test_partial_trace_rejects_nonsquare():
     with pytest.raises(ValueError):
-        qmat.kron(np.zeros((2, 3)), np.eye(2))
+        qmat.partial_trace(np.zeros((2, 3)), [0], [2])
 
 
 def test_check_density_matrix_accepts_valid():
@@ -73,7 +53,7 @@ def test_projector_idempotent():
 def test_partial_trace_of_product_state(keep, seed):
     rng = np.random.default_rng(seed)
     parts = [random_density(rng, 2) for _ in range(3)]
-    joint = qmat.kron_all(*parts)
+    joint = reduce(np.kron, parts)
     reduced = qmat.partial_trace(joint, [keep], [2, 2, 2])
     assert np.allclose(reduced, parts[keep], atol=1e-12)
 

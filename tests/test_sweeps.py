@@ -60,15 +60,6 @@ def test_run_sweep_rows_and_values():
         assert abs(r.values["ratio_thermal"] - ratio) < 1e-9
 
 
-def test_run_sweep_threads_match_serial():
-    config = small_config()
-    serial = run_sweep(config, threads=1)
-    threaded = run_sweep(config, threads=2)
-    for a, b in zip(serial, threaded):
-        assert a.nbar == b.nbar and a.gamma_tau == b.gamma_tau
-        assert a.values == b.values
-
-
 def point_by_point(config):
     """Status and values of each grid point from one fisher_for call per
     point and quantity, the way a sweep evaluated them one at a time."""
