@@ -2,17 +2,14 @@
 Fisher-information analysis of the outgoing ancilla stream."""
 
 from .channels import (Interaction, KrausChannel, ModelParams,
-                       exchange_unitary, gibbs_state, lindblad_rk4,
-                       thermal_kraus, zz_unitary)
+                       exchange_unitary, gibbs_state, thermal_kraus, zz_unitary)
 from .collision import (AncillaBlock, FixedPointError, SteadyStateResult,
-                        block_map_superop, outgoing_joint_state, steady_state,
-                        steady_state_for)
+                        block_map_superop, outgoing_joint_state, steady_state)
 from .fisher import (FisherResult, Povm, RankChangeError, cfi, dnbar_dT,
                      fisher_for, qfi, thermal_fi_nbar)
 from .optimize import (BlochAngles, Optimum, SchmidtParams, bloch_state,
                        optimize_b1, optimize_b2, schmidt_state)
 from .sweeps import ClaimReport, SweepConfig, SweepRow, claim_suite, run_sweep
-from .zz_analytic import (ZzProbabilities, appendix_f, appendix_g, zz_delta,
-                          zz_f1, zz_fn, zz_probs)
+from .zz_analytic import ZzProbabilities, zz_delta, zz_f1, zz_fn, zz_probs
 
 __version__ = "0.1.0"

@@ -1,11 +1,9 @@
-"""Thermal map, collision unitaries, and channel application on subsystems.
+"""Thermal map and its superoperator, collision unitaries, and operator embedding.
 
 The bath contact of the system qubit is a generalized-amplitude-damping
 channel with decay probability eta = 1 - exp(-Gamma), Gamma = gamma*tau*(2nbar+1),
 and ground-branch weight p = (nbar+1)/(2nbar+1). Its superoperator has a
-closed form, and so does the superoperator's derivative in nbar. A
-fourth-order Runge-Kutta integrator of the underlying dissipator is kept
-alongside as a brute-force validation oracle.
+closed form, and so does the superoperator's derivative in nbar.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmat import I2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z
+from .qmat import I2, SIGMA_Z
 
 
 class Interaction(enum.Enum):
@@ -62,10 +60,6 @@ class KrausChannel:
         comp = sum(k.conj().T @ k for k in ops)
         if float(np.max(np.abs(comp - np.eye(d)))) > 1e-12:
             raise ValueError("Kraus set is not trace preserving")
-
-    @property
-    def dim(self) -> int:
-        return self.operators[0].shape[0]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return sum(k @ rho @ k.conj().T for k in self.operators)
@@ -131,39 +125,6 @@ def thermal_superop(nbar, gamma_tau):
     return t, dt
 
 
-def _dissipator(L: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    LdL = L.conj().T @ L
-    return L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL)
-
-
-def lindblad_rk4(rho0: np.ndarray, nbar: float, gamma_t: float,
-                 steps: int) -> np.ndarray:
-    """RK4 integration of the interaction-picture qubit dissipator.
-
-    Integrates d rho/dt = (nbar+1) D[sigma-] rho + nbar D[sigma+] rho over
-    dimensionless time gamma_t. Used as an independent oracle for thermal_kraus.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    rho = np.asarray(rho0, dtype=complex).copy()
-    dt = gamma_t / steps
-
-    def rhs(r):
-        return (nbar + 1.0) * _dissipator(SIGMA_MINUS, r) + nbar * _dissipator(SIGMA_PLUS, r)
-
-    for _ in range(steps):
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * dt * k1)
-        k3 = rhs(rho + 0.5 * dt * k2)
-        k4 = rhs(rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return rho
-
-
-def default_rk4_steps(big_gamma: float) -> int:
-    return int(math.ceil(big_gamma * 1000)) + 100
-
-
 def zz_unitary(g_tau: float) -> np.ndarray:
     """exp(-i (g_tau/2) sigmaZ x sigmaZ) on (system, ancilla)."""
     theta = g_tau / 2.0
@@ -200,21 +161,3 @@ def embed_op(op: np.ndarray, targets, dims) -> np.ndarray:
     d = int(np.prod(dims))
     return np.ascontiguousarray(t.reshape(d, d))
 
-
-def apply_unitary_on(u: np.ndarray, rho: np.ndarray, targets, dims) -> np.ndarray:
-    uf = embed_op(u, targets, dims)
-    return uf @ rho @ uf.conj().T
-
-
-def apply_kraus_on(channel: KrausChannel, rho: np.ndarray, target: int,
-                   dims) -> np.ndarray:
-    """Apply a channel to one subsystem of a joint state."""
-    dims = list(dims)
-    if channel.dim != dims[target]:
-        raise ValueError(
-            f"channel dim {channel.dim} does not match subsystem dim {dims[target]}")
-    out = np.zeros_like(np.asarray(rho, dtype=complex))
-    for k in channel.operators:
-        kf = embed_op(k, [target], dims)
-        out += kf @ rho @ kf.conj().T
-    return out

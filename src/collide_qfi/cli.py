@@ -24,6 +24,11 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _json_number(x: float):
+    """x, or None where JSON has no number for it (NaN, inf)."""
+    return x if math.isfinite(x) else None
+
+
 def parse_block(spec: str) -> AncillaBlock:
     """Map a block shorthand or theta:/schmidt: form to an AncillaBlock."""
     named = {
@@ -95,10 +100,10 @@ def write_output(rows, quantities, fmt: str, path: str | None):
         objs = []
         for row in rows:
             obj = {"nbar": row.nbar, "gamma_tau": row.gamma_tau}
-            obj.update({q: row.values[q] for q in quantities})
+            obj.update({q: _json_number(row.values[q]) for q in quantities})
             obj["status"] = row.status
             objs.append(obj)
-        text = json.dumps(objs, indent=2) + "\n"
+        text = json.dumps(objs, indent=2, allow_nan=False) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
     else:

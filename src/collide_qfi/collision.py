@@ -54,10 +54,6 @@ class AncillaBlock:
             raise ValueError(f"psi dim {psi.shape[0]} does not match b={self.b}")
         object.__setattr__(self, "psi", psi)
 
-    @property
-    def projector(self) -> np.ndarray:
-        return qmat.projector(self.psi)
-
 
 @dataclass(frozen=True)
 class SteadyStateResult:
@@ -260,10 +256,6 @@ def steady_state(superop: np.ndarray) -> SteadyStateResult:
     root = math.sqrt(max(t * t - 4.0 * d, 0.0))
     residual = 0.5 * (abs(t + root) + abs(t - root))
     return SteadyStateResult(rho_s_star=rho, residual=residual, unique=near == 1)
-
-
-def steady_state_for(params: ModelParams, block: AncillaBlock) -> SteadyStateResult:
-    return steady_state(block_map_superop(params, block))
 
 
 def outgoing_with_derivative(maps: np.ndarray, n_measured: int):

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import qmat
 from .channels import Interaction, ModelParams
-from .collision import AncillaBlock, FixedPointError
+from .collision import MAX_MEASURED, AncillaBlock, FixedPointError
 from .fisher import fisher_for, qfi_row, thermal_fi_nbar
 from .optimize import optimize_b1, optimize_b2, refine_grid_max
 from .zz_analytic import zz_delta, zz_fn
@@ -44,9 +44,22 @@ class SweepConfig:
         for q in self.quantities:
             if q not in QUANTITIES:
                 raise ValueError(f"unknown quantity {q!r}")
-        if isinstance(self.block, str) and self.block not in (
-                "optimize-b1", "optimize-b2"):
-            raise ValueError(f"unknown block spec {self.block!r}")
+        n = self.n_measured
+        if not 1 <= n <= MAX_MEASURED:
+            raise ValueError(f"n_measured must be in 1..{MAX_MEASURED}, got {n}")
+        if isinstance(self.block, str):
+            if self.block not in ("optimize-b1", "optimize-b2"):
+                raise ValueError(f"unknown block spec {self.block!r}")
+            if self.interaction is not Interaction.EXCHANGE:
+                raise ValueError(
+                    f"{self.block} is defined for the exchange interaction")
+            if self.block == "optimize-b2" and n not in (2, 4):
+                raise ValueError(f"optimize-b2 needs n_measured 2 or 4, got {n}")
+        elif n % self.block.b:
+            raise ValueError(f"n_measured={n} is not a multiple of block size "
+                             f"{self.block.b}")
+        if "theta_opt" in self.quantities and self.block != "optimize-b1":
+            raise ValueError("theta_opt is defined for the optimize-b1 block only")
 
 
 @dataclass(frozen=True)

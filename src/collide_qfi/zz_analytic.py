@@ -99,20 +99,3 @@ def zz_fn(nbar: float, gamma_tau: float, n_measured: int) -> float:
         return f1
     return f1 + (n_measured - 1) * zz_delta(nbar, gamma_tau)
 
-
-def appendix_f(x: float, dx: float) -> float:
-    """f(x) = (dx)^2 / x for an outcome probability x with derivative dx."""
-    if not 0.0 < x < 1.0:
-        raise ValueError("x must lie in (0, 1)")
-    return dx * dx / x
-
-
-def appendix_g(x: float, dx: float, y: float, dy: float) -> float:
-    """g(x, y) = f(xy) + f(x(1-y)) with product-rule derivatives.
-
-    Satisfies g(x, y) = f(x) + (x / (y(1-y))) * dy^2.
-    """
-    if not 0.0 < x < 1.0 or not 0.0 < y < 1.0:
-        raise ValueError("x and y must lie in (0, 1)")
-    return (appendix_f(x * y, dx * y + x * dy)
-            + appendix_f(x * (1.0 - y), dx * (1.0 - y) - x * dy))

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from collide_qfi import qmat
-from collide_qfi.channels import (Interaction, ModelParams, default_rk4_steps,
-                                  lindblad_rk4, thermal_kraus)
+from collide_qfi.channels import Interaction, ModelParams, thermal_kraus
 from collide_qfi.collision import AncillaBlock, block_map_superop, outgoing_joint_state
 from collide_qfi.fisher import Povm, cfi, fisher_for
 from collide_qfi.sweeps import claim_suite, render_report
 from fd_oracle import default_step, fd_qfi, joint_state_builder, state_pair
+from oracles import default_rk4_steps, lindblad_rk4, partial_trace
 
 
 @pytest.fixture(scope="module")
@@ -120,19 +120,24 @@ def test_10_cptp_randomized_suite():
 
 def test_11_thermal_map_vs_rk4_oracle():
     rng = np.random.default_rng(1)
-    worst = 0.0
     nbars = (0.0, 0.5, 1.0, 2.0, 4.0)
     gts = (0.02, 0.05, 0.1, 0.2, 0.3)
-    for nbar in nbars:
-        for gt in gts:
-            ch = thermal_kraus(nbar, gt)
-            a = rng.normal(size=(10, 2, 2)) + 1j * rng.normal(size=(10, 2, 2))
-            rhos = a @ a.conj().transpose(0, 2, 1)
-            rhos = rhos / np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
-            big_gamma = gt * (2 * nbar + 1)
-            ref = lindblad_rk4(rhos, nbar, gt, default_rk4_steps(big_gamma))
-            out = sum(k @ rhos @ k.conj().T for k in ch.operators)
-            worst = max(worst, float(np.max(np.abs(out - ref))))
+    pairs = [(nbar, gt) for nbar in nbars for gt in gts]
+    stacks, outs = [], []
+    for nbar, gt in pairs:
+        a = rng.normal(size=(10, 2, 2)) + 1j * rng.normal(size=(10, 2, 2))
+        rhos = a @ a.conj().transpose(0, 2, 1)
+        rhos = rhos / np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+        stacks.append(rhos)
+        outs.append(sum(k @ rhos @ k.conj().T
+                        for k in thermal_kraus(nbar, gt).operators))
+    # all 250 states run as one stack through the oracle, each with the
+    # step count of its own parameter pair
+    nbar_col, gt_col = (np.repeat(col, 10) for col in zip(*pairs))
+    steps = np.repeat([default_rk4_steps(gt * (2 * nbar + 1))
+                       for nbar, gt in pairs], 10)
+    ref = lindblad_rk4(np.concatenate(stacks), nbar_col, gt_col, steps)
+    worst = float(np.max(np.abs(np.concatenate(outs) - ref)))
     gate("acceptance-11 thermal map vs RK4 oracle", worst < 1e-8,
          f"25 parameter pairs x 10 states, worst deviation {worst:.2e}")
 
@@ -204,8 +209,7 @@ def test_13_marginal_monotonicity_and_consistency():
         for n_small, n_big in zip(windows, windows[1:]):
             rho_big = outgoing_joint_state(params, block, n_big)
             rho_small = outgoing_joint_state(params, block, n_small)
-            reduced = qmat.partial_trace(rho_big, list(range(n_small)),
-                                         [2] * n_big)
+            reduced = partial_trace(rho_big, list(range(n_small)), [2] * n_big)
             worst_marginal = max(worst_marginal,
                                  float(np.max(np.abs(reduced - rho_small))))
     ok = worst_drop <= 1e-9 and worst_marginal < 1e-9

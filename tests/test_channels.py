@@ -6,17 +6,12 @@ import pytest
 
 from collide_qfi import qmat
 from collide_qfi.channels import (Interaction, KrausChannel, ModelParams,
-                                  apply_kraus_on, apply_unitary_on,
-                                  collision_unitary, default_rk4_steps,
-                                  embed_op, exchange_unitary, gibbs_state,
-                                  lindblad_rk4, thermal_kraus, thermal_superop,
-                                  zz_unitary)
-
-
-def random_density(rng, d=2):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
+                                  collision_unitary, embed_op,
+                                  exchange_unitary, gibbs_state, thermal_kraus,
+                                  thermal_superop, zz_unitary)
+from collide_qfi.collision import _projectors
+from oracles import (apply_kraus_on, apply_unitary_on, default_rk4_steps,
+                     lindblad_rk4, partial_trace, random_density)
 
 
 def test_model_params_validation():
@@ -58,7 +53,7 @@ def test_thermal_kraus_fixed_point_is_gibbs():
 def test_thermal_kraus_coherence_decay():
     nbar, gt = 1.5, 0.4
     big_gamma = gt * (2 * nbar + 1)
-    rho = qmat.projector(qmat.KET_PLUS_X)
+    rho = _projectors(qmat.KET_PLUS_X[None])[0]
     out = thermal_kraus(nbar, gt).apply(rho)
     assert abs(out[0, 1] - 0.5 * math.exp(-big_gamma / 2.0)) < 1e-12
 
@@ -80,14 +75,17 @@ def test_thermal_kraus_full_relaxation():
 
 
 def test_thermal_kraus_matches_rk4_oracle():
+    # the nine cases run as one stack through the oracle, each with its own
+    # step count
     rng = np.random.default_rng(2)
-    for nbar, gt in [(0.2, 0.3), (1.0, 0.5), (3.0, 0.2)]:
-        ch = thermal_kraus(nbar, gt)
-        big_gamma = gt * (2 * nbar + 1)
-        for _ in range(3):
-            rho = random_density(rng)
-            ref = lindblad_rk4(rho, nbar, gt, default_rk4_steps(big_gamma))
-            assert np.max(np.abs(ch.apply(rho) - ref)) < 1e-8
+    cases = [(nbar, gt, random_density(rng))
+             for nbar, gt in [(0.2, 0.3), (1.0, 0.5), (3.0, 0.2)]
+             for _ in range(3)]
+    nbars, gts, rhos = (np.array(c) for c in zip(*cases))
+    steps = [default_rk4_steps(gt * (2 * nbar + 1)) for nbar, gt, _ in cases]
+    refs = lindblad_rk4(rhos, nbars, gts, steps)
+    for (nbar, gt, rho), ref in zip(cases, refs):
+        assert np.max(np.abs(thermal_kraus(nbar, gt).apply(rho) - ref)) < 1e-8
 
 
 def _kraus_superop(nbar, gt):
@@ -162,9 +160,9 @@ def test_exchange_full_swap():
     u = exchange_unitary(math.pi / 2.0)
     rng = np.random.default_rng(3)
     rho_s = random_density(rng)
-    joint = np.kron(rho_s, qmat.projector(qmat.KET_G))
+    joint = np.kron(rho_s, _projectors(qmat.KET_G[None])[0])
     out = u @ joint @ u.conj().T
-    anc = qmat.partial_trace(out, [1], [2, 2])
+    anc = partial_trace(out, [1], [2, 2])
     assert np.allclose(np.diag(anc), np.diag(rho_s), atol=1e-12)
 
 
@@ -216,8 +214,8 @@ def test_apply_kraus_on_marginals():
     ch = thermal_kraus(1.0, 0.5)
     out = apply_kraus_on(ch, joint, 0, [2, 2])
     # channel on subsystem 0 leaves subsystem 1 untouched
-    assert np.allclose(qmat.partial_trace(out, [1], [2, 2]), rho_b, atol=1e-12)
-    assert np.allclose(qmat.partial_trace(out, [0], [2, 2]), ch.apply(rho_a),
+    assert np.allclose(partial_trace(out, [1], [2, 2]), rho_b, atol=1e-12)
+    assert np.allclose(partial_trace(out, [0], [2, 2]), ch.apply(rho_a),
                        atol=1e-12)
     with pytest.raises(ValueError):
         apply_kraus_on(ch, joint, 0, [4, 1])

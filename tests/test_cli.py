@@ -159,6 +159,22 @@ def test_sweep_command_json_stdout(capsys):
     assert abs(rows[0]["qfi"] - zz_fn(1.0, 0.5, 1)) < 1e-6
 
 
+def test_sweep_command_json_is_strict(capsys):
+    # a failed point has no numbers: strict JSON has null there, not NaN
+    rc = cli.main(["sweep", "--nbar-grid", "0,1", "--gamma-tau-grid", "0.5",
+                   "--block", "plusx", "--n", "1", "--format", "json"])
+    assert rc == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    rows = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert rows[0]["status"] == "RankChangeError"
+    assert rows[0]["qfi"] is None and rows[0]["ratio_thermal"] is None
+    assert rows[1]["status"] == "ok"
+    assert abs(rows[1]["qfi"] - zz_fn(1.0, 0.5, 1)) < 1e-6
+
+
 def test_sweep_config_file_with_flag_override(tmp_path, capsys):
     conf = tmp_path / "sweep.conf"
     conf.write_text("nbar-grid = 1.0\ngamma-tau-grid = 0.5\n"
@@ -176,6 +192,22 @@ def test_sweep_config_unknown_key(tmp_path, capsys):
         rc = cli.main(["sweep", "--config", str(conf)])
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
+    # configs that would fail at every grid point are rejected up front
+    point = ["sweep", "--nbar-grid", "1.0", "--gamma-tau-grid", "0.5"]
+    for flags, message in (
+            (["--block", "optimize-b1", "--interaction", "zz"], "exchange"),
+            (["--block", "optimize-b2", "--interaction", "zz", "--n", "2"],
+             "exchange"),
+            (["--block", "plusx", "--n", "0"], "n_measured must be in 1..4"),
+            (["--block", "plusx", "--n", "5"], "n_measured must be in 1..4"),
+            (["--block", "gg", "--n", "3"], "not a multiple of block size 2"),
+            (["--block", "optimize-b2", "--interaction", "exchange",
+              "--n", "3"], "2 or 4"),
+            (["--block", "plusx", "--quantities", "qfi,theta_opt"],
+             "theta_opt")):
+        assert cli.main(point + flags) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
 
 def stub_report(passed):

@@ -4,21 +4,16 @@ import numpy as np
 import pytest
 
 from collide_qfi import qmat
-from collide_qfi.channels import (Interaction, ModelParams, apply_kraus_on,
-                                  apply_unitary_on, collision_unitary, embed_op,
-                                  gibbs_state, thermal_kraus)
+from collide_qfi.channels import (Interaction, ModelParams, collision_unitary,
+                                  embed_op, gibbs_state, thermal_kraus)
 from collide_qfi.collision import (AncillaBlock, FixedPointError,
                                    _block_trace, _fixed_point_pair,
-                                   _step_map_tensor, block_collision_superop,
-                                   block_map_superop, outgoing_joint_state,
-                                   steady_state, steady_state_for, step_maps,
-                                   step_maps_over_params)
-
-
-def random_density(rng, d=2):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
+                                   _projectors, _step_map_tensor,
+                                   block_collision_superop, block_map_superop,
+                                   outgoing_joint_state, steady_state,
+                                   step_maps, step_maps_over_params)
+from oracles import (apply_kraus_on, apply_unitary_on, check_density_matrix,
+                     is_hermitian, partial_trace, random_density, trace_norm)
 
 
 def power_iteration_fixed_point(superop, rho0, max_steps=500, tol=1e-12):
@@ -26,7 +21,7 @@ def power_iteration_fixed_point(superop, rho0, max_steps=500, tol=1e-12):
     rho = np.asarray(rho0, dtype=complex)
     for _ in range(max_steps):
         nxt = (superop @ rho.reshape(-1)).reshape(2, 2)
-        if qmat.trace_norm(nxt - rho) < tol:
+        if trace_norm(nxt - rho) < tol:
             return nxt
         rho = nxt
     return rho
@@ -48,7 +43,7 @@ def test_ancilla_block_validation():
     with pytest.raises(ValueError):
         AncillaBlock(b=1, psi=np.array([1.0, 1.0]))
     blk = AncillaBlock(b=2, psi=np.kron(qmat.KET_G, qmat.KET_PLUS_X))
-    assert blk.projector.shape == (4, 4)
+    assert _projectors(blk.psi[None])[0].shape == (4, 4)
 
 
 def test_block_map_matches_direct_construction():
@@ -63,11 +58,11 @@ def test_block_map_matches_direct_construction():
     dims = [2, 2, 2]
     for _ in range(5):
         rho_s = random_density(rng)
-        joint = np.kron(rho_s, block.projector)
+        joint = np.kron(rho_s, _projectors(block.psi[None])[0])
         for i in (1, 2):
             joint = apply_unitary_on(u, joint, [0, i], dims)
             joint = apply_kraus_on(thermal, joint, 0, dims)
-        expect = qmat.partial_trace(joint, [0], dims)
+        expect = partial_trace(joint, [0], dims)
         got = (s @ rho_s.reshape(-1)).reshape(2, 2)
         assert np.max(np.abs(got - expect)) < 1e-12
 
@@ -81,14 +76,14 @@ def test_block_map_is_cptp():
         for _ in range(10):
             out = (s @ random_density(rng).reshape(-1)).reshape(2, 2)
             assert abs(np.trace(out) - 1.0) < 1e-12
-            assert qmat.is_hermitian(out, 1e-12)
+            assert is_hermitian(out, 1e-12)
             assert np.linalg.eigvalsh(out).min() > -1e-12
 
 
 def test_zz_steady_state_is_gibbs():
     # the ZZ collision is diagonal, so the bath alone sets the populations
     params = ModelParams(nbar=2.0, gamma_tau_se=0.8, interaction=Interaction.ZZ)
-    res = steady_state_for(params, plusx_block())
+    res = steady_state(block_map_superop(params, plusx_block()))
     assert res.unique
     assert res.residual < 1e-12
     assert np.allclose(res.rho_s_star, gibbs_state(2.0), atol=1e-12)
@@ -100,8 +95,8 @@ def test_full_swap_steady_state_closed_form():
     nbar, gt = 1.5, 0.7
     params = ModelParams(nbar=nbar, gamma_tau_se=gt,
                          interaction=Interaction.EXCHANGE)
-    res = steady_state_for(params, ground_block())
-    expect = thermal_kraus(nbar, gt).apply(qmat.projector(qmat.KET_G))
+    res = steady_state(block_map_superop(params, ground_block()))
+    expect = thermal_kraus(nbar, gt).apply(_projectors(qmat.KET_G[None])[0])
     assert res.residual < 1e-12
     assert np.allclose(res.rho_s_star, expect, atol=1e-12)
 
@@ -119,7 +114,7 @@ def test_steady_state_flags_non_unique():
     # no bath contact and no collision: every state is fixed
     params = ModelParams(nbar=1.0, gamma_tau_se=0.0, g_tau_sa=0.0,
                          interaction=Interaction.EXCHANGE)
-    res = steady_state_for(params, ground_block())
+    res = steady_state(block_map_superop(params, ground_block()))
     assert not res.unique
 
 
@@ -160,7 +155,7 @@ def test_outgoing_joint_state_is_density_matrix():
         for n in (1, 2, 3, 4):
             rho = outgoing_joint_state(params, plusx_block(), n)
             assert rho.shape == (2 ** n, 2 ** n)
-            qmat.check_density_matrix(rho)
+            check_density_matrix(rho)
 
 
 def test_outgoing_marginals_consistent():
@@ -171,7 +166,7 @@ def test_outgoing_marginals_consistent():
     for n in (1, 2, 3):
         big = outgoing_joint_state(params, blk, n + 1)
         small = outgoing_joint_state(params, blk, n)
-        reduced = qmat.partial_trace(big, list(range(n)), [2] * (n + 1))
+        reduced = partial_trace(big, list(range(n)), [2] * (n + 1))
         assert np.max(np.abs(reduced - small)) < 1e-12
 
 
@@ -205,13 +200,13 @@ def kraus_chain_state(params, block, n):
     dims = [2] * (1 + n)
     u = collision_unitary(params)
     thermal = thermal_kraus(params.nbar, params.gamma_tau_se)
-    joint = steady_state_for(params, block).rho_s_star
+    joint = steady_state(block_map_superop(params, block)).rho_s_star
     for _ in range(n // block.b):
-        joint = np.kron(joint, block.projector)
+        joint = np.kron(joint, _projectors(block.psi[None])[0])
     for i in range(1, n + 1):
         joint = apply_unitary_on(u, joint, [0, i], dims)
         joint = apply_kraus_on(thermal, joint, 0, dims)
-    return qmat.partial_trace(joint, list(range(1, n + 1)), dims)
+    return partial_trace(joint, list(range(1, n + 1)), dims)
 
 
 def test_outgoing_joint_state_matches_kraus_chain():

@@ -120,13 +120,17 @@ def test_run_sweep_stacked_rows_match_fisher_for():
 
 
 def test_run_sweep_records_error_status():
-    # b=1 optimization under the ZZ interaction is rejected per point
-    config = small_config(block="optimize-b1", n_measured=1,
-                          quantities=("qfi",))
+    # b=1 optimization under the ZZ interaction fails at every point, so the
+    # config is rejected; a point that fails alone keeps its error class.
+    # Delta has no value without bath contact (gamma_tau = 0).
+    with pytest.raises(ValueError, match="exchange"):
+        small_config(block="optimize-b1", n_measured=1, quantities=("qfi",))
+    config = small_config(gamma_tau_grid=(0.0, 0.5), n_measured=1,
+                          quantities=("qfi", "delta_zz"))
     rows = run_sweep(config)
     for r in rows:
-        assert r.status == "ValueError"
-        assert math.isnan(r.values["qfi"])
+        assert r.status == ("ValueError" if r.gamma_tau == 0.0 else "ok")
+        assert math.isnan(r.values["qfi"]) == (r.gamma_tau == 0.0)
 
 
 def test_run_sweep_ratio_per_copy():

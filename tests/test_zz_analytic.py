@@ -1,11 +1,9 @@
 import math
 
-import numpy as np
 import pytest
 
 from collide_qfi.fisher import thermal_fi_nbar
-from collide_qfi.zz_analytic import (appendix_f, appendix_g, zz_delta, zz_f1,
-                                     zz_fn, zz_probs)
+from collide_qfi.zz_analytic import zz_delta, zz_f1, zz_fn, zz_probs
 
 
 def test_zz_probs_values():
@@ -72,26 +70,3 @@ def test_zz_fn_progression_is_arithmetic():
     with pytest.raises(ValueError):
         zz_fn(1.0, 0.5, 0)
 
-
-def test_appendix_f():
-    assert abs(appendix_f(0.25, 0.5) - 1.0) < 1e-15
-    with pytest.raises(ValueError):
-        appendix_f(0.0, 0.1)
-    with pytest.raises(ValueError):
-        appendix_f(1.0, 0.1)
-
-
-def test_appendix_g_identity():
-    # g(x, y) = f(x) + (x / (y(1-y))) dy^2
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        x, y = rng.uniform(0.05, 0.95, size=2)
-        dx, dy = rng.normal(size=2)
-        lhs = appendix_g(x, dx, y, dy)
-        rhs = appendix_f(x, dx) + x / (y * (1 - y)) * dy * dy
-        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
-
-
-def test_appendix_g_validation():
-    with pytest.raises(ValueError):
-        appendix_g(0.5, 0.1, 1.0, 0.1)
