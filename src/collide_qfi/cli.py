@@ -117,12 +117,10 @@ def _model_params(args) -> ModelParams:
                        interaction=Interaction(args.interaction))
 
 
-def _add_point_args(p, interaction=True):
+def _add_point_args(p):
     p.add_argument("--nbar", type=float, required=True)
     p.add_argument("--gamma-tau", type=float, required=True)
     p.add_argument("--g-tau-sa", type=float, default=math.pi / 2)
-    if interaction:
-        p.add_argument("--interaction", choices=["zz", "exchange"], required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,27 +135,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fisher", help="QFI of N outgoing ancillas for a given block")
     _add_point_args(p)
+    p.add_argument("--interaction", choices=["zz", "exchange"], required=True)
     p.add_argument("--block", required=True)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("optimize", help="maximize QFI over ancilla input states")
-    _add_point_args(p, interaction=False)
+    _add_point_args(p)
     p.add_argument("--b", type=int, choices=[1, 2], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(interaction="exchange")
 
     p = sub.add_parser("sweep", help="grid evaluation, CSV/JSON output")
     p.add_argument("--config", default=None)
     p.add_argument("--nbar-grid", default=None)
     p.add_argument("--gamma-tau-grid", default=None)
-    p.add_argument("--interaction", choices=["zz", "exchange"], default=None)
-    p.add_argument("--block", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--quantities", default=None)
-    p.add_argument("--g-tau-sa", type=float, default=None)
+    p.add_argument("--interaction", choices=["zz", "exchange"], default="zz")
+    p.add_argument("--block", default="plusx")
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--quantities", default="qfi,ratio_thermal")
+    p.add_argument("--g-tau-sa", type=float, default=math.pi / 2)
     p.add_argument("--output", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("claims", help="run the scalar claim suite")
     p.add_argument("--seed", type=int, default=0)
@@ -170,62 +170,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SWEEP_DEFAULTS = {
-    "interaction": "zz",
-    "block": "plusx",
-    "n": "1",
-    "quantities": "qfi,ratio_thermal",
-    "format": "csv",
-    "seed": "0",
-    "output": None,
-    "g_tau_sa": None,
-    "nbar_grid": None,
-    "gamma_tau_grid": None,
-}
-
-
-def _sweep_settings(args) -> dict:
-    """Merge flags over config-file values over built-in defaults."""
-    settings = dict(_SWEEP_DEFAULTS)
-    if args.config:
-        file_vals = parse_config_file(args.config)
-        for key, value in file_vals.items():
-            norm = key.replace("-", "_")
-            if norm not in settings:
-                raise ValueError(f"unknown config key {key!r}")
-            settings[norm] = value
-    for key in settings:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            settings[key] = str(flag) if not isinstance(flag, str) else flag
-    return settings
+def _config_flags(path: str, keys) -> list:
+    """The lines of a sweep config file as --key=value tokens. A key must name
+    one of the sweep's flags other than --config."""
+    flags = []
+    for key, value in parse_config_file(path).items():
+        norm = key.replace("-", "_")
+        if norm not in keys or norm in ("command", "config"):
+            raise ValueError(f"unknown config key {key!r}")
+        flags.append(f"--{norm.replace('_', '-')}={value}")
+    return flags
 
 
 def cmd_sweep(args) -> int:
-    settings = _sweep_settings(args)
-    nbar_grid = (parse_grid(settings["nbar_grid"])
-                 if settings["nbar_grid"] else default_grids()[0])
-    gt_grid = (parse_grid(settings["gamma_tau_grid"])
-               if settings["gamma_tau_grid"] else default_grids()[1])
-    block = settings["block"]
+    nbar_grid = (parse_grid(args.nbar_grid)
+                 if args.nbar_grid else default_grids()[0])
+    gt_grid = (parse_grid(args.gamma_tau_grid)
+               if args.gamma_tau_grid else default_grids()[1])
+    block = args.block
     if block not in ("optimize-b1", "optimize-b2"):
         block = parse_block(block)
-    quantities = tuple(q.strip() for q in settings["quantities"].split(","))
+    quantities = tuple(q.strip() for q in args.quantities.split(","))
     config = SweepConfig(
         nbar_grid=nbar_grid, gamma_tau_grid=gt_grid,
-        interaction=Interaction(settings["interaction"]),
-        block=block, n_measured=int(settings["n"]),
-        quantities=quantities,
-        g_tau_sa=float(settings["g_tau_sa"]) if settings["g_tau_sa"] else math.pi / 2)
-    rows = run_sweep(config, seed=int(settings["seed"]))
-    write_output(rows, quantities, settings["format"], settings["output"])
+        interaction=Interaction(args.interaction),
+        block=block, n_measured=args.n,
+        quantities=quantities, g_tau_sa=args.g_tau_sa)
+    rows = run_sweep(config, seed=args.seed)
+    write_output(rows, quantities, args.format, args.output)
     return 0
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command == "sweep" and args.config:
+            # File values go in right after the subcommand, so the same
+            # parser checks them and the command line's own flags win.
+            at = argv.index("sweep") + 1
+            args = parser.parse_args(
+                argv[:at] + _config_flags(args.config, vars(args)) + argv[at:])
         if args.command == "thermal-fi":
             print(_fmt(thermal_fi_nbar(args.nbar)))
             return 0
@@ -237,9 +223,7 @@ def main(argv=None) -> int:
             print(f"ratio_thermal = {_fmt(result.ratio_thermal)}")
             return 0
         if args.command == "optimize":
-            params = ModelParams(nbar=args.nbar, gamma_tau_se=args.gamma_tau,
-                                 g_tau_sa=args.g_tau_sa,
-                                 interaction=Interaction.EXCHANGE)
+            params = _model_params(args)
             if args.b == 1:
                 opt = optimize_b1(params, args.n)
                 print(f"theta_opt = {_fmt(opt.argmax.theta)}")
@@ -260,22 +244,20 @@ def main(argv=None) -> int:
             report = claim_suite(seed=args.seed)
             sys.stdout.write(render_report(report))
             return 0 if report.passed else 1
-        if args.command == "zz-closed":
-            value = zz_fn(args.nbar, args.gamma_tau, args.n)
-            fth = thermal_fi_nbar(args.nbar)
-            print(f"value_nbar = {_fmt(value)}")
-            if args.n > 1:
-                print(f"delta = {_fmt(zz_delta(args.nbar, args.gamma_tau))}")
-            print(f"ratio_thermal = {_fmt(value / (args.n * fth))}")
-            return 0
-        parser.error(f"unknown command {args.command!r}")
+        # zz-closed, the last subcommand
+        value = zz_fn(args.nbar, args.gamma_tau, args.n)
+        fth = thermal_fi_nbar(args.nbar)
+        print(f"value_nbar = {_fmt(value)}")
+        if args.n > 1:
+            print(f"delta = {_fmt(zz_delta(args.nbar, args.gamma_tau))}")
+        print(f"ratio_thermal = {_fmt(value / (args.n * fth))}")
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

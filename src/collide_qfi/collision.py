@@ -234,8 +234,8 @@ def _fixed_point_pair(superop: np.ndarray, dsuperop: np.ndarray):
         inv = np.array([_inverse_or_nan(m) for m in a])
     # NaN or inf in the inverse fails the comparison too
     ok = np.abs((a @ inv[:, :, 3:])[:, :, 0] - _E3).max(axis=1) <= 1e-9
-    for i in np.flatnonzero(~ok):
-        inv[i] = np.linalg.pinv(a[i])
+    if not ok.all():
+        inv[~ok] = np.linalg.pinv(a[~ok])
     rho = inv[:, :, 3].reshape(-1, 2, 2)
     rho = (rho + rho.conj().transpose(0, 2, 1)) / 2.0
     rho /= (rho[:, 0, 0].real + rho[:, 1, 1].real)[:, None, None]

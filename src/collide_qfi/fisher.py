@@ -114,7 +114,7 @@ def cfi(rho: np.ndarray, drho: np.ndarray, povm: Povm) -> float:
     """Classical Fisher information of a POVM on a state rho with parameter
     derivative drho: sum over outcomes of (d p)^2 / p, skipping p ~ 0. For a
     model state the pair comes from ``outgoing_with_derivative``, as in
-    ``fisher_for``."""
+    ``qfi_values``."""
     if povm.dim != rho.shape[0]:
         raise ValueError("POVM dimension does not match the state")
     total = 0.0
@@ -155,9 +155,7 @@ def fisher_for(params: ModelParams, block: AncillaBlock,
     The state and its exact nbar-derivative come from one pass through the
     collision chain: the one-row case of ``qfi_values``.
     """
-    rho, drho = outgoing_with_derivative(
-        step_maps(params, block.b, block.psi[None]), n_measured)
-    value = qfi(rho[0], drho[0])
+    value = float(qfi_values(params, block.b, block.psi[None], n_measured)[0])
     ratio = value / (n_measured * thermal_fi_nbar(params.nbar))
     return FisherResult(value_nbar=value, ratio_thermal=ratio,
                         n_measured=n_measured, block_b=block.b)

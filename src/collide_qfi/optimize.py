@@ -148,8 +148,6 @@ def optimize_b1(params: ModelParams, n_measured: int) -> Optimum:
     bracket around its maximum to 1e-6 in theta."""
     if params.interaction is not Interaction.EXCHANGE:
         raise ValueError("b=1 optimization is defined for the exchange interaction")
-    if not 1 <= n_measured <= 4:
-        raise ValueError("n_measured must be in 1..4")
     thetas = np.linspace(0.0, math.pi, 181)
     psi = np.array([bloch_state(BlochAngles(float(t))) for t in thetas])
     values = qfi_values(params, 1, psi, n_measured)

@@ -44,10 +44,7 @@ def herm_eigen(h):
 # Fixed qubit operators, basis ordering |g> = e0, |e> = e1.
 I2 = np.eye(2, dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
-SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |e> -> |g>
-SIGMA_PLUS = SIGMA_MINUS.conj().T
 
 KET_G = np.array([1, 0], dtype=complex)
 KET_E = np.array([0, 1], dtype=complex)
 KET_PLUS_X = np.array([1, 1], dtype=complex) / np.sqrt(2)
-KET_PLUS_Y = np.array([1, 1j], dtype=complex) / np.sqrt(2)

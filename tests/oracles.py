@@ -11,9 +11,13 @@ import math
 import numpy as np
 
 from collide_qfi.channels import embed_op
-from collide_qfi.qmat import HERM_TOL, SIGMA_MINUS, SIGMA_PLUS
+from collide_qfi.qmat import HERM_TOL
 
 PSD_TOL = 1e-10
+# Qubit operators and states that only the tests use; basis |g> = e0, |e> = e1.
+SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |e> -> |g>
+SIGMA_PLUS = SIGMA_MINUS.conj().T
+KET_PLUS_Y = np.array([1, 1j], dtype=complex) / np.sqrt(2)
 
 
 def random_density(rng, d=2):

@@ -210,6 +210,49 @@ def test_sweep_config_unknown_key(tmp_path, capsys):
         assert message in captured.err and captured.out == ""
 
 
+def exit_code(argv):
+    """main's exit status, whether it returns it or argparse exits."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_sweep_config_values_are_checked_like_flags(tmp_path, monkeypatch,
+                                                    capsys):
+    conf = tmp_path / "sweep.conf"
+    point = "nbar-grid = 1.0\ngamma-tau-grid = 0.5\nquantities = qfi\n"
+    for line, flag in (("format = xml", "--format"),
+                       ("interaction = ZZ", "--interaction"),
+                       ("n = two", "--n"), ("seed = 1.5", "--seed")):
+        conf.write_text(point + line + "\n")
+        assert exit_code(["sweep", "--config", str(conf)]) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == ""
+    # keys are whole flag names: no --config, no abbreviation of --nbar-grid
+    for line in ("config = other.conf", "nbar = 1.0"):
+        conf.write_text(line + "\n")
+        assert exit_code(["sweep", "--config", str(conf)]) == 2
+        captured = capsys.readouterr()
+        assert "unknown config key" in captured.err and captured.out == ""
+
+    seen = []
+    monkeypatch.setattr(cli, "run_sweep",
+                        lambda config, seed: seen.append((config, seed)) or [])
+    # a value that starts with '-' is a value, not a flag
+    conf.write_text("nbar-grid = 1.0\ngamma-tau-grid = -0.5,0.5\n")
+    assert exit_code(["sweep", "--config", str(conf)]) == 0
+    assert seen[-1][0].gamma_tau_grid == (-0.5, 0.5)
+    capsys.readouterr()
+    # a flag of each type overrides its file value
+    conf.write_text(point + "format = csv\ng_tau_sa = 1.0\nseed = 3\n")
+    assert exit_code(["sweep", "--config", str(conf), "--format", "json",
+                      "--g-tau-sa", "0.7", "--seed", "5"]) == 0
+    config, seed = seen[-1]
+    assert (config.g_tau_sa, seed) == (0.7, 5)
+    assert json.loads(capsys.readouterr().out) == []
+
+
 def stub_report(passed):
     return ClaimReport(results=(
         ClaimResult("stub", "stub check", 1.0, 1.0 if passed else 2.0,

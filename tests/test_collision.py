@@ -12,8 +12,9 @@ from collide_qfi.collision import (AncillaBlock, FixedPointError,
                                    block_collision_superop, block_map_superop,
                                    outgoing_joint_state, steady_state,
                                    step_maps, step_maps_over_params)
-from oracles import (apply_kraus_on, apply_unitary_on, check_density_matrix,
-                     is_hermitian, partial_trace, random_density, trace_norm)
+from oracles import (KET_PLUS_Y, apply_kraus_on, apply_unitary_on,
+                     check_density_matrix, is_hermitian, partial_trace,
+                     random_density, trace_norm)
 
 
 def power_iteration_fixed_point(superop, rho0, max_steps=500, tol=1e-12):
@@ -211,7 +212,7 @@ def kraus_chain_state(params, block, n):
 
 def test_outgoing_joint_state_matches_kraus_chain():
     blocks = [plusx_block(), ground_block(),
-              AncillaBlock(b=2, psi=np.kron(qmat.KET_PLUS_X, qmat.KET_PLUS_Y)),
+              AncillaBlock(b=2, psi=np.kron(qmat.KET_PLUS_X, KET_PLUS_Y)),
               AncillaBlock(b=2, psi=(np.kron(qmat.KET_G, qmat.KET_G)
                                      + np.kron(qmat.KET_E, qmat.KET_E))
                            / math.sqrt(2))]
@@ -324,7 +325,7 @@ def test_fixed_point_pair_stack_mixes_degenerate_rows():
         params = ModelParams(nbar=0.9, gamma_tau_se=0.3, g_tau_sa=1.2,
                              interaction=interaction)
         for block in (plusx_block(),
-                      AncillaBlock(b=2, psi=np.kron(qmat.KET_G, qmat.KET_PLUS_Y))):
+                      AncillaBlock(b=2, psi=np.kron(qmat.KET_G, KET_PLUS_Y))):
             maps.append(_block_trace(step_maps(params, block.b,
                                                block.psi[None]))[0])
     identity = (np.eye(4, dtype=complex), np.zeros((4, 4), dtype=complex))

@@ -11,6 +11,7 @@ from collide_qfi.fisher import (Povm, RankChangeError, cfi, dnbar_dT,
 from collide_qfi.zz_analytic import zz_fn
 from fd_oracle import (default_step, fd_qfi, joint_state_builder,
                        state_derivative, state_pair)
+from oracles import KET_PLUS_Y
 
 
 def test_thermal_fi_matches_binomial_oracle():
@@ -172,7 +173,7 @@ def test_exact_derivative_matches_finite_differences():
     # moves the QFI by less than 1e-8. The three-point difference cannot get
     # there where the QFI is ~1e-9: rounding in the state sets its floor.
     blocks = [AncillaBlock(b=1, psi=qmat.KET_PLUS_X),
-              AncillaBlock(b=2, psi=np.kron(qmat.KET_PLUS_X, qmat.KET_PLUS_Y))]
+              AncillaBlock(b=2, psi=np.kron(qmat.KET_PLUS_X, KET_PLUS_Y))]
     worst = 0.0
     for interaction in Interaction:
         for nbar in (0.1, 1.0, 10.0):
@@ -226,7 +227,7 @@ def random_states(rng, count, dim):
 def test_qfi_values_match_fisher_for():
     # each row of one stacked call against the one-row evaluation of its state
     rng = np.random.default_rng(11)
-    named = {1: [qmat.KET_PLUS_X, qmat.KET_G, qmat.KET_PLUS_Y],
+    named = {1: [qmat.KET_PLUS_X, qmat.KET_G, KET_PLUS_Y],
              2: [np.kron(qmat.KET_G, qmat.KET_PLUS_X),
                  (np.kron(qmat.KET_G, qmat.KET_G)
                   + np.kron(qmat.KET_E, qmat.KET_E)) / math.sqrt(2)]}

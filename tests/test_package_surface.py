@@ -1,10 +1,11 @@
-"""Every public function and class in the package has a caller.
+"""Every public function, class and constant in the package has a caller.
 
-A public top-level function or class of ``src/collide_qfi`` must be used
-somewhere in the package outside its own definition, be exported from
-``collide_qfi/__init__.py``, or be an attribute that the span wrappers of
-perfbench/spans.py rebind. Code that only tests call belongs under
-``tests/``.
+A public top-level function or class of ``src/collide_qfi``, or a public
+UPPER_CASE module constant, must be used somewhere in the package outside
+its own definition, be exported from ``collide_qfi/__init__.py``, or be an
+attribute that the span wrappers of perfbench/spans.py rebind. A use inside
+a definition that itself has no caller does not count. Code and constants
+that only tests use belong under ``tests/``.
 """
 
 import ast
@@ -21,6 +22,20 @@ def used_names(node):
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def public_names(node):
+    """The public function, class or UPPER_CASE constants a top-level
+    statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [t.id for t in targets
+                 if isinstance(t, ast.Name) and t.id.isupper()]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
 def test_every_public_definition_has_a_caller():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
@@ -29,14 +44,19 @@ def test_every_public_definition_has_a_caller():
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     spanned = {attr for _, attr, _ in load_spans().TARGETS}
     # one entry per top-level statement, so a definition's own body is not
-    # counted as a use of it
-    uses = [(node, used_names(node)) for tree in trees.values()
-            for node in tree.body]
-    orphans = [f"{name}:{node.name}" for name, tree in trees.items()
-               for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and not node.name.startswith("_")
-               and node.name not in exported | spanned
-               and not any(node.name in names for other, names in uses
-                           if other is not node)]
+    # counted as a use of it; orphans are dropped and the search repeats, so
+    # what only an orphan uses is found too
+    live = {id(node): (name, node, used_names(node))
+            for name, tree in trees.items() for node in tree.body}
+    orphans = []
+    while found := [(key, f"{name}:{defined}")
+                    for key, (name, node, _) in live.items()
+                    for defined in public_names(node)
+                    if defined not in exported | spanned
+                    and not any(defined in names
+                                for other, (_, _, names) in live.items()
+                                if other != key)]:
+        orphans += [label for _, label in found]
+        for key, _ in found:
+            live.pop(key, None)
     assert not orphans, f"public definitions with no caller in src/: {orphans}"

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from collide_qfi import qmat
 from collide_qfi.collision import _projectors
-from oracles import check_density_matrix, partial_trace, random_density, trace_norm
+from oracles import (KET_PLUS_Y, SIGMA_MINUS, SIGMA_PLUS, check_density_matrix,
+                     partial_trace, random_density, trace_norm)
 
 
 def test_partial_trace_rejects_nonsquare():
@@ -39,7 +40,7 @@ def test_pure_state_normalization():
 
 
 def test_projector_idempotent():
-    p = _projectors(qmat.KET_PLUS_Y[None])[0]
+    p = _projectors(KET_PLUS_Y[None])[0]
     assert np.allclose(p @ p, p)
     assert abs(np.trace(p) - 1.0) < 1e-12
 
@@ -119,7 +120,7 @@ def test_trace_norm():
 
 
 def test_qubit_constants():
-    assert np.allclose(qmat.SIGMA_MINUS @ qmat.KET_E, qmat.KET_G)
-    assert np.allclose(qmat.SIGMA_PLUS @ qmat.KET_G, qmat.KET_E)
+    assert np.allclose(SIGMA_MINUS @ qmat.KET_E, qmat.KET_G)
+    assert np.allclose(SIGMA_PLUS @ qmat.KET_G, qmat.KET_E)
     assert np.allclose(qmat.SIGMA_Z @ qmat.KET_G, qmat.KET_G)
     assert np.allclose(qmat.SIGMA_Z @ qmat.KET_E, -qmat.KET_E)
