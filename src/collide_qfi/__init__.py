@@ -5,8 +5,8 @@ from .channels import (Interaction, KrausChannel, ModelParams,
                        exchange_unitary, gibbs_state, thermal_kraus, zz_unitary)
 from .collision import (AncillaBlock, FixedPointError, SteadyStateResult,
                         block_map_superop, outgoing_joint_state, steady_state)
-from .fisher import (FisherResult, Povm, RankChangeError, cfi, dnbar_dT,
-                     fisher_for, qfi, thermal_fi_nbar)
+from .fisher import (FisherResult, RankChangeError, dnbar_dT, fisher_for, qfi,
+                     thermal_fi_nbar)
 from .optimize import (BlochAngles, Optimum, SchmidtParams, bloch_state,
                        optimize_b1, optimize_b2, schmidt_state)
 from .sweeps import ClaimReport, SweepConfig, SweepRow, claim_suite, run_sweep

@@ -83,7 +83,7 @@ def _collision_pairs(params) -> np.ndarray:
 def _step_maps(pairs: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """Step maps (E, dE/dnbar) of one block from one-collision pairs ``pairs``
     (P, 2, 16, 16) and block input operators ``ops`` (Q, 2^b, 2^b), with P
-    and Q equal or 1: an (max(P, Q), 2, 4*4^b, 4) stack.
+    or Q equal to 1: an (max(P, Q), 2, 4*4^b, 4) stack.
 
     The first ancilla's collision contracts its input legs with Psi. The
     second collides on (S, A_2) with A_1 and the system input as spectators;
@@ -146,25 +146,37 @@ def _projectors(psi: np.ndarray) -> np.ndarray:
     return psi[:, :, None] * psi.conj()[:, None, :]
 
 
-def step_maps(params: ModelParams, b: int, psi: np.ndarray) -> np.ndarray:
-    """Step maps of one set of model parameters for each row of a (B, 2^b)
-    stack of block states: two real matmuls against the cached tensor."""
-    # Real products, not one complex one: numpy's OpenBLAS runs the complex
-    # product of a 17-row optimizer stack multithreaded, scipy's L-BFGS-B
-    # wakes scipy's own OpenBLAS pool between two such calls, and when the
-    # two pools want more workers than there are cores they stall each other
-    # for a scheduler slice per call. These real products do not.
-    tensor = _step_map_tensor(params, b).view(float)
-    p = _projectors(psi).reshape(len(psi), -1)
-    maps = (p.real @ tensor).view(complex) + 1j * (p.imag @ tensor).view(complex)
-    return maps.reshape(len(psi), 2, -1, 4)
+def step_maps(params, psi: np.ndarray) -> np.ndarray:
+    """Step maps of one block for a stacked evaluation: either one
+    ``ModelParams`` and each row of a (Q, 2^b) stack of block states, or each
+    point of a sequence of model parameters that share g_tau_sa and the
+    interaction, such as one row of a sweep grid, and a one-state stack.
+    Returns an (R, 2, 4*4^b, 4) stack; b is read from the width of ``psi``.
 
-
-def step_maps_over_params(params, psi: np.ndarray) -> np.ndarray:
-    """Step maps of one block state ``psi`` for each point of a sequence of
-    model parameters that share the collision unitary, built per ancilla
-    from the stacked one-collision pairs; no block superoperator is formed."""
-    return _step_maps(_collision_pairs(params), _projectors(psi[None]))
+    One parameter point takes two real matmuls against its cached step-map
+    tensor. A sequence is built per ancilla from the stacked one-collision
+    pairs and forms no tensor: on a 21-point b=2 row that is ~18x faster
+    than forming a tensor per point, whose cache would then never hit.
+    """
+    if psi.ndim != 2 or psi.shape[1] not in (2, 4):
+        raise ValueError(
+            f"block size must be 1 or 2: psi stack shape {psi.shape}")
+    if isinstance(params, ModelParams):
+        # Real products, not one complex one: numpy's OpenBLAS runs the
+        # complex product of a 17-row optimizer stack multithreaded, scipy's
+        # L-BFGS-B wakes scipy's own OpenBLAS pool between two such calls, and
+        # when the two pools want more workers than there are cores they
+        # stall each other for a scheduler slice per call. These real
+        # products do not.
+        b = psi.shape[1].bit_length() - 1
+        tensor = _step_map_tensor(params, b).view(float)
+        p = _projectors(psi).reshape(len(psi), -1)
+        maps = (p.real @ tensor).view(complex) + 1j * (p.imag @ tensor).view(complex)
+        return maps.reshape(len(psi), 2, -1, 4)
+    if len(params) > 1 and len(psi) > 1:
+        raise ValueError(f"a sequence of {len(params)} parameter points takes "
+                         f"one block state, got {len(psi)}")
+    return _step_maps(_collision_pairs(params), _projectors(psi))
 
 
 def _block_trace(maps: np.ndarray) -> np.ndarray:
@@ -176,7 +188,7 @@ def _block_trace(maps: np.ndarray) -> np.ndarray:
 
 def block_map_superop(params: ModelParams, block: AncillaBlock) -> np.ndarray:
     """4x4 superoperator of Phi: rho_S -> tr_A{C[rho_S (x) Psi]}."""
-    return _block_trace(step_maps(params, block.b, block.psi[None]))[0, 0]
+    return _block_trace(step_maps(params, block.psi[None]))[0, 0]
 
 
 _I4 = np.eye(4)
@@ -308,6 +320,6 @@ def outgoing_joint_state(params: ModelParams, block: AncillaBlock,
     unitary on (S, A_i) followed by the thermal map on S, then traces out S.
     This is the state half of ``outgoing_with_derivative`` for one block.
     """
-    maps = step_maps(params, block.b, block.psi[None])
+    maps = step_maps(params, block.psi[None])
     return outgoing_with_derivative(maps, n_measured)[0][0]
 

@@ -17,15 +17,13 @@ import numpy as np
 
 from . import qmat
 from .channels import ModelParams
-from .collision import (AncillaBlock, outgoing_with_derivative, step_maps,
-                        step_maps_over_params)
+from .collision import AncillaBlock, outgoing_with_derivative, step_maps
 # Bound here as well for callers that look it up through this module, such
 # as the span wrappers of perfbench/spans.py.
 from .collision import outgoing_joint_state  # noqa: F401
 
 KERNEL_REL_CUTOFF = 1e-12
 KERNEL_LEAK_TOL = 1e-8
-PROB_CUTOFF = 1e-14
 
 
 class RankChangeError(RuntimeError):
@@ -45,28 +43,6 @@ class RankChangeError(RuntimeError):
 class FisherResult:
     value_nbar: float
     ratio_thermal: float
-    n_measured: int
-    block_b: int
-
-
-@dataclass(frozen=True)
-class Povm:
-    effects: tuple
-
-    def __post_init__(self):
-        effects = tuple(np.asarray(e, dtype=complex) for e in self.effects)
-        object.__setattr__(self, "effects", effects)
-        d = effects[0].shape[0]
-        for e in effects:
-            if float(np.linalg.eigvalsh((e + e.conj().T) / 2).min()) < -1e-10:
-                raise ValueError("POVM effect is not PSD")
-        comp = sum(effects)
-        if float(np.max(np.abs(comp - np.eye(d)))) > 1e-10:
-            raise ValueError("POVM effects do not sum to identity")
-
-    @property
-    def dim(self) -> int:
-        return self.effects[0].shape[0]
 
 
 def thermal_fi_nbar(nbar: float) -> float:
@@ -110,42 +86,15 @@ def qfi(rho: np.ndarray, drho: np.ndarray):
     return float(val) if val.ndim == 0 else val
 
 
-def cfi(rho: np.ndarray, drho: np.ndarray, povm: Povm) -> float:
-    """Classical Fisher information of a POVM on a state rho with parameter
-    derivative drho: sum over outcomes of (d p)^2 / p, skipping p ~ 0. For a
-    model state the pair comes from ``outgoing_with_derivative``, as in
-    ``qfi_values``."""
-    if povm.dim != rho.shape[0]:
-        raise ValueError("POVM dimension does not match the state")
-    total = 0.0
-    for e in povm.effects:
-        p = float(np.trace(e @ rho).real)
-        if p > PROB_CUTOFF:
-            dp = float(np.trace(e @ drho).real)
-            total += dp * dp / p
-    return total
-
-
-def qfi_values(params: ModelParams, b: int, psi: np.ndarray,
-               n_measured: int) -> np.ndarray:
+def qfi_values(params, psi: np.ndarray, n_measured: int) -> np.ndarray:
     """QFI in nbar units of the N-ancilla outgoing state for each row of a
-    (B, 2^b) stack of block states, from one stacked pass through the
-    collision chain and one stacked eigendecomposition."""
-    if b not in (1, 2):
-        raise ValueError(f"block size must be 1 or 2, got {b}")
+    stacked evaluation, from one stacked pass through the collision chain and
+    one stacked eigendecomposition. ``params`` and ``psi`` are one
+    ``ModelParams`` and a (B, 2^b) stack of block states, or a sequence of
+    model parameters, such as one row of a sweep grid, and a one-state stack,
+    as ``step_maps`` takes them."""
     psi = qmat.pure_states(psi)
-    if psi.ndim != 2 or psi.shape[1] != 2 ** b:
-        raise ValueError(f"psi stack shape {psi.shape} does not match b={b}")
-    return qfi(*outgoing_with_derivative(step_maps(params, b, psi), n_measured))
-
-
-def qfi_row(params, block: AncillaBlock, n_measured: int) -> np.ndarray:
-    """QFI in nbar units of the N-ancilla outgoing state of one block at each
-    point of a sequence of model parameters that share g_tau_sa and the
-    interaction, such as one row of a sweep grid: one stacked pass through
-    the same chain as ``qfi_values``."""
-    maps = step_maps_over_params(params, block.psi)
-    return qfi(*outgoing_with_derivative(maps, n_measured))
+    return qfi(*outgoing_with_derivative(step_maps(params, psi), n_measured))
 
 
 def fisher_for(params: ModelParams, block: AncillaBlock,
@@ -155,7 +104,6 @@ def fisher_for(params: ModelParams, block: AncillaBlock,
     The state and its exact nbar-derivative come from one pass through the
     collision chain: the one-row case of ``qfi_values``.
     """
-    value = float(qfi_values(params, block.b, block.psi[None], n_measured)[0])
+    value = float(qfi_values(params, block.psi[None], n_measured)[0])
     ratio = value / (n_measured * thermal_fi_nbar(params.nbar))
-    return FisherResult(value_nbar=value, ratio_thermal=ratio,
-                        n_measured=n_measured, block_b=block.b)
+    return FisherResult(value_nbar=value, ratio_thermal=ratio)

@@ -150,7 +150,7 @@ def optimize_b1(params: ModelParams, n_measured: int) -> Optimum:
         raise ValueError("b=1 optimization is defined for the exchange interaction")
     thetas = np.linspace(0.0, math.pi, 181)
     psi = np.array([bloch_state(BlochAngles(float(t))) for t in thetas])
-    values = qfi_values(params, 1, psi, n_measured)
+    values = qfi_values(params, psi, n_measured)
     theta, value, nfev = refine_grid_max(
         lambda t: _qfi_of_theta(params, n_measured, t), thetas, values, 1e-6)
     return Optimum(argmax=BlochAngles(theta=theta), value_nbar=value,
@@ -196,7 +196,7 @@ def optimize_b2(params: ModelParams, n_measured: int, seed: int = 0,
         z = x + _FD_ROWS
         psi = z[:, :4] + 1j * z[:, 4:]
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        f = -qfi_values(params, 2, psi, n_measured) / scale
+        f = -qfi_values(params, psi, n_measured) / scale
         return f[0], (f[1:9] - f[9:]) / (2.0 * _FD_STEP)
 
     rng = np.random.default_rng(seed)

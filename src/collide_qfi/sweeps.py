@@ -10,14 +10,11 @@ import numpy as np
 from . import qmat
 from .channels import Interaction, ModelParams
 from .collision import MAX_MEASURED, AncillaBlock, FixedPointError
-from .fisher import fisher_for, qfi_row, thermal_fi_nbar
+from .fisher import fisher_for, qfi_values, thermal_fi_nbar
 from .optimize import optimize_b1, optimize_b2, refine_grid_max
 from .zz_analytic import zz_delta, zz_fn
 
 QUANTITIES = ("qfi", "ratio_thermal", "ratio_per_copy", "theta_opt", "delta_zz")
-
-KET_G = qmat.KET_G
-KET_PLUS_X = qmat.KET_PLUS_X
 
 
 @dataclass(frozen=True)
@@ -114,10 +111,11 @@ def _fixed_block_values(config: SweepConfig, nbar: float,
     one stacked call (two with ``ratio_per_copy`` beyond one block)."""
     params = [_params(config, nbar, gt) for gt in gamma_taus]
     block, n = config.block, config.n_measured
-    qfi = qfi_row(params, block, n)
+    psi = block.psi[None]
+    qfi = qfi_values(params, psi, n)
     columns = {"qfi": qfi}
     if "ratio_per_copy" in config.quantities:
-        base = qfi if n == block.b else qfi_row(params, block, block.b)
+        base = qfi if n == block.b else qfi_values(params, psi, block.b)
         columns["ratio_per_copy"] = _per_copy(qfi, n // block.b, base)
     return [{q: float(v[i]) for q, v in columns.items()}
             for i in range(len(gamma_taus))]
@@ -220,11 +218,11 @@ def _lower_bound_claim(name, desc, bound, measured):
 
 
 def _plusx_block() -> AncillaBlock:
-    return AncillaBlock(b=1, psi=KET_PLUS_X)
+    return AncillaBlock(b=1, psi=qmat.KET_PLUS_X)
 
 
 def _ground_block() -> AncillaBlock:
-    return AncillaBlock(b=1, psi=KET_G)
+    return AncillaBlock(b=1, psi=qmat.KET_G)
 
 
 def _maximize_1d(f, lo, hi, coarse=25, tol=1e-4, log=True):
@@ -369,9 +367,9 @@ def _claims_ground_additivity():
 
 
 def _product_blocks():
-    gg = np.kron(KET_G, KET_G)
-    xg = np.kron(KET_PLUS_X, KET_G)
-    gx = np.kron(KET_G, KET_PLUS_X)
+    gg = np.kron(qmat.KET_G, qmat.KET_G)
+    xg = np.kron(qmat.KET_PLUS_X, qmat.KET_G)
+    gx = np.kron(qmat.KET_G, qmat.KET_PLUS_X)
     return [AncillaBlock(b=2, psi=p) for p in (gg, xg, gx)]
 
 

@@ -3,10 +3,12 @@
 The package builds every map in closed form or through the per-block step
 map. These helpers do the same physics the long way: an RK4 integration of
 the Lindblad dissipator, operators embedded in the full tensor-product
-space, an explicit partial trace, and density-matrix checks.
+space, an explicit partial trace, and density-matrix checks. The classical
+Fisher information of a POVM bounds the package's QFI from below.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,6 +16,7 @@ from collide_qfi.channels import embed_op
 from collide_qfi.qmat import HERM_TOL
 
 PSD_TOL = 1e-10
+PROB_CUTOFF = 1e-14
 # Qubit operators and states that only the tests use; basis |g> = e0, |e> = e1.
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |e> -> |g>
 SIGMA_PLUS = SIGMA_MINUS.conj().T
@@ -156,3 +159,37 @@ def partial_trace(rho, keep, dims) -> np.ndarray:
 def trace_norm(a) -> float:
     """Sum of singular values."""
     return float(np.linalg.svd(_as_matrix(a), compute_uv=False).sum())
+
+
+@dataclass(frozen=True)
+class Povm:
+    effects: tuple
+
+    def __post_init__(self):
+        effects = tuple(np.asarray(e, dtype=complex) for e in self.effects)
+        object.__setattr__(self, "effects", effects)
+        d = effects[0].shape[0]
+        for e in effects:
+            if float(np.linalg.eigvalsh((e + e.conj().T) / 2).min()) < -1e-10:
+                raise ValueError("POVM effect is not PSD")
+        comp = sum(effects)
+        if float(np.max(np.abs(comp - np.eye(d)))) > 1e-10:
+            raise ValueError("POVM effects do not sum to identity")
+
+    @property
+    def dim(self) -> int:
+        return self.effects[0].shape[0]
+
+
+def cfi(rho: np.ndarray, drho: np.ndarray, povm: Povm) -> float:
+    """Classical Fisher information of a POVM on a state rho with parameter
+    derivative drho: sum over outcomes of (d p)^2 / p, skipping p ~ 0."""
+    if povm.dim != rho.shape[0]:
+        raise ValueError("POVM dimension does not match the state")
+    total = 0.0
+    for e in povm.effects:
+        p = float(np.trace(e @ rho).real)
+        if p > PROB_CUTOFF:
+            dp = float(np.trace(e @ drho).real)
+            total += dp * dp / p
+    return total

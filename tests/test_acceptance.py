@@ -15,10 +15,10 @@ import pytest
 from collide_qfi import qmat
 from collide_qfi.channels import Interaction, ModelParams, thermal_kraus
 from collide_qfi.collision import AncillaBlock, block_map_superop, outgoing_joint_state
-from collide_qfi.fisher import Povm, cfi, fisher_for
+from collide_qfi.fisher import fisher_for
 from collide_qfi.sweeps import claim_suite, render_report
 from fd_oracle import default_step, fd_qfi, joint_state_builder, state_pair
-from oracles import default_rk4_steps, lindblad_rk4, partial_trace
+from oracles import Povm, cfi, default_rk4_steps, lindblad_rk4, partial_trace
 
 
 @pytest.fixture(scope="module")

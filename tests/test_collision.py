@@ -11,7 +11,8 @@ from collide_qfi.collision import (AncillaBlock, FixedPointError,
                                    _projectors, _step_map_tensor,
                                    block_collision_superop, block_map_superop,
                                    outgoing_joint_state, steady_state,
-                                   step_maps, step_maps_over_params)
+                                   step_maps)
+from collide_qfi.fisher import qfi_values
 from oracles import (KET_PLUS_Y, apply_kraus_on, apply_unitary_on,
                      check_density_matrix, is_hermitian, partial_trace,
                      random_density, trace_norm)
@@ -274,10 +275,10 @@ def test_step_maps_match_block_collision_superop():
             d = 2 ** b
             psi = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
             psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-            over_params = step_maps_over_params(grid, psi[0])
+            over_params = step_maps(grid, psi[:1])
             for i, params in enumerate(grid):
                 pair = block_collision_superop(params, b)
-                shared = step_maps(params, b, psi)
+                shared = step_maps(params, psi)
                 for maps, state in ((shared[0], psi[0]), (shared[2], psi[2]),
                                     (over_params[i], psi[0])):
                     for _ in range(2):
@@ -306,13 +307,23 @@ def test_step_map_tensor_is_read_only():
 
 def test_step_maps_do_not_build_block_collision_superop():
     # the block pair is a reference layout only: new parameters fill the
-    # step-map tensor cache and leave the pair's cache untouched
+    # step-map tensor cache and leave the pair's cache untouched. The input
+    # type picks the builder: a parameter sequence is built per ancilla and
+    # forms no tensor, one parameter point forms exactly one.
     before = block_collision_superop.cache_info().misses
     for b in (1, 2):
         params = ModelParams(nbar=0.123457 + b, gamma_tau_se=0.345679,
                              g_tau_sa=0.987654, interaction=Interaction.EXCHANGE)
+        row = [params, ModelParams(nbar=0.234568 + b, gamma_tau_se=0.456789,
+                                   g_tau_sa=0.987654,
+                                   interaction=Interaction.EXCHANGE)]
+        psi = np.eye(2 ** b, dtype=complex)
         misses = _step_map_tensor.cache_info().misses
-        step_maps(params, b, np.eye(2 ** b, dtype=complex))
+        qfi_values(row, psi[:1], b)
+        assert _step_map_tensor.cache_info().misses == misses
+        qfi_values(params, psi, b)
+        assert _step_map_tensor.cache_info().misses == misses + 1
+        step_maps(params, psi)
         assert _step_map_tensor.cache_info().misses == misses + 1
     assert block_collision_superop.cache_info().misses == before
 
@@ -326,8 +337,7 @@ def test_fixed_point_pair_stack_mixes_degenerate_rows():
                              interaction=interaction)
         for block in (plusx_block(),
                       AncillaBlock(b=2, psi=np.kron(qmat.KET_G, KET_PLUS_Y))):
-            maps.append(_block_trace(step_maps(params, block.b,
-                                               block.psi[None]))[0])
+            maps.append(_block_trace(step_maps(params, block.psi[None]))[0])
     identity = (np.eye(4, dtype=complex), np.zeros((4, 4), dtype=complex))
     maps.insert(2, identity)
     phi = np.array([m[0] for m in maps])

@@ -6,12 +6,12 @@ import pytest
 from collide_qfi import qmat
 from collide_qfi.channels import Interaction, ModelParams, gibbs_state
 from collide_qfi.collision import AncillaBlock
-from collide_qfi.fisher import (Povm, RankChangeError, cfi, dnbar_dT,
-                                fisher_for, qfi, qfi_values, thermal_fi_nbar)
+from collide_qfi.fisher import (RankChangeError, dnbar_dT, fisher_for, qfi,
+                                qfi_values, thermal_fi_nbar)
 from collide_qfi.zz_analytic import zz_fn
 from fd_oracle import (default_step, fd_qfi, joint_state_builder,
                        state_derivative, state_pair)
-from oracles import KET_PLUS_Y
+from oracles import KET_PLUS_Y, Povm, cfi
 
 
 def test_thermal_fi_matches_binomial_oracle():
@@ -139,8 +139,6 @@ def test_fisher_for_matches_closed_form():
     res = fisher_for(params, block, 3)
     expect = zz_fn(2.0, 0.7, 3)
     assert abs(res.value_nbar - expect) < 1e-6 * expect
-    assert res.n_measured == 3
-    assert res.block_b == 1
     assert abs(res.ratio_thermal - res.value_nbar / (3 * thermal_fi_nbar(2.0))) < 1e-12
 
 
@@ -241,7 +239,7 @@ def test_qfi_values_match_fisher_for():
                 for n in range(b, 5, b):
                     if n == 3:
                         continue
-                    values = qfi_values(params, b, psi, n)
+                    values = qfi_values(params, psi, n)
                     assert values.shape == (len(psi),)
                     for row, value in zip(psi, values):
                         ref = fisher_for(params, AncillaBlock(b=b, psi=row),
@@ -259,13 +257,13 @@ def test_qfi_values_raise_rank_change_in_a_batch():
     params = ModelParams(nbar=1e-6, gamma_tau_se=1.0, interaction=Interaction.ZZ)
     psi = np.array([qmat.KET_G, qmat.KET_PLUS_X, qmat.KET_E])
     with pytest.raises(RankChangeError) as batch:
-        qfi_values(params, 1, psi, 4)
+        qfi_values(params, psi, 4)
     with pytest.raises(RankChangeError) as single:
         fisher_for(params, AncillaBlock(b=1, psi=qmat.KET_PLUS_X), 4)
     assert batch.value.max_kernel_element == pytest.approx(
         single.value.max_kernel_element, rel=1e-6)
     # without that row the same point evaluates
-    values = qfi_values(params, 1, psi[[0, 2]], 4)
+    values = qfi_values(params, psi[[0, 2]], 4)
     assert np.all(np.isfinite(values))
 
 
@@ -277,7 +275,7 @@ def test_qfi_values_degenerate_fixed_point():
     rng = np.random.default_rng(12)
     for b in (1, 2):
         psi = random_states(rng, 3, 2 ** b)
-        values = qfi_values(params, b, psi, 2)
+        values = qfi_values(params, psi, 2)
         for row, value in zip(psi, values):
             assert value == fisher_for(params, AncillaBlock(b=b, psi=row),
                                        2).value_nbar
@@ -285,13 +283,20 @@ def test_qfi_values_degenerate_fixed_point():
 
 def test_qfi_values_validation():
     params = ModelParams(nbar=1.0, gamma_tau_se=0.5)
+    gg = np.kron(qmat.KET_G, qmat.KET_G)
     with pytest.raises(ValueError):
-        qfi_values(params, 1, np.array([qmat.KET_G, [1.0, 1.0]]), 1)
+        qfi_values(params, np.array([qmat.KET_G, [1.0, 1.0]]), 1)
     with pytest.raises(ValueError):
-        qfi_values(params, 1, np.array([[np.nan, 0.0]]), 1)
+        qfi_values(params, np.array([[np.nan, 0.0]]), 1)
     with pytest.raises(ValueError):
-        qfi_values(params, 2, np.array([qmat.KET_G]), 2)
-    with pytest.raises(ValueError):
-        qfi_values(params, 2, np.array([np.kron(qmat.KET_G, qmat.KET_G)]), 3)
+        qfi_values(params, np.array([gg]), 3)
     with pytest.raises(ValueError, match="block size"):
-        qfi_values(params, 3, np.eye(8)[:1], 3)
+        qfi_values(params, np.eye(8)[:1], 3)
+    # a sequence of parameter points takes one block state, and its points
+    # must share the collision unitary
+    row = [params, ModelParams(nbar=2.0, gamma_tau_se=0.5)]
+    with pytest.raises(ValueError):
+        qfi_values(row, np.array([qmat.KET_G, qmat.KET_E]), 1)
+    mixed = [params, ModelParams(nbar=1.0, gamma_tau_se=0.5, g_tau_sa=1.0)]
+    with pytest.raises(ValueError):
+        qfi_values(mixed, qmat.KET_G[None], 1)

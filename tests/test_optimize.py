@@ -102,7 +102,7 @@ def test_optimize_b1_ties_are_relative():
     thetas = np.clip(np.linspace(theta - 0.02, theta + 0.02, 4001),
                      0.0, math.pi)
     psi = np.array([bloch_state(BlochAngles(float(t))) for t in thetas])
-    best = qfi_values(params, 1, psi, 4).max()
+    best = qfi_values(params, psi, 4).max()
     assert opt.value_nbar >= best * (1 - 1e-12)
 
 
@@ -157,7 +157,7 @@ def test_optimize_b2_dominates_dense_scan():
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
     g, x = qmat.KET_G, qmat.KET_PLUS_X
     corners = [np.kron(g, g), np.kron(g, x), np.kron(x, g), np.kron(x, x)]
-    scan = qfi_values(params, 2, np.vstack([psi, corners]), 2)
+    scan = qfi_values(params, np.vstack([psi, corners]), 2)
     assert scan.max() <= opt.value_nbar * (1 + 1e-12)
 
 
@@ -169,7 +169,7 @@ def test_optimize_b2_ties_are_relative():
                          interaction=Interaction.EXCHANGE)
     opt = optimize_b2(params, 2, n_random_starts=2)
     gg = np.kron(qmat.KET_G, qmat.KET_G)
-    corner = qfi_values(params, 2, gg[None], 2)[0]
+    corner = qfi_values(params, gg[None], 2)[0]
     assert opt.value_nbar > corner * (1 + 1e-5)
     assert opt.value_nbar - corner < optimize.TIE_TOL
 
@@ -180,7 +180,7 @@ def test_optimize_b2_n4_beats_best_product():
     opt = optimize_b2(params, 4)
     g, x = qmat.KET_G, qmat.KET_PLUS_X
     products = [np.kron(g, g), np.kron(g, x), np.kron(x, g), np.kron(x, x)]
-    assert qfi_values(params, 2, np.array(products), 4).max() <= opt.value_nbar
+    assert qfi_values(params, np.array(products), 4).max() <= opt.value_nbar
     assert 0.9999 <= opt.argmax.r <= 1.0
 
 
@@ -205,8 +205,8 @@ def test_schmidt_params_round_trip():
     assert found[-3].r == 0.5
     assert found[-2].theta_m == math.pi and found[-2].r == 1.0
     assert found[-1].alpha == 0.0 and found[-1].r == 1.0
-    before = qfi_values(params, 2, psi, 2)
-    after = qfi_values(params, 2, np.array([schmidt_state(p) for p in found]), 2)
+    before = qfi_values(params, psi, 2)
+    after = qfi_values(params, np.array([schmidt_state(p) for p in found]), 2)
     assert np.all(np.abs(after - before) <= 1e-12 * before)
 
 
