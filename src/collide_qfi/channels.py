@@ -41,11 +41,6 @@ class ModelParams:
         if self.gamma_tau_se < 0:
             raise ValueError(f"gamma_tau_se must be >= 0, got {self.gamma_tau_se}")
 
-    @property
-    def big_gamma(self) -> float:
-        """Effective thermalization rate Gamma = gamma*tau_SE*(2nbar+1)."""
-        return self.gamma_tau_se * (2.0 * self.nbar + 1.0)
-
 
 @dataclass(frozen=True)
 class KrausChannel:

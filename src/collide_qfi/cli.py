@@ -117,6 +117,16 @@ def _model_params(args) -> ModelParams:
                        interaction=Interaction(args.interaction))
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take only integers >= 0."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+
+
 def _add_point_args(p):
     p.add_argument("--nbar", type=float, required=True)
     p.add_argument("--gamma-tau", type=float, required=True)
@@ -143,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_args(p)
     p.add_argument("--b", type=int, choices=[1, 2], required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(interaction="exchange")
 
     p = sub.add_parser("sweep", help="grid evaluation, CSV/JSON output")
@@ -157,10 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-tau-sa", type=float, default=math.pi / 2)
     p.add_argument("--output", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("claims", help="run the scalar claim suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("zz-closed", help="closed-form ZZ Fisher information")
     p.add_argument("--nbar", type=float, required=True)

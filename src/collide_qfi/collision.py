@@ -173,6 +173,9 @@ def step_maps(params, psi: np.ndarray) -> np.ndarray:
         p = _projectors(psi).reshape(len(psi), -1)
         maps = (p.real @ tensor).view(complex) + 1j * (p.imag @ tensor).view(complex)
         return maps.reshape(len(psi), 2, -1, 4)
+    if not params:
+        raise ValueError("step_maps needs at least one parameter point, got "
+                         "an empty parameter sequence")
     if len(params) > 1 and len(psi) > 1:
         raise ValueError(f"a sequence of {len(params)} parameter points takes "
                          f"one block state, got {len(psi)}")

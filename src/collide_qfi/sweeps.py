@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -78,47 +79,42 @@ def _params(config: SweepConfig, nbar: float, gamma_tau: float) -> ModelParams:
                        g_tau_sa=config.g_tau_sa, interaction=config.interaction)
 
 
-def _per_copy(qfi, copies: int, base):
-    """qfi / (copies * base), NaN where the one-block QFI ``base`` is 0."""
-    qfi, base = np.asarray(qfi, dtype=float), np.asarray(base, dtype=float)
-    return np.divide(qfi, copies * base, out=np.full(qfi.shape, math.nan),
-                     where=base != 0.0)
+def _values(config: SweepConfig, nbar: float, gamma_taus: tuple,
+            seed: int) -> list:
+    """Values at each gamma_tau of one nbar row, for any block spec.
 
-
-def _optimized_values(config: SweepConfig, params: ModelParams,
-                      seed: int) -> dict:
-    """Values at one grid point of an ``optimize-b1``/``optimize-b2`` config."""
-    n = config.n_measured
-    values = {}
-    if config.block == "optimize-b1":
-        opt = optimize_b1(params, n)
-        values["theta_opt"] = opt.argmax.theta
-        if "ratio_per_copy" in config.quantities:
-            base = opt.value_nbar if n == 1 else optimize_b1(params, 1).value_nbar
-            values["ratio_per_copy"] = float(_per_copy(opt.value_nbar, n, base))
-    else:
-        opt = optimize_b2(params, n, seed=seed)
-        if "ratio_per_copy" in config.quantities:
-            base = opt.value_nbar if n == 2 else optimize_b2(params, 2, seed=seed).value_nbar
-            values["ratio_per_copy"] = float(_per_copy(opt.value_nbar, n // 2, base))
-    values["qfi"] = opt.value_nbar
-    return values
-
-
-def _fixed_block_values(config: SweepConfig, nbar: float,
-                        gamma_taus: tuple) -> list:
-    """Values of a fixed-block config at each gamma_tau of one nbar row, from
-    one stacked call (two with ``ratio_per_copy`` beyond one block)."""
-    params = [_params(config, nbar, gt) for gt in gamma_taus]
+    The QFI at m ancillas is one stacked ``qfi_values`` call over the row for
+    a fixed block, and one optimizer call per point for ``optimize-b1`` and
+    ``optimize-b2``. ``ratio_per_copy`` divides by the QFI of one block of
+    size b (NaN where that is 0); ``theta_opt`` is read from the b=1 optima.
+    """
+    points = [_params(config, nbar, gt) for gt in gamma_taus]
     block, n = config.block, config.n_measured
-    psi = block.psi[None]
-    qfi = qfi_values(params, psi, n)
+    if isinstance(block, AncillaBlock):
+        b, optimize = block.b, None
+    elif block == "optimize-b1":
+        b, optimize = 1, optimize_b1
+    else:
+        b, optimize = 2, functools.partial(optimize_b2, seed=seed)
+
+    def qfi_at(m):
+        """The QFI at m ancillas of each point, and the optima behind it."""
+        if optimize is None:
+            return qfi_values(points, block.psi[None], m), None
+        optima = [optimize(p, m) for p in points]
+        return np.array([o.value_nbar for o in optima]), optima
+
+    qfi, optima = qfi_at(n)
     columns = {"qfi": qfi}
     if "ratio_per_copy" in config.quantities:
-        base = qfi if n == block.b else qfi_values(params, psi, block.b)
-        columns["ratio_per_copy"] = _per_copy(qfi, n // block.b, base)
+        base = qfi if n == b else qfi_at(b)[0]
+        columns["ratio_per_copy"] = np.divide(
+            qfi, n // b * base, out=np.full(len(qfi), math.nan),
+            where=base != 0.0)
+    if "theta_opt" in config.quantities:
+        columns["theta_opt"] = [o.argmax.theta for o in optima]
     return [{q: float(v[i]) for q, v in columns.items()}
-            for i in range(len(gamma_taus))]
+            for i in range(len(points))]
 
 
 def _row(config: SweepConfig, nbar: float, gamma_tau: float,
@@ -140,12 +136,8 @@ def _row(config: SweepConfig, nbar: float, gamma_tau: float,
 def _eval_point(config: SweepConfig, nbar: float, gamma_tau: float,
                 seed: int) -> SweepRow:
     try:
-        if isinstance(config.block, str):
-            values = _optimized_values(config, _params(config, nbar, gamma_tau),
-                                       seed)
-        else:
-            values = _fixed_block_values(config, nbar, (gamma_tau,))[0]
-        return _row(config, nbar, gamma_tau, values)
+        return _row(config, nbar, gamma_tau,
+                    _values(config, nbar, (gamma_tau,), seed)[0])
     except (ValueError, RuntimeError) as exc:
         status = ("degenerate" if isinstance(exc, FixedPointError)
                   else type(exc).__name__)
@@ -157,12 +149,13 @@ def _eval_point(config: SweepConfig, nbar: float, gamma_tau: float,
 def _eval_nbar_row(config: SweepConfig, nbar: float, seed: int) -> list:
     """Rows of one nbar value. A fixed block takes one stacked pass over the
     gamma_tau grid; if any point of it raises, every point is evaluated
-    again alone, so each gets its own status."""
+    again alone, so each gets its own status. An optimizing block runs
+    point by point, so no optimizer point is solved twice."""
     grid = config.gamma_tau_grid
-    if not isinstance(config.block, str):
+    if isinstance(config.block, AncillaBlock):
         try:
             return [_row(config, nbar, gt, values) for gt, values
-                    in zip(grid, _fixed_block_values(config, nbar, grid))]
+                    in zip(grid, _values(config, nbar, grid, seed))]
         except (ValueError, RuntimeError):
             pass
     return [_eval_point(config, nbar, gt, seed) for gt in grid]
@@ -182,6 +175,16 @@ def run_sweep(config: SweepConfig, seed: int = 0):
 # Scalar claim suite
 # ---------------------------------------------------------------------------
 
+# Pass rule of each comparison, as f(measured, expected, tolerance). NaN
+# never passes.
+_VERDICTS = {
+    "abs": lambda m, e, tol: abs(m - e) <= tol,
+    "rel": lambda m, e, tol: abs(m - e) <= tol * abs(e),
+    "lower-bound": lambda m, e, tol: m >= e - tol,
+    "upper-bound": lambda m, e, tol: m <= e + tol,
+}
+
+
 @dataclass(frozen=True)
 class ClaimResult:
     name: str
@@ -189,8 +192,12 @@ class ClaimResult:
     expected: float
     measured: float
     tolerance: float
-    passed: bool
     comparison: str = "abs"  # abs | rel | lower-bound | upper-bound
+
+    @property
+    def passed(self) -> bool:
+        return _VERDICTS[self.comparison](self.measured, self.expected,
+                                          self.tolerance)
 
 
 @dataclass(frozen=True)
@@ -200,21 +207,6 @@ class ClaimReport:
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
-
-
-def _abs_claim(name, desc, expected, measured, tol):
-    return ClaimResult(name, desc, expected, measured, tol,
-                       abs(measured - expected) <= tol, "abs")
-
-
-def _rel_claim(name, desc, expected, measured, tol):
-    ok = abs(measured - expected) <= tol * abs(expected)
-    return ClaimResult(name, desc, expected, measured, tol, ok, "rel")
-
-
-def _lower_bound_claim(name, desc, bound, measured):
-    return ClaimResult(name, desc, bound, measured, 0.0,
-                       measured >= bound, "lower-bound")
 
 
 def _plusx_block() -> AncillaBlock:
@@ -241,7 +233,7 @@ def _claims_zz_angle():
     for i, (g_tau, exp) in enumerate(expected.items()):
         params = ModelParams(g_tau_sa=g_tau, **params0)
         r = fisher_for(params, _plusx_block(), 1).ratio_thermal
-        out.append(_abs_claim(
+        out.append(ClaimResult(
             f"zz-angle-{i}",
             f"single-ancilla |+x> FI ratio at collision angle {g_tau:.6g}",
             exp, r, 1e-6))
@@ -262,16 +254,16 @@ def _claims_zz_progression():
         "zz-progression",
         "numeric N-ancilla QFI vs arithmetic-progression closed form, "
         "worst relative deviation over a 12-point grid, N=1..4",
-        0.0, worst, 1e-5, worst <= 1e-5, "upper-bound")]
+        0.0, worst, 1e-5, "upper-bound")]
 
 
 def _claims_zz_delta_max():
     nbar = 10.0
     fth = thermal_fi_nbar(nbar)
     _, val = _maximize_1d(lambda gt: zz_delta(nbar, gt) / fth, 1e-3, 5.0)
-    return [_rel_claim("zz-delta-max",
-                       "max over gamma_tau of Delta/F_th at nbar=10",
-                       71.8, val, 0.01)]
+    return [ClaimResult("zz-delta-max",
+                        "max over gamma_tau of Delta/F_th at nbar=10",
+                        71.8, val, 0.01, "rel")]
 
 
 def _claims_exchange_opt11():
@@ -284,10 +276,10 @@ def _claims_exchange_opt11():
         return optimize_b1(params, 1).value_nbar / fth
 
     _, val = _maximize_1d(f, 0.01, 3.0, coarse=21, tol=1e-3)
-    return [_rel_claim("exchange-opt-1-1",
-                       "max over gamma_tau of single-ancilla optimal QFI ratio "
-                       "at nbar=10",
-                       77.3, val, 0.01)]
+    return [ClaimResult("exchange-opt-1-1",
+                        "max over gamma_tau of single-ancilla optimal QFI "
+                        "ratio at nbar=10",
+                        77.3, val, 0.01, "rel")]
 
 
 def _ground_swap_ratio(nbar: float, gamma_tau: float) -> float:
@@ -311,24 +303,22 @@ def _claims_ground_small_gt():
     params = ModelParams(nbar=nbar, gamma_tau_se=gt,
                          interaction=Interaction.EXCHANGE)
     r = fisher_for(params, _ground_block(), 1).ratio_thermal
-    return [_rel_claim("exchange-ground-small-coupling",
-                       "|g>-ancilla FI ratio at nbar=10, gamma_tau=0.04 vs its "
-                       "full-swap closed form",
-                       _ground_swap_ratio(nbar, gt), r, 1e-6)]
+    return [ClaimResult("exchange-ground-small-coupling",
+                        "|g>-ancilla FI ratio at nbar=10, gamma_tau=0.04 vs "
+                        "its full-swap closed form",
+                        _ground_swap_ratio(nbar, gt), r, 1e-6, "rel")]
 
 
 def _claims_exchange_collective():
     nbar = 10.0
     fth = thermal_fi_nbar(nbar)
-    cache = {}
 
+    @functools.cache
     def opts(gt):
-        if gt not in cache:
-            params = ModelParams(nbar=nbar, gamma_tau_se=gt,
-                                 interaction=Interaction.EXCHANGE)
-            cache[gt] = (optimize_b1(params, 1).value_nbar,
-                         optimize_b1(params, 2).value_nbar)
-        return cache[gt]
+        params = ModelParams(nbar=nbar, gamma_tau_se=gt,
+                             interaction=Interaction.EXCHANGE)
+        return (optimize_b1(params, 1).value_nbar,
+                optimize_b1(params, 2).value_nbar)
 
     def ratio(gt):
         f1, f2 = opts(gt)
@@ -337,15 +327,15 @@ def _claims_exchange_collective():
     gt_star, val = _maximize_1d(ratio, 0.1, 0.6, coarse=11, tol=1e-3, log=False)
     _, f2 = opts(gt_star)
     return [
-        _rel_claim("exchange-collective-ratio",
-                   "max over gamma_tau of F_opt(2,1)/2F_opt(1,1) at nbar=10",
-                   1.65, val, 0.02),
-        _abs_claim("exchange-collective-location",
-                   "gamma_tau at which the N=2 collective advantage peaks",
-                   0.26, gt_star, 0.05),
-        _rel_claim("exchange-collective-thermal",
-                   "F_opt(2,1)/2F_th at the collective-advantage peak",
-                   3.6, f2 / (2.0 * fth), 0.03),
+        ClaimResult("exchange-collective-ratio",
+                    "max over gamma_tau of F_opt(2,1)/2F_opt(1,1) at nbar=10",
+                    1.65, val, 0.02, "rel"),
+        ClaimResult("exchange-collective-location",
+                    "gamma_tau at which the N=2 collective advantage peaks",
+                    0.26, gt_star, 0.05),
+        ClaimResult("exchange-collective-thermal",
+                    "F_opt(2,1)/2F_th at the collective-advantage peak",
+                    3.6, f2 / (2.0 * fth), 0.03, "rel"),
     ]
 
 
@@ -363,7 +353,7 @@ def _claims_ground_additivity():
         "exchange-ground-additivity",
         "F_N = N*F_1 for |g> ancillas, worst relative deviation over 6 points, "
         "N=2..4",
-        0.0, worst, 1e-6, worst <= 1e-6, "upper-bound")]
+        0.0, worst, 1e-6, "upper-bound")]
 
 
 def _product_blocks():
@@ -386,14 +376,14 @@ def _claims_b2_products(seed: int = 0):
             worst_ratio = min(worst_ratio, best_product / opt.value_nbar)
             worst_r = min(worst_r, opt.argmax.r)
     return [
-        _lower_bound_claim("b2-product-near-optimal",
-                           "worst best-product-state fraction of the b=2 "
-                           "optimum over a 9-point grid",
-                           0.90, worst_ratio),
-        _lower_bound_claim("b2-optimum-uncorrelated",
-                           "smallest Schmidt weight r of the b=2 optimum over "
-                           "the same grid",
-                           0.9999, worst_r),
+        ClaimResult("b2-product-near-optimal",
+                    "worst best-product-state fraction of the b=2 optimum "
+                    "over a 9-point grid",
+                    0.90, worst_ratio, 0.0, "lower-bound"),
+        ClaimResult("b2-optimum-uncorrelated",
+                    "smallest Schmidt weight r of the b=2 optimum over the "
+                    "same grid",
+                    0.9999, worst_r, 0.0, "lower-bound"),
     ]
 
 
@@ -406,26 +396,23 @@ def _claims_low_temperature_threshold(seed: int = 0):
         opt = optimize_b2(params, 2, seed=seed)
         return opt.value_nbar / (2.0 * thermal_fi_nbar(nbar)) - 1.0
 
-    lo, hi = 0.14, 0.26
-    f_lo, f_hi = excess(lo), excess(hi)
-    if not (f_lo < 0 < f_hi):
-        return [ClaimResult("b2-low-temperature-threshold",
-                            "bracket for the nbar threshold where the b=N=2 "
-                            "optimum meets twice the thermal FI at gamma_tau=1",
-                            0.189, math.nan, 0.05, False, "rel")]
     # Four halvings of the 0.12-wide bracket put the midpoint within ~2%
-    # of the crossing, inside the 5% tolerance.
-    for _ in range(4):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    threshold = 0.5 * (lo + hi)
-    return [_rel_claim("b2-low-temperature-threshold",
-                       "nbar threshold where the b=N=2 optimum meets twice the "
-                       "thermal FI at gamma_tau=1",
-                       0.189, threshold, 0.05)]
+    # of the crossing, inside the 5% tolerance. A bracket that holds no
+    # crossing measures NaN.
+    lo, hi = 0.14, 0.26
+    threshold = math.nan
+    if excess(lo) < 0 < excess(hi):
+        for _ in range(4):
+            mid = 0.5 * (lo + hi)
+            if excess(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        threshold = 0.5 * (lo + hi)
+    return [ClaimResult("b2-low-temperature-threshold",
+                        "nbar threshold where the b=N=2 optimum meets twice "
+                        "the thermal FI at gamma_tau=1",
+                        0.189, threshold, 0.05, "rel")]
 
 
 def claim_suite(seed: int = 0) -> ClaimReport:

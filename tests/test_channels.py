@@ -25,8 +25,6 @@ def test_model_params_validation():
             kwargs[field] = bad
             with pytest.raises(ValueError, match="finite"):
                 ModelParams(**kwargs)
-    p = ModelParams(nbar=2.0, gamma_tau_se=0.5)
-    assert abs(p.big_gamma - 2.5) < 1e-15
 
 
 def test_kraus_channel_rejects_incomplete():

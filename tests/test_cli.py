@@ -224,11 +224,19 @@ def test_sweep_config_values_are_checked_like_flags(tmp_path, monkeypatch,
     point = "nbar-grid = 1.0\ngamma-tau-grid = 0.5\nquantities = qfi\n"
     for line, flag in (("format = xml", "--format"),
                        ("interaction = ZZ", "--interaction"),
-                       ("n = two", "--n"), ("seed = 1.5", "--seed")):
+                       ("n = two", "--n"), ("seed = 1.5", "--seed"),
+                       ("seed = -1", "--seed")):
         conf.write_text(point + line + "\n")
         assert exit_code(["sweep", "--config", str(conf)]) == 2
         captured = capsys.readouterr()
         assert flag in captured.err and captured.out == ""
+    # numpy's generators take no negative seed, and no subcommand does
+    for argv in (["sweep"], ["claims"],
+                 ["optimize", "--nbar", "1", "--gamma-tau", "0.5", "--b", "2",
+                  "--n", "2"]):
+        assert exit_code(argv + ["--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "--seed" in captured.err and captured.out == ""
     # keys are whole flag names: no --config, no abbreviation of --nbar-grid
     for line in ("config = other.conf", "nbar = 1.0"):
         conf.write_text(line + "\n")
@@ -253,16 +261,15 @@ def test_sweep_config_values_are_checked_like_flags(tmp_path, monkeypatch,
     assert json.loads(capsys.readouterr().out) == []
 
 
-def stub_report(passed):
+def stub_report(measured):
     return ClaimReport(results=(
-        ClaimResult("stub", "stub check", 1.0, 1.0 if passed else 2.0,
-                    1e-6, passed, "abs"),))
+        ClaimResult("stub", "stub check", 1.0, measured, 1e-6, "abs"),))
 
 
 def test_claims_command_exit_codes(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "claim_suite", lambda seed: stub_report(True))
+    monkeypatch.setattr(cli, "claim_suite", lambda seed: stub_report(1.0))
     assert cli.main(["claims"]) == 0
     assert "1/1 checks passed" in capsys.readouterr().out
-    monkeypatch.setattr(cli, "claim_suite", lambda seed: stub_report(False))
+    monkeypatch.setattr(cli, "claim_suite", lambda seed: stub_report(2.0))
     assert cli.main(["claims"]) == 1
     assert "0/1 checks passed" in capsys.readouterr().out

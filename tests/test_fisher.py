@@ -300,3 +300,5 @@ def test_qfi_values_validation():
     mixed = [params, ModelParams(nbar=1.0, gamma_tau_se=0.5, g_tau_sa=1.0)]
     with pytest.raises(ValueError):
         qfi_values(mixed, qmat.KET_G[None], 1)
+    with pytest.raises(ValueError, match="empty parameter sequence"):
+        qfi_values([], qmat.KET_G[None], 1)

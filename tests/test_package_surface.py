@@ -1,11 +1,14 @@
-"""Every public function, class and constant in the package has a caller.
+"""Every public function, class, property and constant in the package has a
+caller.
 
 A public top-level function or class of ``src/collide_qfi``, or a public
 UPPER_CASE module constant, must be used somewhere in the package outside
 its own definition, be exported from ``collide_qfi/__init__.py``, or be an
-attribute that the span wrappers of perfbench/spans.py rebind. A use inside
-a definition that itself has no caller does not count. Code and constants
-that only tests use belong under ``tests/``.
+attribute that the span wrappers of perfbench/spans.py rebind. A public
+@property of a top-level class must be looked up as an attribute outside
+its own definition. A use inside a definition that itself has no caller
+does not count. Code and constants that only tests use belong under
+``tests/``.
 """
 
 import ast
@@ -17,9 +20,15 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "collide_qfi"
 
 
 def used_names(node):
-    """Names loaded or looked up as attributes anywhere under ``node``."""
-    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-            if isinstance(n, (ast.Name, ast.Attribute))}
+    """Names loaded or looked up as attributes anywhere under ``node``. An
+    attribute lookup is also recorded as ".attr"."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names |= {n.attr, "." + n.attr}
+    return names
 
 
 def public_names(node):
@@ -36,6 +45,32 @@ def public_names(node):
     return [name for name in names if not name.startswith("_")]
 
 
+def public_properties(node):
+    """The public @property definitions of a top-level class."""
+    if not isinstance(node, ast.ClassDef):
+        return []
+    return [n for n in node.body if isinstance(n, ast.FunctionDef)
+            and not n.name.startswith("_")
+            and any(isinstance(d, ast.Name) and d.id == "property"
+                    for d in n.decorator_list)]
+
+
+def definitions(tree):
+    """(names defined as (key, label) pairs, names used) per top-level
+    statement. A public property is an entry of its own, keyed ".attr" so
+    that only attribute lookups find it, and its body is no use by its
+    class."""
+    for node in tree.body:
+        props = public_properties(node)
+        for prop in props:
+            yield ([("." + prop.name, f"{node.name}.{prop.name}")],
+                   used_names(prop))
+        yield ([(name, name) for name in public_names(node)],
+               set().union(*(used_names(child)
+                             for child in ast.iter_child_nodes(node)
+                             if child not in props)))
+
+
 def test_every_public_definition_has_a_caller():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
@@ -43,20 +78,21 @@ def test_every_public_definition_has_a_caller():
                 for node in trees["__init__.py"].body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     spanned = {attr for _, attr, _ in load_spans().TARGETS}
-    # one entry per top-level statement, so a definition's own body is not
-    # counted as a use of it; orphans are dropped and the search repeats, so
-    # what only an orphan uses is found too
-    live = {id(node): (name, node, used_names(node))
-            for name, tree in trees.items() for node in tree.body}
+    # one entry per top-level statement or property, so a definition's own
+    # body is not counted as a use of it; orphans are dropped and the search
+    # repeats, so what only an orphan uses is found too
+    live = dict(enumerate(
+        ([(key, f"{name}:{label}") for key, label in defined], uses)
+        for name, tree in trees.items() for defined, uses in definitions(tree)))
     orphans = []
-    while found := [(key, f"{name}:{defined}")
-                    for key, (name, node, _) in live.items()
-                    for defined in public_names(node)
-                    if defined not in exported | spanned
-                    and not any(defined in names
-                                for other, (_, _, names) in live.items()
-                                if other != key)]:
+    while found := [(entry, label)
+                    for entry, (defined, _) in live.items()
+                    for key, label in defined
+                    if key not in exported | spanned
+                    and not any(key in uses
+                                for other, (_, uses) in live.items()
+                                if other != entry)]:
         orphans += [label for _, label in found]
-        for key, _ in found:
-            live.pop(key, None)
+        for entry, _ in found:
+            live.pop(entry, None)
     assert not orphans, f"public definitions with no caller in src/: {orphans}"

@@ -8,6 +8,7 @@ from collide_qfi import qmat
 from collide_qfi.channels import Interaction, ModelParams
 from collide_qfi.collision import AncillaBlock, FixedPointError
 from collide_qfi.fisher import fisher_for, thermal_fi_nbar
+from collide_qfi.optimize import optimize_b1, optimize_b2
 from collide_qfi.sweeps import (ClaimReport, ClaimResult, SweepConfig,
                                 _ground_swap_ratio, _maximize_1d,
                                 default_grids, render_report, run_sweep)
@@ -119,6 +120,38 @@ def test_run_sweep_stacked_rows_match_fisher_for():
     assert [r.status for r in rows] == ["ok"] + ["RankChangeError"] * 3 + ["ok"]
 
 
+def test_run_sweep_optimized_rows_match_optimizer_calls():
+    # an optimizing block's row holds what one optimizer call per point and
+    # block count gives, bit for bit
+    nbar = 2.0
+    config = small_config(nbar_grid=(nbar,), gamma_tau_grid=(0.3, 0.8),
+                          interaction=Interaction.EXCHANGE, block="optimize-b1",
+                          quantities=("qfi", "ratio_thermal", "ratio_per_copy",
+                                      "theta_opt"))
+    for row in run_sweep(config):
+        params = ModelParams(nbar=nbar, gamma_tau_se=row.gamma_tau,
+                             interaction=Interaction.EXCHANGE)
+        opt, one = optimize_b1(params, 2), optimize_b1(params, 1)
+        assert row.status == "ok"
+        assert row.values == {
+            "qfi": opt.value_nbar,
+            "ratio_thermal": opt.value_nbar / (2 * thermal_fi_nbar(nbar)),
+            "ratio_per_copy": opt.value_nbar / (2 * one.value_nbar),
+            "theta_opt": opt.argmax.theta}
+    seed = 3
+    config = small_config(nbar_grid=(nbar,), gamma_tau_grid=(0.5,),
+                          interaction=Interaction.EXCHANGE, block="optimize-b2",
+                          n_measured=4, quantities=("qfi", "ratio_per_copy"))
+    [row] = run_sweep(config, seed=seed)
+    params = ModelParams(nbar=nbar, gamma_tau_se=0.5,
+                         interaction=Interaction.EXCHANGE)
+    opt = optimize_b2(params, 4, seed=seed)
+    one = optimize_b2(params, 2, seed=seed)
+    assert row.status == "ok"
+    assert row.values == {"qfi": opt.value_nbar,
+                          "ratio_per_copy": opt.value_nbar / (2 * one.value_nbar)}
+
+
 def test_run_sweep_records_error_status():
     # b=1 optimization under the ZZ interaction fails at every point, so the
     # config is rejected; a point that fails alone keeps its error class.
@@ -182,15 +215,23 @@ def test_ground_swap_ratio_matches_fisher_for():
 
 
 def test_render_report_format():
+    # each verdict is derived from the record's own numbers
     report = ClaimReport(results=(
-        ClaimResult("alpha", "first check", 1.0, 1.0, 1e-6, True, "abs"),
-        ClaimResult("beta", "second check", 2.0, 3.0, 1e-6, False, "rel"),
+        ClaimResult("alpha", "first check", 1.0, 1.0, 1e-6, "abs"),
+        ClaimResult("beta", "second check", 2.0, 3.0, 1e-6, "rel"),
+        ClaimResult("gamma", "third check", 0.9, 0.95, 0.0, "lower-bound"),
+        ClaimResult("delta", "fourth check", 0.0, 2e-5, 1e-5, "upper-bound"),
+        ClaimResult("epsilon", "fifth check", 0.189, math.nan, 0.05, "rel"),
     ))
     text = render_report(report)
     lines = text.splitlines()
     assert lines[0].startswith("[PASS] alpha:")
     assert lines[1].startswith("[FAIL] beta:")
-    assert lines[-1] == "1/2 checks passed"
+    assert lines[2].startswith("[PASS] gamma:")
+    assert lines[3].startswith("[FAIL] delta:")
+    assert lines[4].startswith("[FAIL] epsilon:")
+    assert "measured nan" in lines[4]
+    assert lines[-1] == "2/5 checks passed"
     assert not report.passed
     # rendering is a pure function of the report
     assert render_report(report) == text
