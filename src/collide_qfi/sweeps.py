@@ -38,6 +38,8 @@ class SweepConfig:
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
             object.__setattr__(self, name, grid)
+        if not math.isfinite(self.g_tau_sa):
+            raise ValueError(f"g_tau_sa must be finite, got {self.g_tau_sa}")
         object.__setattr__(self, "quantities", tuple(self.quantities))
         for q in self.quantities:
             if q not in QUANTITIES:
@@ -74,11 +76,6 @@ def default_grids():
             tuple(np.logspace(-2, math.log10(3.0), 41)))
 
 
-def _params(config: SweepConfig, nbar: float, gamma_tau: float) -> ModelParams:
-    return ModelParams(nbar=nbar, gamma_tau_se=gamma_tau,
-                       g_tau_sa=config.g_tau_sa, interaction=config.interaction)
-
-
 def _values(config: SweepConfig, nbar: float, gamma_taus: tuple,
             seed: int) -> list:
     """Values at each gamma_tau of one nbar row, for any block spec.
@@ -88,7 +85,8 @@ def _values(config: SweepConfig, nbar: float, gamma_taus: tuple,
     ``optimize-b2``. ``ratio_per_copy`` divides by the QFI of one block of
     size b (NaN where that is 0); ``theta_opt`` is read from the b=1 optima.
     """
-    points = [_params(config, nbar, gt) for gt in gamma_taus]
+    points = [ModelParams(nbar=nbar, gamma_tau_se=gt, g_tau_sa=config.g_tau_sa,
+                          interaction=config.interaction) for gt in gamma_taus]
     block, n = config.block, config.n_measured
     if isinstance(block, AncillaBlock):
         b, optimize = block.b, None
@@ -209,12 +207,15 @@ class ClaimReport:
         return all(r.passed for r in self.results)
 
 
-def _plusx_block() -> AncillaBlock:
-    return AncillaBlock(b=1, psi=qmat.KET_PLUS_X)
-
-
-def _ground_block() -> AncillaBlock:
-    return AncillaBlock(b=1, psi=qmat.KET_G)
+def _sweep_values(block, n: int, quantities: tuple, nbars: tuple,
+                  gamma_taus: tuple, interaction=Interaction.EXCHANGE,
+                  g_tau_sa: float = math.pi / 2, seed: int = 0) -> list:
+    """Each row's values of one sweep, nbar outer and gamma_tau inner: the
+    numbers ``collide-qfi sweep`` prints, NaN at a point that fails."""
+    config = SweepConfig(nbar_grid=nbars, gamma_tau_grid=gamma_taus,
+                         interaction=interaction, block=block, n_measured=n,
+                         quantities=quantities, g_tau_sa=g_tau_sa)
+    return [row.values for row in run_sweep(config, seed)]
 
 
 def _maximize_1d(f, lo, hi, coarse=25, tol=1e-4, log=True):
@@ -227,55 +228,53 @@ def _maximize_1d(f, lo, hi, coarse=25, tol=1e-4, log=True):
 
 
 def _claims_zz_angle():
-    params0 = dict(nbar=1.0, gamma_tau_se=0.5, interaction=Interaction.ZZ)
+    plusx = AncillaBlock(b=1, psi=qmat.KET_PLUS_X)
     expected = {0.0: 0.0, math.pi / 4: 0.5, math.pi / 2: 1.0}
     out = []
     for i, (g_tau, exp) in enumerate(expected.items()):
-        params = ModelParams(g_tau_sa=g_tau, **params0)
-        r = fisher_for(params, _plusx_block(), 1).ratio_thermal
+        [values] = _sweep_values(plusx, 1, ("ratio_thermal",), (1.0,), (0.5,),
+                                 Interaction.ZZ, g_tau_sa=g_tau)
         out.append(ClaimResult(
             f"zz-angle-{i}",
             f"single-ancilla |+x> FI ratio at collision angle {g_tau:.6g}",
-            exp, r, 1e-6))
+            exp, values["ratio_thermal"], 1e-6))
     return out
 
 
 def _claims_zz_progression():
-    worst = 0.0
-    for nbar in (0.2, 1.0, 5.0, 10.0):
-        for gt in (0.1, 0.5, 2.0):
-            params = ModelParams(nbar=nbar, gamma_tau_se=gt,
-                                 interaction=Interaction.ZZ)
-            for n in range(1, 5):
-                closed = zz_fn(nbar, gt, n)
-                numeric = fisher_for(params, _plusx_block(), n).value_nbar
-                worst = max(worst, abs(numeric - closed) / closed)
+    plusx = AncillaBlock(b=1, psi=qmat.KET_PLUS_X)
+    nbars, gts = (0.2, 1.0, 5.0, 10.0), (0.1, 0.5, 2.0)
+    deviations = []
+    for n in range(1, 5):
+        rows = _sweep_values(plusx, n, ("qfi",), nbars, gts, Interaction.ZZ)
+        closed = [zz_fn(nbar, gt, n) for nbar in nbars for gt in gts]
+        deviations += [abs(v["qfi"] - c) / c for v, c in zip(rows, closed)]
     return [ClaimResult(
         "zz-progression",
         "numeric N-ancilla QFI vs arithmetic-progression closed form, "
         "worst relative deviation over a 12-point grid, N=1..4",
-        0.0, worst, 1e-5, "upper-bound")]
+        0.0, np.max(deviations), 1e-5, "upper-bound")]
 
 
 def _claims_zz_delta_max():
-    nbar = 10.0
-    fth = thermal_fi_nbar(nbar)
-    _, val = _maximize_1d(lambda gt: zz_delta(nbar, gt) / fth, 1e-3, 5.0)
+    plusx = AncillaBlock(b=1, psi=qmat.KET_PLUS_X)
+
+    def delta(gt):
+        return _sweep_values(plusx, 1, ("delta_zz",), (10.0,), (gt,),
+                             Interaction.ZZ)[0]["delta_zz"]
+
+    _, val = _maximize_1d(delta, 1e-3, 5.0)
     return [ClaimResult("zz-delta-max",
                         "max over gamma_tau of Delta/F_th at nbar=10",
                         71.8, val, 0.01, "rel")]
 
 
 def _claims_exchange_opt11():
-    nbar = 10.0
-    fth = thermal_fi_nbar(nbar)
+    def ratio(gt):
+        return _sweep_values("optimize-b1", 1, ("ratio_thermal",),
+                             (10.0,), (gt,))[0]["ratio_thermal"]
 
-    def f(gt):
-        params = ModelParams(nbar=nbar, gamma_tau_se=gt,
-                             interaction=Interaction.EXCHANGE)
-        return optimize_b1(params, 1).value_nbar / fth
-
-    _, val = _maximize_1d(f, 0.01, 3.0, coarse=21, tol=1e-3)
+    _, val = _maximize_1d(ratio, 0.01, 3.0, coarse=21, tol=1e-3)
     return [ClaimResult("exchange-opt-1-1",
                         "max over gamma_tau of single-ancilla optimal QFI "
                         "ratio at nbar=10",
@@ -300,32 +299,22 @@ def _ground_swap_ratio(nbar: float, gamma_tau: float) -> float:
 
 def _claims_ground_small_gt():
     nbar, gt = 10.0, 0.04
-    params = ModelParams(nbar=nbar, gamma_tau_se=gt,
-                         interaction=Interaction.EXCHANGE)
-    r = fisher_for(params, _ground_block(), 1).ratio_thermal
+    ratio = _sweep_values(AncillaBlock(b=1, psi=qmat.KET_G), 1,
+                          ("ratio_thermal",), (nbar,), (gt,))[0]["ratio_thermal"]
     return [ClaimResult("exchange-ground-small-coupling",
                         "|g>-ancilla FI ratio at nbar=10, gamma_tau=0.04 vs "
                         "its full-swap closed form",
-                        _ground_swap_ratio(nbar, gt), r, 1e-6, "rel")]
+                        _ground_swap_ratio(nbar, gt), ratio, 1e-6, "rel")]
 
 
 def _claims_exchange_collective():
-    nbar = 10.0
-    fth = thermal_fi_nbar(nbar)
-
     @functools.cache
-    def opts(gt):
-        params = ModelParams(nbar=nbar, gamma_tau_se=gt,
-                             interaction=Interaction.EXCHANGE)
-        return (optimize_b1(params, 1).value_nbar,
-                optimize_b1(params, 2).value_nbar)
+    def point(gt):
+        return _sweep_values("optimize-b1", 2,
+                             ("ratio_per_copy", "ratio_thermal"), (10.0,), (gt,))[0]
 
-    def ratio(gt):
-        f1, f2 = opts(gt)
-        return f2 / (2.0 * f1)
-
-    gt_star, val = _maximize_1d(ratio, 0.1, 0.6, coarse=11, tol=1e-3, log=False)
-    _, f2 = opts(gt_star)
+    gt_star, val = _maximize_1d(lambda gt: point(gt)["ratio_per_copy"],
+                                0.1, 0.6, coarse=11, tol=1e-3, log=False)
     return [
         ClaimResult("exchange-collective-ratio",
                     "max over gamma_tau of F_opt(2,1)/2F_opt(1,1) at nbar=10",
@@ -335,66 +324,52 @@ def _claims_exchange_collective():
                     0.26, gt_star, 0.05),
         ClaimResult("exchange-collective-thermal",
                     "F_opt(2,1)/2F_th at the collective-advantage peak",
-                    3.6, f2 / (2.0 * fth), 0.03, "rel"),
+                    3.6, point(gt_star)["ratio_thermal"], 0.03, "rel"),
     ]
 
 
 def _claims_ground_additivity():
-    worst = 0.0
-    for nbar in (0.5, 2.0, 10.0):
-        for gt in (0.1, 1.0):
-            params = ModelParams(nbar=nbar, gamma_tau_se=gt,
-                                 interaction=Interaction.EXCHANGE)
-            f1 = fisher_for(params, _ground_block(), 1).value_nbar
-            for n in (2, 3, 4):
-                fn = fisher_for(params, _ground_block(), n).value_nbar
-                worst = max(worst, abs(fn - n * f1) / (n * f1))
+    ground = AncillaBlock(b=1, psi=qmat.KET_G)
+    ratios = [values["ratio_per_copy"] for n in (2, 3, 4)
+              for values in _sweep_values(ground, n, ("ratio_per_copy",),
+                                          (0.5, 2.0, 10.0), (0.1, 1.0))]
     return [ClaimResult(
         "exchange-ground-additivity",
         "F_N = N*F_1 for |g> ancillas, worst relative deviation over 6 points, "
         "N=2..4",
-        0.0, worst, 1e-6, "upper-bound")]
-
-
-def _product_blocks():
-    gg = np.kron(qmat.KET_G, qmat.KET_G)
-    xg = np.kron(qmat.KET_PLUS_X, qmat.KET_G)
-    gx = np.kron(qmat.KET_G, qmat.KET_PLUS_X)
-    return [AncillaBlock(b=2, psi=p) for p in (gg, xg, gx)]
+        0.0, np.max(np.abs(np.subtract(ratios, 1.0))), 1e-6, "upper-bound")]
 
 
 def _claims_b2_products(seed: int = 0):
-    worst_ratio = math.inf
-    worst_r = math.inf
+    g, x = qmat.KET_G, qmat.KET_PLUS_X
+    products = [AncillaBlock(b=2, psi=np.kron(first, second))
+                for first, second in ((g, g), (x, g), (g, x))]
+    fractions, weights = [], []
     for nbar in (1.0, 10.0 ** 0.5, 10.0):
         for gt in (0.1, 10.0 ** -0.5, 1.0):
             params = ModelParams(nbar=nbar, gamma_tau_se=gt,
                                  interaction=Interaction.EXCHANGE)
             opt = optimize_b2(params, 2, seed=seed)
             best_product = max(fisher_for(params, blk, 2).value_nbar
-                               for blk in _product_blocks())
-            worst_ratio = min(worst_ratio, best_product / opt.value_nbar)
-            worst_r = min(worst_r, opt.argmax.r)
+                               for blk in products)
+            fractions.append(best_product / opt.value_nbar)
+            weights.append(opt.argmax.r)
     return [
         ClaimResult("b2-product-near-optimal",
                     "worst best-product-state fraction of the b=2 optimum "
                     "over a 9-point grid",
-                    0.90, worst_ratio, 0.0, "lower-bound"),
+                    0.90, np.min(fractions), 0.0, "lower-bound"),
         ClaimResult("b2-optimum-uncorrelated",
                     "smallest Schmidt weight r of the b=2 optimum over the "
                     "same grid",
-                    0.9999, worst_r, 0.0, "lower-bound"),
+                    0.9999, np.min(weights), 0.0, "lower-bound"),
     ]
 
 
 def _claims_low_temperature_threshold(seed: int = 0):
-    gt = 1.0
-
     def excess(nbar):
-        params = ModelParams(nbar=nbar, gamma_tau_se=gt,
-                             interaction=Interaction.EXCHANGE)
-        opt = optimize_b2(params, 2, seed=seed)
-        return opt.value_nbar / (2.0 * thermal_fi_nbar(nbar)) - 1.0
+        return _sweep_values("optimize-b2", 2, ("ratio_thermal",), (nbar,),
+                             (1.0,), seed=seed)[0]["ratio_thermal"] - 1.0
 
     # Four halvings of the 0.12-wide bracket put the midpoint within ~2%
     # of the crossing, inside the 5% tolerance. A bracket that holds no

@@ -25,16 +25,16 @@ class ZzProbabilities:
     big_gamma: float
 
 
-def _require_finite(nbar: float, gamma_tau: float) -> None:
+def _require_point(nbar: float, gamma_tau: float) -> None:
     for name, value in (("nbar", nbar), ("gamma_tau", gamma_tau)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    if nbar < 0 or gamma_tau < 0:
+        raise ValueError("nbar and gamma_tau must be nonnegative")
 
 
 def zz_probs(nbar: float, gamma_tau: float) -> ZzProbabilities:
-    _require_finite(nbar, gamma_tau)
-    if nbar < 0 or gamma_tau < 0:
-        raise ValueError("nbar and gamma_tau must be nonnegative")
+    _require_point(nbar, gamma_tau)
     big_gamma = gamma_tau * (2.0 * nbar + 1.0)
     p_g = (nbar + 1.0) / (2.0 * nbar + 1.0)
     p_e = 1.0 - p_g
@@ -91,7 +91,7 @@ def zz_delta(nbar: float, gamma_tau: float) -> float:
 
 def zz_fn(nbar: float, gamma_tau: float, n_measured: int) -> float:
     """N-ancilla QFI of the |+x> protocol at the optimal collision angle."""
-    _require_finite(nbar, gamma_tau)
+    _require_point(nbar, gamma_tau)
     if n_measured < 1:
         raise ValueError("n_measured must be >= 1")
     f1 = zz_f1(nbar, math.pi / 2.0)

@@ -98,6 +98,12 @@ def test_closed_form_commands_reject_non_finite(capsys):
         captured = capsys.readouterr()
         assert "must be finite" in captured.err
         assert captured.out == ""
+    # a negative gamma_tau has no closed form at any N
+    for n in ("1", "2"):
+        assert cli.main(["zz-closed", "--nbar", "1.0", "--gamma-tau", "-1",
+                         "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert "must be nonnegative" in captured.err and captured.out == ""
 
 
 def test_optimize_command_b1(capsys):
@@ -138,7 +144,7 @@ def test_sweep_command_csv(tmp_path, capsys):
     assert abs(float(first[2]) - zz_fn(0.5, 0.2, 2)) < 1e-6
 
 
-def test_sweep_command_rejects_non_finite_grid(capsys):
+def test_sweep_command_rejects_non_finite_grid(capsys, tmp_path):
     # a NaN point used to pass the monotonicity check and reach LAPACK
     for grid in ("0.5,nan", "inf", "0.5,1.0,-inf"):
         rc = cli.main(["sweep", "--nbar-grid", grid, "--gamma-tau-grid", "0.2",
@@ -146,6 +152,16 @@ def test_sweep_command_rejects_non_finite_grid(capsys):
         assert rc == 2
         err = capsys.readouterr().err
         assert "non-finite" in err and "DLASCL" not in err
+    # a non-finite collision angle used to print every row as failed and
+    # exit 0; it is rejected before the sweep starts, from a flag or a file
+    conf = tmp_path / "sweep.conf"
+    conf.write_text("g_tau_sa = nan\n")
+    point = ["sweep", "--nbar-grid", "1.0", "--gamma-tau-grid", "0.5"]
+    for argv in (point + ["--g-tau-sa", "nan"], point + ["--g-tau-sa", "inf"],
+                 point + ["--config", str(conf)]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "g_tau_sa must be finite" in captured.err and captured.out == ""
 
 
 def test_sweep_command_json_stdout(capsys):

@@ -7,8 +7,10 @@ its own definition, be exported from ``collide_qfi/__init__.py``, or be an
 attribute that the span wrappers of perfbench/spans.py rebind. A public
 @property of a top-level class must be looked up as an attribute outside
 its own definition. A use inside a definition that itself has no caller
-does not count. Code and constants that only tests use belong under
-``tests/``.
+does not count, and neither does a name that a function, lambda or
+comprehension binds for itself: a parameter, local variable or class field
+of the same name is no caller. Code and constants that only tests use
+belong under ``tests/``.
 """
 
 import ast
@@ -19,15 +21,49 @@ from test_perfbench_contract import load_spans
 SRC = Path(__file__).resolve().parents[1] / "src" / "collide_qfi"
 
 
-def used_names(node):
-    """Names loaded or looked up as attributes anywhere under ``node``. An
-    attribute lookup is also recorded as ".attr"."""
+# Nodes with a scope of their own: a name they bind is local to them.
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ListComp,
+          ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def bound_names(scope):
+    """Names a function, lambda or comprehension binds in its own scope:
+    parameters, assignment and loop targets, nested definitions, imports and
+    ``except ... as`` names, outside the scopes nested in it."""
     names = set()
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        n = stack.pop()
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load):
             names.add(n.id)
-        elif isinstance(n, ast.Attribute):
-            names |= {n.attr, "." + n.attr}
+        elif isinstance(n, ast.arg):
+            names.add(n.arg)
+        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                            ast.ClassDef)):
+            names.add(n.name)
+        elif isinstance(n, ast.alias):
+            names.add((n.asname or n.name).split(".")[0])
+        elif isinstance(n, ast.ExceptHandler) and n.name:
+            names.add(n.name)
+        if not isinstance(n, SCOPES):
+            stack.extend(ast.iter_child_nodes(n))
+    return names
+
+
+def used_names(node, bound=frozenset()):
+    """Names under ``node`` that can reach a module-level definition: loaded
+    names that no enclosing function, lambda or comprehension binds (those
+    in ``bound`` included), and attribute lookups, recorded both as "attr"
+    and as ".attr"."""
+    if isinstance(node, SCOPES):
+        bound = bound | bound_names(node)
+    if isinstance(node, ast.Name):
+        loaded = isinstance(node.ctx, ast.Load) and node.id not in bound
+        return {node.id} if loaded else set()
+    names = ({node.attr, "." + node.attr} if isinstance(node, ast.Attribute)
+             else set())
+    for child in ast.iter_child_nodes(node):
+        names |= used_names(child, bound)
     return names
 
 
@@ -65,8 +101,9 @@ def definitions(tree):
         for prop in props:
             yield ([("." + prop.name, f"{node.name}.{prop.name}")],
                    used_names(prop))
+        bound = bound_names(node) if isinstance(node, SCOPES) else frozenset()
         yield ([(name, name) for name in public_names(node)],
-               set().union(*(used_names(child)
+               set().union(*(used_names(child, bound)
                              for child in ast.iter_child_nodes(node)
                              if child not in props)))
 

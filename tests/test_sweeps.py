@@ -4,10 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from collide_qfi import qmat
+from collide_qfi import qmat, sweeps
 from collide_qfi.channels import Interaction, ModelParams
 from collide_qfi.collision import AncillaBlock, FixedPointError
-from collide_qfi.fisher import fisher_for, thermal_fi_nbar
+from collide_qfi.fisher import RankChangeError, fisher_for, thermal_fi_nbar
 from collide_qfi.optimize import optimize_b1, optimize_b2
 from collide_qfi.sweeps import (ClaimReport, ClaimResult, SweepConfig,
                                 _ground_swap_ratio, _maximize_1d,
@@ -38,6 +38,9 @@ def test_sweep_config_validation():
         small_config(quantities=("qfi", "bogus"))
     with pytest.raises(ValueError):
         small_config(block="optimize-b7")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="g_tau_sa must be finite"):
+            small_config(g_tau_sa=bad)
 
 
 def test_default_grids_shapes():
@@ -212,6 +215,37 @@ def test_ground_swap_ratio_matches_fisher_for():
     # of acceptance-04 (77.3), so no |g> ratio there can reach 95.
     _, peak = _maximize_1d(lambda gt: _ground_swap_ratio(10.0, gt), 1e-3, 3.0)
     assert abs(peak - 77.3) <= 0.01 * 77.3
+
+
+def test_claims_fail_where_an_optimizer_point_fails(monkeypatch):
+    # a claim reads the sweep's rows, so a point that raises fails its claim
+    # with a NaN measurement instead of aborting the suite
+    def no_optimum(params, n_measured):
+        raise RuntimeError("no optimum")
+
+    monkeypatch.setattr(sweeps, "optimize_b1", no_optimum)
+    records = (sweeps._claims_exchange_opt11()
+               + sweeps._claims_exchange_collective())
+    assert [r.name for r in records] == [
+        "exchange-opt-1-1", "exchange-collective-ratio",
+        "exchange-collective-location", "exchange-collective-thermal"]
+    assert not any(r.passed for r in records)
+    for r in records:
+        assert math.isnan(r.measured) == (r.name != "exchange-collective-location")
+
+
+def test_claims_fail_where_a_stacked_row_fails(monkeypatch):
+    def rank_change(params, psi, n_measured):
+        raise RankChangeError(1.0)
+
+    monkeypatch.setattr(sweeps, "qfi_values", rank_change)
+    # the worst case over a grid is NaN, not the worst of the points left
+    records = (sweeps._claims_zz_progression()
+               + sweeps._claims_ground_additivity())
+    assert [r.name for r in records] == ["zz-progression",
+                                         "exchange-ground-additivity"]
+    for r in records:
+        assert math.isnan(r.measured) and not r.passed
 
 
 def test_render_report_format():

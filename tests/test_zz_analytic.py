@@ -69,4 +69,7 @@ def test_zz_fn_progression_is_arithmetic():
     assert abs(f1 - zz_f1(1.0, math.pi / 2)) < 1e-15
     with pytest.raises(ValueError):
         zz_fn(1.0, 0.5, 0)
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="nonnegative"):
+            zz_fn(1.0, -1.0, n)
 
