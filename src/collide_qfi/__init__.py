@@ -2,9 +2,9 @@
 Fisher-information analysis of the outgoing ancilla stream."""
 
 from .channels import (Interaction, KrausChannel, ModelParams,
-                       exchange_unitary, gibbs_state, thermal_kraus, zz_unitary)
-from .collision import (AncillaBlock, FixedPointError, SteadyStateResult,
-                        block_map_superop, outgoing_joint_state, steady_state)
+                       exchange_unitary, thermal_kraus, zz_unitary)
+from .collision import (AncillaBlock, FixedPointError, block_map_superop,
+                        outgoing_joint_state, steady_state)
 from .fisher import (FisherResult, RankChangeError, dnbar_dT, fisher_for, qfi,
                      thermal_fi_nbar)
 from .optimize import (BlochAngles, Optimum, SchmidtParams, bloch_state,

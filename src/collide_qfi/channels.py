@@ -60,12 +60,6 @@ class KrausChannel:
         return sum(k @ rho @ k.conj().T for k in self.operators)
 
 
-def gibbs_state(nbar: float) -> np.ndarray:
-    """Thermal qubit state diag(p_g, p_e), p_g = (nbar+1)/(2nbar+1)."""
-    p_g = (nbar + 1.0) / (2.0 * nbar + 1.0)
-    return np.diag([p_g, 1.0 - p_g]).astype(complex)
-
-
 def thermal_kraus(nbar: float, gamma_tau: float) -> KrausChannel:
     """Qubit thermal map exp(L * tau) as a generalized-amplitude-damping Kraus set."""
     if nbar < 0 or gamma_tau < 0:

@@ -35,8 +35,8 @@ MAX_MEASURED = 4
 
 
 class FixedPointError(RuntimeError):
-    """The block map has no fixed point to solve for: it does not preserve
-    trace, or no eigenvalue lies close enough to 1."""
+    """The block map does not preserve trace, so it has no fixed state to
+    solve for. A trace-preserving map always has eigenvalue 1."""
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,6 @@ class AncillaBlock:
         if psi.shape[0] != 2 ** self.b:
             raise ValueError(f"psi dim {psi.shape[0]} does not match b={self.b}")
         object.__setattr__(self, "psi", psi)
-
-
-@dataclass(frozen=True)
-class SteadyStateResult:
-    rho_s_star: np.ndarray
-    residual: float
-    unique: bool
 
 
 def _collision_pairs(params) -> np.ndarray:
@@ -206,18 +199,6 @@ def _inverse_or_nan(a: np.ndarray) -> np.ndarray:
         return np.full_like(a, np.nan)
 
 
-def _unit_eigenvalues(superop: np.ndarray) -> int:
-    """Number of eigenvalues of a 4x4 map within 1e-8 of 1; FixedPointError
-    when there is none."""
-    evals = np.linalg.eigvals(superop)
-    dist = np.abs(evals - 1.0)
-    near = int(np.count_nonzero(dist < 1e-8))
-    if near == 0:
-        raise FixedPointError(
-            f"no eigenvalue within 1e-8 of 1 (closest: {evals[np.argmin(dist)]})")
-    return near
-
-
 def _fixed_point_pair(superop: np.ndarray, dsuperop: np.ndarray):
     """Fixed points rho* of a (B, 4, 4) stack of maps Phi and their
     derivatives drho*/dnbar, each as a (B, 2, 2) stack.
@@ -260,17 +241,12 @@ def _fixed_point_pair(superop: np.ndarray, dsuperop: np.ndarray):
     return rho, (drho + drho.conj().transpose(0, 2, 1)) / 2.0
 
 
-def steady_state(superop: np.ndarray) -> SteadyStateResult:
-    """Fixed point of a trace-preserving qubit map given as a 4x4 superoperator."""
+def steady_state(superop: np.ndarray) -> np.ndarray:
+    """Fixed point of a trace-preserving qubit map given as a 4x4
+    superoperator: the one-map case of ``_fixed_point_pair``, so a map with
+    a degenerate fixed space gives its minimum-norm fixed point."""
     superop = np.asarray(superop, dtype=complex)
-    near = _unit_eigenvalues(superop)
-    rho = _fixed_point_pair(superop[None], np.zeros_like(superop[None]))[0][0]
-    diff = (superop @ rho.reshape(-1)).reshape(2, 2) - rho
-    # Trace norm of a Hermitian 2x2 in closed form.
-    t, d = diff.trace().real, np.linalg.det(diff).real
-    root = math.sqrt(max(t * t - 4.0 * d, 0.0))
-    residual = 0.5 * (abs(t + root) + abs(t - root))
-    return SteadyStateResult(rho_s_star=rho, residual=residual, unique=near == 1)
+    return _fixed_point_pair(superop[None], np.zeros_like(superop[None]))[0][0]
 
 
 def outgoing_with_derivative(maps: np.ndarray, n_measured: int):

@@ -26,13 +26,10 @@ TIE_TOL = 1e-9
 @dataclass(frozen=True)
 class BlochAngles:
     theta: float
-    phi: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must be in [0, pi], got {self.theta}")
-        if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ValueError(f"phi must be in [0, 2pi), got {self.phi}")
 
 
 @dataclass(frozen=True)
@@ -66,9 +63,8 @@ class Optimum:
 
 
 def bloch_state(angles: BlochAngles) -> np.ndarray:
-    t, p = angles.theta, angles.phi
-    return np.array([math.cos(t / 2.0),
-                     np.exp(1j * p) * math.sin(t / 2.0)], dtype=complex)
+    t = angles.theta
+    return np.array([math.cos(t / 2.0), math.sin(t / 2.0)], dtype=complex)
 
 
 def _local_basis(theta: float, phi: float):
@@ -131,8 +127,11 @@ def refine_grid_max(f, grid, values, xatol: float):
     """Refine the maximum of f found by a scan: ``values`` are f on the
     sorted ``grid``, and the bracket around their first argmax is searched
     with scipy's bounded scalar search. The refined point wins only when its
-    value is strictly larger. Returns (x, f(x), refinement evaluations)."""
+    value is strictly larger. Returns (x, f(x), refinement evaluations), or
+    (nan, nan, 0) when the scan holds a NaN: no maximum was found."""
     i = int(np.argmax(values))
+    if math.isnan(values[i]):
+        return math.nan, math.nan, 0
     res = minimize_scalar(lambda x: -f(x), method="bounded",
                           bounds=(grid[max(i - 1, 0)],
                                   grid[min(i + 1, len(grid) - 1)]),

@@ -22,7 +22,6 @@ class ZzProbabilities:
     p_e: float
     p_gg: float  # stay in |g>
     p_eg: float  # jump |e> -> |g>
-    big_gamma: float
 
 
 def _require_point(nbar: float, gamma_tau: float) -> None:
@@ -43,7 +42,6 @@ def zz_probs(nbar: float, gamma_tau: float) -> ZzProbabilities:
         p_g=p_g, p_e=p_e,
         p_gg=1.0 - decay * p_e,
         p_eg=decay * p_g,
-        big_gamma=big_gamma,
     )
 
 

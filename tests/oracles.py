@@ -3,8 +3,9 @@
 The package builds every map in closed form or through the per-block step
 map. These helpers do the same physics the long way: an RK4 integration of
 the Lindblad dissipator, operators embedded in the full tensor-product
-space, an explicit partial trace, and density-matrix checks. The classical
-Fisher information of a POVM bounds the package's QFI from below.
+space, an explicit partial trace, the Gibbs state and density-matrix
+checks. The classical Fisher information of a POVM bounds the package's QFI
+from below.
 """
 
 import math
@@ -21,6 +22,12 @@ PROB_CUTOFF = 1e-14
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |e> -> |g>
 SIGMA_PLUS = SIGMA_MINUS.conj().T
 KET_PLUS_Y = np.array([1, 1j], dtype=complex) / np.sqrt(2)
+
+
+def gibbs_state(nbar: float) -> np.ndarray:
+    """Thermal qubit state diag(p_g, p_e), p_g = (nbar+1)/(2nbar+1)."""
+    p_g = (nbar + 1.0) / (2.0 * nbar + 1.0)
+    return np.diag([p_g, 1.0 - p_g]).astype(complex)
 
 
 def random_density(rng, d=2):

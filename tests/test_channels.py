@@ -7,11 +7,11 @@ import pytest
 from collide_qfi import qmat
 from collide_qfi.channels import (Interaction, KrausChannel, ModelParams,
                                   collision_unitary, embed_op,
-                                  exchange_unitary, gibbs_state, thermal_kraus,
+                                  exchange_unitary, thermal_kraus,
                                   thermal_superop, zz_unitary)
 from collide_qfi.collision import _projectors
 from oracles import (apply_kraus_on, apply_unitary_on, default_rk4_steps,
-                     lindblad_rk4, partial_trace, random_density)
+                     gibbs_state, lindblad_rk4, partial_trace, random_density)
 
 
 def test_model_params_validation():

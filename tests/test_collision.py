@@ -5,7 +5,7 @@ import pytest
 
 from collide_qfi import qmat
 from collide_qfi.channels import (Interaction, ModelParams, collision_unitary,
-                                  embed_op, gibbs_state, thermal_kraus)
+                                  embed_op, thermal_kraus)
 from collide_qfi.collision import (AncillaBlock, FixedPointError,
                                    _block_trace, _fixed_point_pair,
                                    _projectors, _step_map_tensor,
@@ -14,8 +14,8 @@ from collide_qfi.collision import (AncillaBlock, FixedPointError,
                                    step_maps)
 from collide_qfi.fisher import qfi_values
 from oracles import (KET_PLUS_Y, apply_kraus_on, apply_unitary_on,
-                     check_density_matrix, is_hermitian, partial_trace,
-                     random_density, trace_norm)
+                     check_density_matrix, gibbs_state, is_hermitian,
+                     partial_trace, random_density, trace_norm)
 
 
 def power_iteration_fixed_point(superop, rho0, max_steps=500, tol=1e-12):
@@ -27,6 +27,11 @@ def power_iteration_fixed_point(superop, rho0, max_steps=500, tol=1e-12):
             return nxt
         rho = nxt
     return rho
+
+
+def fixed_point_residual(superop, rho):
+    """|Phi vec(rho) - vec(rho)|, the Euclidean norm on vectorized rho."""
+    return float(np.linalg.norm(superop @ rho.reshape(-1) - rho.reshape(-1)))
 
 
 def plusx_block():
@@ -85,10 +90,10 @@ def test_block_map_is_cptp():
 def test_zz_steady_state_is_gibbs():
     # the ZZ collision is diagonal, so the bath alone sets the populations
     params = ModelParams(nbar=2.0, gamma_tau_se=0.8, interaction=Interaction.ZZ)
-    res = steady_state(block_map_superop(params, plusx_block()))
-    assert res.unique
-    assert res.residual < 1e-12
-    assert np.allclose(res.rho_s_star, gibbs_state(2.0), atol=1e-12)
+    s = block_map_superop(params, plusx_block())
+    rho = steady_state(s)
+    assert fixed_point_residual(s, rho) < 1e-12
+    assert np.allclose(rho, gibbs_state(2.0), atol=1e-12)
 
 
 def test_full_swap_steady_state_closed_form():
@@ -97,31 +102,34 @@ def test_full_swap_steady_state_closed_form():
     nbar, gt = 1.5, 0.7
     params = ModelParams(nbar=nbar, gamma_tau_se=gt,
                          interaction=Interaction.EXCHANGE)
-    res = steady_state(block_map_superop(params, ground_block()))
+    s = block_map_superop(params, ground_block())
+    rho = steady_state(s)
     expect = thermal_kraus(nbar, gt).apply(_projectors(qmat.KET_G[None])[0])
-    assert res.residual < 1e-12
-    assert np.allclose(res.rho_s_star, expect, atol=1e-12)
+    assert fixed_point_residual(s, rho) < 1e-12
+    assert np.allclose(rho, expect, atol=1e-12)
 
 
 def test_steady_state_agrees_with_power_iteration():
     params = ModelParams(nbar=0.4, gamma_tau_se=0.3, g_tau_sa=0.9,
                          interaction=Interaction.EXCHANGE)
     s = block_map_superop(params, plusx_block())
-    res = steady_state(s)
+    rho = steady_state(s)
     iterated = power_iteration_fixed_point(s, gibbs_state(0.4))
-    assert np.max(np.abs(res.rho_s_star - iterated)) < 1e-10
+    assert np.max(np.abs(rho - iterated)) < 1e-10
 
 
-def test_steady_state_flags_non_unique():
-    # no bath contact and no collision: every state is fixed
+def test_steady_state_of_identity_is_minimum_norm():
+    # no bath contact and no collision: every state is fixed, and the
+    # minimum-norm one is I/2
     params = ModelParams(nbar=1.0, gamma_tau_se=0.0, g_tau_sa=0.0,
                          interaction=Interaction.EXCHANGE)
-    res = steady_state(block_map_superop(params, ground_block()))
-    assert not res.unique
+    s = block_map_superop(params, ground_block())
+    assert np.allclose(s, np.eye(4))
+    assert np.allclose(steady_state(s), np.eye(2) / 2.0, atol=1e-12)
 
 
 def test_steady_state_rejects_contraction():
-    with pytest.raises(FixedPointError):
+    with pytest.raises(FixedPointError, match="trace"):
         steady_state(0.5 * np.eye(4))
     # invertible bordered system, but the map does not preserve trace: the
     # stacked solver must raise, not hand back diag(0, 1)
@@ -202,7 +210,7 @@ def kraus_chain_state(params, block, n):
     dims = [2] * (1 + n)
     u = collision_unitary(params)
     thermal = thermal_kraus(params.nbar, params.gamma_tau_se)
-    joint = steady_state(block_map_superop(params, block)).rho_s_star
+    joint = steady_state(block_map_superop(params, block))
     for _ in range(n // block.b):
         joint = np.kron(joint, _projectors(block.psi[None])[0])
     for i in range(1, n + 1):

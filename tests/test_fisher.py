@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from collide_qfi import qmat
-from collide_qfi.channels import Interaction, ModelParams, gibbs_state
+from collide_qfi.channels import Interaction, ModelParams
 from collide_qfi.collision import AncillaBlock
 from collide_qfi.fisher import (RankChangeError, dnbar_dT, fisher_for, qfi,
                                 qfi_values, thermal_fi_nbar)
 from collide_qfi.zz_analytic import zz_fn
 from fd_oracle import (default_step, fd_qfi, joint_state_builder,
                        state_derivative, state_pair)
-from oracles import KET_PLUS_Y, Povm, cfi
+from oracles import KET_PLUS_Y, Povm, cfi, gibbs_state
 
 
 def test_thermal_fi_matches_binomial_oracle():

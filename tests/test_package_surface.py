@@ -1,5 +1,5 @@
-"""Every public function, class, property and constant in the package has a
-caller.
+"""Every public function, class, property, constant and dataclass field in
+the package has a caller.
 
 A public top-level function or class of ``src/collide_qfi``, or a public
 UPPER_CASE module constant, must be used somewhere in the package outside
@@ -9,8 +9,10 @@ attribute that the span wrappers of perfbench/spans.py rebind. A public
 its own definition. A use inside a definition that itself has no caller
 does not count, and neither does a name that a function, lambda or
 comprehension binds for itself: a parameter, local variable or class field
-of the same name is no caller. Code and constants that only tests use
-belong under ``tests/``.
+of the same name is no caller. A public field of a top-level dataclass must
+be read as an attribute somewhere in the package; a read inside its own
+class's ``__post_init__``, which only validates it, does not count. Code,
+constants and fields that only tests use belong under ``tests/``.
 """
 
 import ast
@@ -108,9 +110,14 @@ def definitions(tree):
                              if child not in props)))
 
 
+def package_trees():
+    """The parsed modules of the package, by file name."""
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
 def test_every_public_definition_has_a_caller():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py"))}
+    trees = package_trees()
     exported = {alias.asname or alias.name
                 for node in trees["__init__.py"].body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
@@ -133,3 +140,41 @@ def test_every_public_definition_has_a_caller():
         for entry, _ in found:
             live.pop(entry, None)
     assert not orphans, f"public definitions with no caller in src/: {orphans}"
+
+
+def is_dataclass(node):
+    """Whether a top-level statement is a class under @dataclass or
+    @dataclass(...)."""
+    return isinstance(node, ast.ClassDef) and any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+        == "dataclass" for d in node.decorator_list)
+
+
+def attribute_reads(node, owner=None):
+    """(owner, attr) for every attribute loaded under ``node``: owner is the
+    class whose ``__post_init__`` holds the read, None elsewhere."""
+    reads = set()
+    for child in ast.iter_child_nodes(node):
+        inner = owner
+        if (isinstance(node, ast.ClassDef) and isinstance(child, ast.FunctionDef)
+                and child.name == "__post_init__"):
+            inner = node.name
+        if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            reads.add((inner, child.attr))
+        reads |= attribute_reads(child, inner)
+    return reads
+
+
+def test_every_dataclass_field_has_a_reader():
+    trees = package_trees()
+    reads = set().union(*(attribute_reads(tree) for tree in trees.values()))
+    unread = [f"{name}:{node.name}.{field.target.id}"
+              for name, tree in trees.items()
+              for node in tree.body if is_dataclass(node)
+              for field in node.body
+              if isinstance(field, ast.AnnAssign)
+              and isinstance(field.target, ast.Name)
+              and not field.target.id.startswith("_")
+              and not any(attr == field.target.id and owner != node.name
+                          for owner, attr in reads)]
+    assert not unread, f"dataclass fields with no reader in src/: {unread}"

@@ -169,6 +169,25 @@ def test_run_sweep_records_error_status():
         assert math.isnan(r.values["qfi"]) == (r.gamma_tau == 0.0)
 
 
+def test_run_sweep_closed_form_only_computes_no_qfi(monkeypatch):
+    # delta_zz needs no QFI, so a point whose QFI raises keeps its value
+    # when only delta_zz is asked for, and reads NaN in every column when
+    # the QFI is asked for too
+    def rank_change(params, psi, n_measured):
+        raise RankChangeError(1.0)
+
+    monkeypatch.setattr(sweeps, "qfi_values", rank_change)
+    gg = dict(interaction=Interaction.EXCHANGE, block=parse_block("gg"),
+              n_measured=4)
+    for r in run_sweep(small_config(quantities=("delta_zz",), **gg)):
+        assert r.status == "ok"
+        assert r.values == {"delta_zz": zz_delta(r.nbar, r.gamma_tau)
+                            / thermal_fi_nbar(r.nbar)}
+    for r in run_sweep(small_config(quantities=("qfi", "delta_zz"), **gg)):
+        assert r.status == "RankChangeError"
+        assert all(math.isnan(v) for v in r.values.values())
+
+
 def test_run_sweep_ratio_per_copy():
     config = small_config(quantities=("qfi", "ratio_per_copy"))
     rows = run_sweep(config)
@@ -229,9 +248,9 @@ def test_claims_fail_where_an_optimizer_point_fails(monkeypatch):
     assert [r.name for r in records] == [
         "exchange-opt-1-1", "exchange-collective-ratio",
         "exchange-collective-location", "exchange-collective-thermal"]
-    assert not any(r.passed for r in records)
+    # the location too: a scan without a maximum locates nothing
     for r in records:
-        assert math.isnan(r.measured) == (r.name != "exchange-collective-location")
+        assert math.isnan(r.measured) and not r.passed
 
 
 def test_claims_fail_where_a_stacked_row_fails(monkeypatch):

@@ -10,7 +10,6 @@ def test_zz_probs_values():
     p = zz_probs(1.0, 0.5)
     assert abs(p.p_g - 2.0 / 3.0) < 1e-15
     assert abs(p.p_e - 1.0 / 3.0) < 1e-15
-    assert abs(p.big_gamma - 1.5) < 1e-15
     decay = 1.0 - math.exp(-1.5)
     assert abs(p.p_gg - (1.0 - decay / 3.0)) < 1e-15
     assert abs(p.p_eg - decay * 2.0 / 3.0) < 1e-15
