@@ -76,9 +76,9 @@ def default_grids():
             tuple(np.logspace(-2, math.log10(3.0), 41)))
 
 
-def _values(config: SweepConfig, nbar: float, gamma_taus: tuple,
-            seed: int) -> list:
-    """Values at each gamma_tau of one nbar row, for any block spec.
+def _rows(config: SweepConfig, nbar: float, gamma_taus: tuple,
+          seed: int) -> list:
+    """Finished rows of one nbar value at each gamma_tau, for any block spec.
 
     The QFI at m ancillas is one stacked ``qfi_values`` call over the row for
     a fixed block, and one optimizer call per point for ``optimize-b1`` and
@@ -86,90 +86,77 @@ def _values(config: SweepConfig, nbar: float, gamma_taus: tuple,
     size b (NaN where that is 0); ``theta_opt`` is read from the b=1 optima.
     A request for closed-form quantities only computes no QFI.
     """
-    if set(config.quantities) <= {"delta_zz"}:
-        return [{} for _ in gamma_taus]
-    points = [ModelParams(nbar=nbar, gamma_tau_se=gt, g_tau_sa=config.g_tau_sa,
-                          interaction=config.interaction) for gt in gamma_taus]
     block, n = config.block, config.n_measured
-    if isinstance(block, AncillaBlock):
-        b, optimize = block.b, None
-    elif block == "optimize-b1":
-        b, optimize = 1, optimize_b1
-    else:
-        b, optimize = 2, functools.partial(optimize_b2, seed=seed)
+    columns = {}
+    if not set(config.quantities) <= {"delta_zz"}:
+        points = [ModelParams(nbar=nbar, gamma_tau_se=gt,
+                              g_tau_sa=config.g_tau_sa,
+                              interaction=config.interaction)
+                  for gt in gamma_taus]
+        if isinstance(block, AncillaBlock):
+            b, optimize = block.b, None
+        elif block == "optimize-b1":
+            b, optimize = 1, optimize_b1
+        else:
+            b, optimize = 2, functools.partial(optimize_b2, seed=seed)
 
-    def qfi_at(m):
-        """The QFI at m ancillas of each point, and the optima behind it."""
-        if optimize is None:
-            return qfi_values(points, block.psi[None], m), None
-        optima = [optimize(p, m) for p in points]
-        return np.array([o.value_nbar for o in optima]), optima
+        def qfi_at(m):
+            """The QFI at m ancillas of each point, and the optima behind it."""
+            if optimize is None:
+                return qfi_values(points, block.psi[None], m), None
+            optima = [optimize(p, m) for p in points]
+            return np.array([o.value_nbar for o in optima]), optima
 
-    qfi, optima = qfi_at(n)
-    columns = {"qfi": qfi}
-    if "ratio_per_copy" in config.quantities:
-        base = qfi if n == b else qfi_at(b)[0]
-        columns["ratio_per_copy"] = np.divide(
-            qfi, n // b * base, out=np.full(len(qfi), math.nan),
-            where=base != 0.0)
-    if "theta_opt" in config.quantities:
-        columns["theta_opt"] = [o.argmax.theta for o in optima]
-    return [{q: float(v[i]) for q, v in columns.items()}
-            for i in range(len(points))]
-
-
-def _row(config: SweepConfig, nbar: float, gamma_tau: float,
-         values: dict) -> SweepRow:
-    """Add the closed-form quantities to a point's values."""
+        qfi, optima = qfi_at(n)
+        columns["qfi"] = qfi
+        if "ratio_per_copy" in config.quantities:
+            base = qfi if n == b else qfi_at(b)[0]
+            columns["ratio_per_copy"] = np.divide(
+                qfi, n // b * base, out=np.full(len(qfi), math.nan),
+                where=base != 0.0)
+        if "theta_opt" in config.quantities:
+            columns["theta_opt"] = [o.argmax.theta for o in optima]
     if "ratio_thermal" in config.quantities:
-        values["ratio_thermal"] = values["qfi"] / (
-            config.n_measured * thermal_fi_nbar(nbar))
+        columns["ratio_thermal"] = columns["qfi"] / (n * thermal_fi_nbar(nbar))
     if "delta_zz" in config.quantities:
-        values["delta_zz"] = zz_delta(nbar, gamma_tau) / thermal_fi_nbar(nbar)
-    out = {q: values.get(q, math.nan) for q in config.quantities}
-    # A one-block QFI of 0 (e.g. no system-ancilla coupling) leaves the
-    # per-copy ratio without a value.
-    status = ("undefined" if math.isnan(values.get("ratio_per_copy", 0.0))
-              else "ok")
-    return SweepRow(nbar=nbar, gamma_tau=gamma_tau, values=out, status=status)
-
-
-def _eval_point(config: SweepConfig, nbar: float, gamma_tau: float,
-                seed: int) -> SweepRow:
-    try:
-        return _row(config, nbar, gamma_tau,
-                    _values(config, nbar, (gamma_tau,), seed)[0])
-    except (ValueError, RuntimeError) as exc:
-        status = ("degenerate" if isinstance(exc, FixedPointError)
-                  else type(exc).__name__)
-        out = {q: math.nan for q in config.quantities}
-        return SweepRow(nbar=nbar, gamma_tau=gamma_tau, values=out,
-                        status=status)
-
-
-def _eval_nbar_row(config: SweepConfig, nbar: float, seed: int) -> list:
-    """Rows of one nbar value. A fixed block takes one stacked pass over the
-    gamma_tau grid; if any point of it raises, every point is evaluated
-    again alone, so each gets its own status. An optimizing block runs
-    point by point, so no optimizer point is solved twice."""
-    grid = config.gamma_tau_grid
-    if isinstance(config.block, AncillaBlock):
-        try:
-            return [_row(config, nbar, gt, values) for gt, values
-                    in zip(grid, _values(config, nbar, grid, seed))]
-        except (ValueError, RuntimeError):
-            pass
-    return [_eval_point(config, nbar, gt, seed) for gt in grid]
+        columns["delta_zz"] = [zz_delta(nbar, gt) / thermal_fi_nbar(nbar)
+                               for gt in gamma_taus]
+    rows = []
+    for i, gt in enumerate(gamma_taus):
+        values = {q: float(columns[q][i]) for q in config.quantities}
+        # A one-block QFI of 0 (e.g. no system-ancilla coupling) leaves the
+        # per-copy ratio without a value.
+        status = ("undefined" if math.isnan(values.get("ratio_per_copy", 0.0))
+                  else "ok")
+        rows.append(SweepRow(nbar=nbar, gamma_tau=gt, values=values,
+                             status=status))
+    return rows
 
 
 def run_sweep(config: SweepConfig, seed: int = 0):
-    """Evaluate every grid point, nbar outer and gamma_tau inner.
-
-    Evaluation is serial: a fixed block is stacked one nbar row at a time,
-    which was measured faster than a thread pool over points.
-    """
-    return [row for nbar in config.nbar_grid
-            for row in _eval_nbar_row(config, nbar, seed)]
+    """Evaluate every grid point, nbar outer and gamma_tau inner, serially
+    (measured faster than a thread pool). A fixed block takes one stacked
+    pass over each nbar row; if any point of it raises, each point is
+    evaluated again alone and gets its own status. An optimizing block runs
+    point by point, so no optimizer point is solved twice."""
+    rows = []
+    for nbar in config.nbar_grid:
+        if isinstance(config.block, AncillaBlock):
+            try:
+                rows += _rows(config, nbar, config.gamma_tau_grid, seed)
+                continue
+            except (ValueError, RuntimeError):
+                pass
+        for gt in config.gamma_tau_grid:
+            try:
+                rows += _rows(config, nbar, (gt,), seed)
+            except (ValueError, RuntimeError) as exc:
+                status = ("degenerate" if isinstance(exc, FixedPointError)
+                          else type(exc).__name__)
+                out = {q: math.nan for q in config.quantities}
+                rows.append(SweepRow(nbar=nbar, gamma_tau=gt, values=out,
+                                     status=status))
+    return rows
 
 
 # ---------------------------------------------------------------------------
