@@ -44,6 +44,8 @@ class SweepConfig:
         for q in self.quantities:
             if q not in QUANTITIES:
                 raise ValueError(f"unknown quantity {q!r}")
+            if self.quantities.count(q) > 1:
+                raise ValueError(f"quantity {q!r} is repeated")
         n = self.n_measured
         if not 1 <= n <= MAX_MEASURED:
             raise ValueError(f"n_measured must be in 1..{MAX_MEASURED}, got {n}")
@@ -342,11 +344,16 @@ def _claims_b2_products(seed: int = 0):
         for gt in (0.1, 10.0 ** -0.5, 1.0):
             params = ModelParams(nbar=nbar, gamma_tau_se=gt,
                                  interaction=Interaction.EXCHANGE)
-            opt = optimize_b2(params, 2, seed=seed)
-            best_product = max(fisher_for(params, blk, 2).value_nbar
-                               for blk in products)
-            fractions.append(best_product / opt.value_nbar)
-            weights.append(opt.argmax.r)
+            try:
+                opt = optimize_b2(params, 2, seed=seed)
+                best_product = max(fisher_for(params, blk, 2).value_nbar
+                                   for blk in products)
+                fraction, weight = best_product / opt.value_nbar, opt.argmax.r
+            except (ValueError, RuntimeError):
+                # a point that fails reads NaN, as a sweep row would
+                fraction = weight = math.nan
+            fractions.append(fraction)
+            weights.append(weight)
     return [
         ClaimResult("b2-product-near-optimal",
                     "worst best-product-state fraction of the b=2 optimum "

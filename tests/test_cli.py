@@ -253,6 +253,13 @@ def test_sweep_config_values_are_checked_like_flags(tmp_path, monkeypatch,
         assert exit_code(argv + ["--seed", "-1"]) == 2
         captured = capsys.readouterr()
         assert "--seed" in captured.err and captured.out == ""
+    # a repeated quantity would give CSV two columns and JSON one key
+    conf.write_text(point.replace("qfi", "qfi,qfi"))
+    for argv in (["sweep", "--config", str(conf)],
+                 ["sweep", "--nbar-grid", "1", "--quantities", "qfi,qfi"]):
+        assert exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert "'qfi' is repeated" in captured.err and captured.out == ""
     # keys are whole flag names: no --config, no abbreviation of --nbar-grid
     for line in ("config = other.conf", "nbar = 1.0"):
         conf.write_text(line + "\n")

@@ -27,6 +27,14 @@ def test_thermal_fi_matches_binomial_oracle():
 def test_thermal_fi_rejects_nonpositive():
     with pytest.raises(ValueError):
         thermal_fi_nbar(0.0)
+    # an FI that overflows (1e-320) or underflows, to 0 (1e100) or through
+    # an overflowing square (1e200), is no normal float
+    for nbar in (1e-320, 1e100, 1e200):
+        with pytest.raises(ValueError, match="not a normal float"):
+            thermal_fi_nbar(nbar)
+    for nbar in (1e-300, 0.5, 1e70):
+        assert thermal_fi_nbar(nbar) == 1.0 / (
+            nbar * (nbar + 1.0) * (2.0 * nbar + 1.0) ** 2)
 
 
 def test_dnbar_dT():

@@ -18,7 +18,7 @@ constants and fields that only tests use belong under ``tests/``.
 import ast
 from pathlib import Path
 
-from test_perfbench_contract import load_spans
+from test_perfbench_contract import load_perfbench
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "collide_qfi"
 
@@ -121,7 +121,7 @@ def test_every_public_definition_has_a_caller():
     exported = {alias.asname or alias.name
                 for node in trees["__init__.py"].body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    spanned = {attr for _, attr, _ in load_spans().TARGETS}
+    spanned = {attr for _, attr, _ in load_perfbench("spans").TARGETS}
     # one entry per top-level statement or property, so a definition's own
     # body is not counted as a use of it; orphans are dropped and the search
     # repeats, so what only an orphan uses is found too

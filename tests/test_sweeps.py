@@ -36,6 +36,9 @@ def test_sweep_config_validation():
             small_config(gamma_tau_grid=(bad, 0.8))
     with pytest.raises(ValueError):
         small_config(quantities=("qfi", "bogus"))
+    # CSV would print a repeated column twice and JSON once
+    with pytest.raises(ValueError, match="quantity 'qfi' is repeated"):
+        small_config(quantities=("qfi", "ratio_thermal", "qfi"))
     with pytest.raises(ValueError):
         small_config(block="optimize-b7")
     for bad in (math.nan, math.inf, -math.inf):
@@ -167,6 +170,14 @@ def test_run_sweep_records_error_status():
     for r in rows:
         assert r.status == ("ValueError" if r.gamma_tau == 0.0 else "ok")
         assert math.isnan(r.values["qfi"]) == (r.gamma_tau == 0.0)
+    # F_th underflows to 0 at nbar=1e100: that row fails alone, with NaN in
+    # place of a ZeroDivisionError out of the sweep
+    config = small_config(nbar_grid=(1.0, 1e100), gamma_tau_grid=(0.5,),
+                          n_measured=1)
+    ok, huge = run_sweep(config)
+    assert ok.status == "ok" and abs(ok.values["ratio_thermal"] - 1.0) < 1e-9
+    assert huge.status == "ValueError"
+    assert all(math.isnan(v) for v in huge.values.values())
 
 
 def test_run_sweep_closed_form_only_computes_no_qfi(monkeypatch):
@@ -239,15 +250,18 @@ def test_ground_swap_ratio_matches_fisher_for():
 def test_claims_fail_where_an_optimizer_point_fails(monkeypatch):
     # a claim reads the sweep's rows, so a point that raises fails its claim
     # with a NaN measurement instead of aborting the suite
-    def no_optimum(params, n_measured):
+    def no_optimum(params, n_measured, seed=0):
         raise RuntimeError("no optimum")
 
     monkeypatch.setattr(sweeps, "optimize_b1", no_optimum)
+    monkeypatch.setattr(sweeps, "optimize_b2", no_optimum)
     records = (sweeps._claims_exchange_opt11()
-               + sweeps._claims_exchange_collective())
+               + sweeps._claims_exchange_collective()
+               + sweeps._claims_b2_products())
     assert [r.name for r in records] == [
         "exchange-opt-1-1", "exchange-collective-ratio",
-        "exchange-collective-location", "exchange-collective-thermal"]
+        "exchange-collective-location", "exchange-collective-thermal",
+        "b2-product-near-optimal", "b2-optimum-uncorrelated"]
     # the location too: a scan without a maximum locates nothing
     for r in records:
         assert math.isnan(r.measured) and not r.passed
