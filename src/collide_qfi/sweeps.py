@@ -121,8 +121,8 @@ def _rows(config: SweepConfig, nbar: float, gamma_taus: tuple,
     if "ratio_thermal" in config.quantities:
         columns["ratio_thermal"] = columns["qfi"] / (n * thermal_fi_nbar(nbar))
     if "delta_zz" in config.quantities:
-        columns["delta_zz"] = [zz_delta(nbar, gt) / thermal_fi_nbar(nbar)
-                               for gt in gamma_taus]
+        f_th = thermal_fi_nbar(nbar)
+        columns["delta_zz"] = [zz_delta(nbar, gt) / f_th for gt in gamma_taus]
     rows = []
     for i, gt in enumerate(gamma_taus):
         values = {q: float(columns[q][i]) for q in config.quantities}

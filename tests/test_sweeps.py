@@ -171,13 +171,18 @@ def test_run_sweep_records_error_status():
         assert r.status == ("ValueError" if r.gamma_tau == 0.0 else "ok")
         assert math.isnan(r.values["qfi"]) == (r.gamma_tau == 0.0)
     # F_th underflows to 0 at nbar=1e100: that row fails alone, with NaN in
-    # place of a ZeroDivisionError out of the sweep
+    # every column
     config = small_config(nbar_grid=(1.0, 1e100), gamma_tau_grid=(0.5,),
                           n_measured=1)
     ok, huge = run_sweep(config)
     assert ok.status == "ok" and abs(ok.values["ratio_thermal"] - 1.0) < 1e-9
     assert huge.status == "ValueError"
     assert all(math.isnan(v) for v in huge.values.values())
+    # the range check comes before Delta's own OverflowError at nbar=1e200
+    config = small_config(nbar_grid=(1e200,), gamma_tau_grid=(0.5,),
+                          quantities=("delta_zz",))
+    [huge] = run_sweep(config)
+    assert huge.status == "ValueError" and math.isnan(huge.values["delta_zz"])
 
 
 def test_run_sweep_closed_form_only_computes_no_qfi(monkeypatch):
