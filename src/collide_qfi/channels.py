@@ -10,11 +10,17 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .qmat import I2, SIGMA_Z
+
+# The largest nbar whose thermal Fisher information
+# 1/(nbar (nbar+1) (2nbar+1)^2), about 1/(4 nbar^4), is a normal float: 2^255,
+# about 5.8e76. Above it the FI underflows and the chain's values with it.
+NBAR_MAX = (0.25 / sys.float_info.min) ** 0.25
 
 
 class Interaction(enum.Enum):
@@ -36,8 +42,9 @@ class ModelParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.nbar < 0:
-            raise ValueError(f"nbar must be >= 0, got {self.nbar}")
+        if not 0 <= self.nbar <= NBAR_MAX:
+            raise ValueError(f"nbar must be in [0, {NBAR_MAX:.3g}], "
+                             f"got {self.nbar}")
         if self.gamma_tau_se < 0:
             raise ValueError(f"gamma_tau_se must be >= 0, got {self.gamma_tau_se}")
 

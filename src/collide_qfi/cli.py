@@ -72,8 +72,9 @@ def parse_grid(spec: str):
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key = value file; '#' starts a comment."""
-    out = {}
+    """Flat key = value file; '#' starts a comment. A key may appear once,
+    with '-' and '_' counted the same."""
+    out, seen = {}, set()
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -82,6 +83,11 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (s.strip() for s in line.split("=", 1))
+            norm = key.replace("-", "_")
+            if norm in seen:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} is "
+                                 "repeated")
+            seen.add(norm)
             out[key] = value
     return out
 

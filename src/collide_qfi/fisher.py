@@ -11,13 +11,12 @@ The state derivative is exact: forward-mode through the collision chain.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qmat
-from .channels import ModelParams
+from .channels import NBAR_MAX, ModelParams
 from .collision import AncillaBlock, outgoing_with_derivative, step_maps
 # Bound here as well for callers that look it up through this module, such
 # as the span wrappers of perfbench/spans.py.
@@ -50,19 +49,19 @@ def thermal_fi_nbar(nbar: float) -> float:
     """Fisher information of a fully thermalized qubit probe, in nbar units.
 
     An nbar whose FI is not a normal float is rejected: below about 5.6e-309
-    the FI overflows, above about 5.8e76 it underflows.
+    the FI overflows, above ``NBAR_MAX`` (about 5.8e76) it underflows.
     """
     if not math.isfinite(nbar):
         raise ValueError(f"nbar must be finite, got {nbar}")
     if nbar <= 0:
         raise ValueError("nbar must be > 0 (thermal FI diverges as nbar -> 0)")
-    try:
-        value = 1.0 / (nbar * (nbar + 1.0) * (2.0 * nbar + 1.0) ** 2)
-    except OverflowError:  # (2 nbar + 1)^2 overflows, so the FI underflows
-        value = 0.0
-    if not sys.float_info.min <= value < math.inf:
-        raise ValueError(f"thermal FI at nbar={nbar} is {value}, "
-                         "not a normal float")
+    if nbar > NBAR_MAX:
+        raise ValueError(f"thermal FI at nbar={nbar} underflows, not a normal "
+                         f"float (nbar must be <= {NBAR_MAX:.3g})")
+    value = 1.0 / (nbar * (nbar + 1.0) * (2.0 * nbar + 1.0) ** 2)
+    if value == math.inf:
+        raise ValueError(f"thermal FI at nbar={nbar} overflows, not a normal "
+                         "float")
     return value
 
 

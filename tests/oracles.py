@@ -4,14 +4,16 @@ The package builds every map in closed form or through the per-block step
 map. These helpers do the same physics the long way: an RK4 integration of
 the Lindblad dissipator, operators embedded in the full tensor-product
 space, an explicit partial trace, the Gibbs state and density-matrix
-checks. The classical Fisher information of a POVM bounds the package's QFI
-from below.
+checks. The QFI from a Sylvester solve for the symmetric logarithmic
+derivative checks the package's eigenbasis formula, and the classical Fisher
+information of a POVM bounds that QFI from below.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_sylvester
 
 from collide_qfi.channels import embed_op
 from collide_qfi.qmat import HERM_TOL
@@ -200,3 +202,11 @@ def cfi(rho: np.ndarray, drho: np.ndarray, povm: Povm) -> float:
             dp = float(np.trace(e @ drho).real)
             total += dp * dp / p
     return total
+
+
+def sld_qfi(rho: np.ndarray, drho: np.ndarray) -> float:
+    """QFI tr(rho L^2), with the symmetric logarithmic derivative L solved
+    from rho L + L rho = 2 drho as a Sylvester equation, without the
+    eigenbasis of rho. rho must have full rank."""
+    sld = solve_sylvester(rho, rho, 2.0 * drho)
+    return float(np.trace(rho @ sld @ sld).real)

@@ -17,6 +17,11 @@ from oracles import (apply_kraus_on, apply_unitary_on, default_rk4_steps,
 def test_model_params_validation():
     with pytest.raises(ValueError):
         ModelParams(nbar=-0.1, gamma_tau_se=1.0)
+    # the thermal FI underflows past ~5.8e76, so the chain has no value there
+    for huge in (1e100, 1e200):
+        with pytest.raises(ValueError, match="nbar must be in"):
+            ModelParams(nbar=huge, gamma_tau_se=1.0)
+    assert ModelParams(nbar=0.0, gamma_tau_se=1.0).nbar == 0.0
     with pytest.raises(ValueError):
         ModelParams(nbar=1.0, gamma_tau_se=-1.0)
     for bad in (math.nan, math.inf, -math.inf):

@@ -53,6 +53,14 @@ def test_parse_config_file(tmp_path):
     bad.write_text("just a line\n")
     with pytest.raises(ValueError):
         cli.parse_config_file(str(bad))
+    # a repeated key, '-' and '_' counted the same, would let one line
+    # silently win
+    for text, key in (("n = 2\nn = 1\n", "'n'"),
+                      ("nbar_grid = 1\nnbar-grid = 2\n", "'nbar-grid'")):
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=f"bad.conf:2: config key {key} "
+                                             "is repeated"):
+            cli.parse_config_file(str(bad))
 
 
 def test_thermal_fi_command(capsys):
@@ -208,6 +216,11 @@ def test_sweep_config_unknown_key(tmp_path, capsys):
         rc = cli.main(["sweep", "--config", str(conf)])
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
+    conf.write_text("n = 2\nn = 1\nnbar_grid = 1\nnbar-grid = 2\n"
+                    "gamma_tau_grid = 0.5\n")
+    assert cli.main(["sweep", "--config", str(conf)]) == 2
+    captured = capsys.readouterr()
+    assert "config key 'n' is repeated" in captured.err and captured.out == ""
     # configs that would fail at every grid point are rejected up front
     point = ["sweep", "--nbar-grid", "1.0", "--gamma-tau-grid", "0.5"]
     for flags, message in (

@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collide_qfi import qmat
 from collide_qfi.channels import Interaction, ModelParams
-from collide_qfi.collision import AncillaBlock
+from collide_qfi.collision import (AncillaBlock, outgoing_with_derivative,
+                                   step_maps)
 from collide_qfi.fisher import (RankChangeError, dnbar_dT, fisher_for, qfi,
                                 qfi_values, thermal_fi_nbar)
 from collide_qfi.zz_analytic import zz_fn
 from fd_oracle import (default_step, fd_qfi, joint_state_builder,
                        state_derivative, state_pair)
-from oracles import KET_PLUS_Y, Povm, cfi, gibbs_state
+from oracles import KET_PLUS_Y, Povm, cfi, gibbs_state, sld_qfi
 
 
 def test_thermal_fi_matches_binomial_oracle():
@@ -257,6 +260,24 @@ def test_qfi_values_match_fisher_for():
                         else:
                             worst = max(worst, abs(value - ref) / ref)
     assert worst <= 1e-12
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(b_n=st.sampled_from([(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 4)]),
+       interaction=st.sampled_from(list(Interaction)),
+       nbar=st.floats(0.1, 10.0), gamma_tau=st.floats(0.01, 3.2),
+       g_tau=st.floats(0.3, 1.5), seed=st.integers(0, 2 ** 32 - 1))
+def test_qfi_values_match_sylvester_oracle(b_n, interaction, nbar, gamma_tau,
+                                           g_tau, seed):
+    # the eigenbasis formula against L from rho L + L rho = 2 drho, for a
+    # random block state
+    b, n = b_n
+    params = ModelParams(nbar=nbar, gamma_tau_se=gamma_tau, g_tau_sa=g_tau,
+                         interaction=interaction)
+    psi = random_states(np.random.default_rng(seed), 1, 2 ** b)
+    rho, drho = outgoing_with_derivative(step_maps(params, psi), n)
+    ref = sld_qfi(rho[0], drho[0])
+    assert abs(qfi_values(params, psi, n)[0] - ref) <= 1e-10 * ref
 
 
 def test_qfi_values_raise_rank_change_in_a_batch():

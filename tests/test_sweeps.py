@@ -41,6 +41,12 @@ def test_sweep_config_validation():
         small_config(quantities=("qfi", "ratio_thermal", "qfi"))
     with pytest.raises(ValueError):
         small_config(block="optimize-b7")
+    # the Schmidt weight is read from b=2 optima only
+    for block in (parse_block("gg"), "optimize-b1"):
+        with pytest.raises(ValueError, match="schmidt_r is defined for the "
+                                             "optimize-b2 block only"):
+            small_config(interaction=Interaction.EXCHANGE, block=block,
+                         quantities=("qfi", "schmidt_r"))
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="g_tau_sa must be finite"):
             small_config(g_tau_sa=bad)
@@ -147,7 +153,8 @@ def test_run_sweep_optimized_rows_match_optimizer_calls():
     seed = 3
     config = small_config(nbar_grid=(nbar,), gamma_tau_grid=(0.5,),
                           interaction=Interaction.EXCHANGE, block="optimize-b2",
-                          n_measured=4, quantities=("qfi", "ratio_per_copy"))
+                          n_measured=4,
+                          quantities=("qfi", "ratio_per_copy", "schmidt_r"))
     [row] = run_sweep(config, seed=seed)
     params = ModelParams(nbar=nbar, gamma_tau_se=0.5,
                          interaction=Interaction.EXCHANGE)
@@ -155,7 +162,8 @@ def test_run_sweep_optimized_rows_match_optimizer_calls():
     one = optimize_b2(params, 2, seed=seed)
     assert row.status == "ok"
     assert row.values == {"qfi": opt.value_nbar,
-                          "ratio_per_copy": opt.value_nbar / (2 * one.value_nbar)}
+                          "ratio_per_copy": opt.value_nbar / (2 * one.value_nbar),
+                          "schmidt_r": opt.argmax.r}
 
 
 def test_run_sweep_records_error_status():
@@ -183,6 +191,16 @@ def test_run_sweep_records_error_status():
                           quantities=("delta_zz",))
     [huge] = run_sweep(config)
     assert huge.status == "ValueError" and math.isnan(huge.values["delta_zz"])
+    # a qfi-only sweep past the thermal-FI range fails there too, instead of
+    # reading an underflowed QFI as ok (or warning of an overflow at 1e200)
+    for case in (dict(block=parse_block("plusx")),
+                 dict(interaction=Interaction.EXCHANGE, block=parse_block("gg"))):
+        config = small_config(nbar_grid=(1.0, 1e100, 1e200),
+                              gamma_tau_grid=(0.5,), quantities=("qfi",), **case)
+        ok, *huge = run_sweep(config)
+        assert ok.status == "ok" and ok.values["qfi"] > 0.0
+        for r in huge:
+            assert r.status == "ValueError" and math.isnan(r.values["qfi"])
 
 
 def test_run_sweep_closed_form_only_computes_no_qfi(monkeypatch):
@@ -284,6 +302,13 @@ def test_claims_fail_where_a_stacked_row_fails(monkeypatch):
                                          "exchange-ground-additivity"]
     for r in records:
         assert math.isnan(r.measured) and not r.passed
+    # the b=2 products are fixed-block rows, the optimum's Schmidt weight
+    # is not, so only the product fraction fails
+    near_optimal, uncorrelated = sweeps._claims_b2_products()
+    assert near_optimal.name == "b2-product-near-optimal"
+    assert math.isnan(near_optimal.measured) and not near_optimal.passed
+    assert uncorrelated.name == "b2-optimum-uncorrelated"
+    assert uncorrelated.passed
 
 
 def test_render_report_format():
