@@ -1,11 +1,9 @@
 """Collisional quantum thermometry: stroboscopic qubit-ancilla dynamics and
 Fisher-information analysis of the outgoing ancilla stream."""
 
-from .channels import (Interaction, KrausChannel, ModelParams,
-                       exchange_unitary, thermal_kraus, zz_unitary)
-from .collision import (AncillaBlock, FixedPointError, block_map_superop,
-                        outgoing_joint_state, steady_state)
-from .fisher import (FisherResult, RankChangeError, dnbar_dT, fisher_for, qfi,
+from .channels import Interaction, ModelParams, exchange_unitary, zz_unitary
+from .collision import AncillaBlock, FixedPointError
+from .fisher import (FisherResult, RankChangeError, fisher_for, qfi,
                      thermal_fi_nbar)
 from .optimize import (BlochAngles, Optimum, SchmidtParams, bloch_state,
                        optimize_b1, optimize_b2, schmidt_state)

@@ -30,7 +30,8 @@ class Interaction(enum.Enum):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Dimensionless physics knobs of the collision model."""
+    """Dimensionless physics knobs of the collision model. Building one checks
+    the (nbar, gamma_tau) domain that the chain and the zz closed forms share."""
 
     nbar: float
     gamma_tau_se: float
@@ -46,7 +47,15 @@ class ModelParams:
             raise ValueError(f"nbar must be in [0, {NBAR_MAX:.3g}], "
                              f"got {self.nbar}")
         if self.gamma_tau_se < 0:
-            raise ValueError(f"gamma_tau_se must be >= 0, got {self.gamma_tau_se}")
+            raise ValueError(f"gamma_tau_se must be nonnegative, got "
+                             f"{self.gamma_tau_se}")
+        # 2 gamma_tau (2nbar+1) bounds the decay exponent Gamma and its
+        # nbar-derivative 2 gamma_tau; past it they overflow and the map's
+        # derivative reads inf * 0 = NaN. float(): numpy scalars would warn.
+        if not math.isfinite(2.0 * float(self.gamma_tau_se)
+                             * (2.0 * float(self.nbar) + 1.0)):
+            raise ValueError("2 gamma_tau_se (2nbar+1) must be finite, got "
+                             f"gamma_tau_se={self.gamma_tau_se}, nbar={self.nbar}")
 
 
 @dataclass(frozen=True)
@@ -69,8 +78,7 @@ class KrausChannel:
 
 def thermal_kraus(nbar: float, gamma_tau: float) -> KrausChannel:
     """Qubit thermal map exp(L * tau) as a generalized-amplitude-damping Kraus set."""
-    if nbar < 0 or gamma_tau < 0:
-        raise ValueError("nbar and gamma_tau must be nonnegative")
+    ModelParams(nbar=nbar, gamma_tau_se=gamma_tau)  # the chain's domain check
     if gamma_tau == 0.0:
         return KrausChannel((I2.copy(),))
     big_gamma = gamma_tau * (2.0 * nbar + 1.0)

@@ -65,14 +65,6 @@ def thermal_fi_nbar(nbar: float) -> float:
     return value
 
 
-def dnbar_dT(temperature: float, omega: float) -> float:
-    """d nbar / dT for nbar = 1/(exp(omega/T) - 1), in hbar = k_B = 1 units."""
-    if temperature <= 0 or omega <= 0:
-        raise ValueError("temperature and omega must be > 0")
-    x = omega / temperature
-    return (omega / temperature ** 2) * math.exp(x) / (math.exp(x) - 1.0) ** 2
-
-
 def qfi(rho: np.ndarray, drho: np.ndarray):
     """Quantum Fisher information from rho and its parameter derivative.
 

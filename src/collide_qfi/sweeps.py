@@ -10,7 +10,7 @@ import numpy as np
 
 from . import qmat
 from .channels import Interaction, ModelParams
-from .collision import MAX_MEASURED, AncillaBlock, FixedPointError
+from .collision import MAX_MEASURED, AncillaBlock
 from .fisher import qfi_values, thermal_fi_nbar
 # Bound here as well for callers that look it up through this module, such
 # as the span wrappers of perfbench/spans.py.
@@ -160,11 +160,9 @@ def run_sweep(config: SweepConfig, seed: int = 0):
             try:
                 rows += _rows(config, nbar, (gt,), seed)
             except (ValueError, RuntimeError) as exc:
-                status = ("degenerate" if isinstance(exc, FixedPointError)
-                          else type(exc).__name__)
                 out = {q: math.nan for q in config.quantities}
                 rows.append(SweepRow(nbar=nbar, gamma_tau=gt, values=out,
-                                     status=status))
+                                     status=type(exc).__name__))
     return rows
 
 

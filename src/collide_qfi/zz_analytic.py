@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .channels import ModelParams
 from .fisher import thermal_fi_nbar
 
 
@@ -24,16 +25,8 @@ class ZzProbabilities:
     p_eg: float  # jump |e> -> |g>
 
 
-def _require_point(nbar: float, gamma_tau: float) -> None:
-    for name, value in (("nbar", nbar), ("gamma_tau", gamma_tau)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if nbar < 0 or gamma_tau < 0:
-        raise ValueError("nbar and gamma_tau must be nonnegative")
-
-
 def zz_probs(nbar: float, gamma_tau: float) -> ZzProbabilities:
-    _require_point(nbar, gamma_tau)
+    ModelParams(nbar=nbar, gamma_tau_se=gamma_tau)  # the chain's domain check
     big_gamma = gamma_tau * (2.0 * nbar + 1.0)
     p_g = (nbar + 1.0) / (2.0 * nbar + 1.0)
     p_e = 1.0 - p_g
@@ -68,11 +61,11 @@ def _transition_derivatives(nbar: float, gamma_tau: float):
 
 def zz_delta(nbar: float, gamma_tau: float) -> float:
     """Per-ancilla collective increment Delta, in nbar units."""
+    probs = zz_probs(nbar, gamma_tau)
     if nbar <= 0:
         raise ValueError("nbar must be > 0")
     if gamma_tau <= 0:
         raise ValueError("gamma_tau must be > 0 (no transitions, Delta undefined)")
-    probs = zz_probs(nbar, gamma_tau)
     dp_gg, dp_eg = _transition_derivatives(nbar, gamma_tau)
     terms = [
         (probs.p_g, probs.p_gg, dp_gg),
@@ -89,7 +82,7 @@ def zz_delta(nbar: float, gamma_tau: float) -> float:
 
 def zz_fn(nbar: float, gamma_tau: float, n_measured: int) -> float:
     """N-ancilla QFI of the |+x> protocol at the optimal collision angle."""
-    _require_point(nbar, gamma_tau)
+    ModelParams(nbar=nbar, gamma_tau_se=gamma_tau)  # the chain's domain check
     if n_measured < 1:
         raise ValueError("n_measured must be >= 1")
     f1 = zz_f1(nbar, math.pi / 2.0)

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from collide_qfi import cli
+from collide_qfi.channels import Interaction, ModelParams
 from collide_qfi.fisher import thermal_fi_nbar
+from collide_qfi.optimize import optimize_b2
 from collide_qfi.sweeps import ClaimReport, ClaimResult
 from collide_qfi.zz_analytic import zz_fn
 
@@ -120,6 +122,73 @@ def test_optimize_command_b1(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "theta_opt = " in out and "evaluations = " in out
+
+
+def test_optimize_command_b2(capsys):
+    # the five Schmidt fields of the optimum, its value and its cost, as a
+    # direct optimize_b2 call gives them
+    rc = cli.main(["optimize", "--nbar", "10", "--gamma-tau", "0.5",
+                   "--b", "2", "--n", "2", "--seed", "0"])
+    assert rc == 0
+    params = ModelParams(nbar=10.0, gamma_tau_se=0.5,
+                         interaction=Interaction.EXCHANGE)
+    opt = optimize_b2(params, 2, seed=0)
+    a = opt.argmax
+    fields = [("r", a.r), ("theta_m", a.theta_m), ("theta_n", a.theta_n),
+              ("phi_n", a.phi_n), ("alpha", a.alpha),
+              ("value_nbar", opt.value_nbar)]
+    expected = [f"{name} = {value:.12g}" for name, value in fields]
+    expected.append(f"evaluations = {opt.evaluations}")
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_chain_failure_exits_1(capsys):
+    # at nbar = 1e-20 the |+x> derivative leaks into the kernel of rho: a
+    # runtime failure of the chain, not a bad argument
+    rc = cli.main(["fisher", "--nbar", "1e-20", "--gamma-tau", "0.5",
+                   "--interaction", "zz", "--block", "plusx", "--n", "1"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "derivative leaves the state's support" in captured.err
+    assert captured.out == ""
+
+
+def test_zz_closed_degenerate_transitions_exit_2(capsys):
+    # at gamma_tau = 1e-20, 1 - p_gg rounds to 0: Delta has no value
+    rc = cli.main(["zz-closed", "--nbar", "1", "--gamma-tau", "1e-20",
+                   "--n", "2"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "degenerate transition probabilities" in captured.err
+    assert captured.out == ""
+
+
+def test_commands_reject_an_overflowing_gamma_tau(capsys):
+    # 2 gamma_tau (2nbar+1) overflows at gamma_tau = 1e308: every command
+    # exits 2 where it printed nan (fisher, zz-closed) or failed inside the
+    # optimizer, and a sweep row reads ValueError where it read nan, ok
+    point = ["--nbar", "1", "--gamma-tau", "1e308"]
+    for argv in (["fisher", *point, "--interaction", "zz", "--block",
+                  "plusx", "--n", "1"],
+                 ["zz-closed", *point, "--n", "2"],
+                 ["optimize", *point, "--b", "1", "--n", "1"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "2 gamma_tau_se (2nbar+1) must be finite" in captured.err
+        assert captured.out == ""
+    assert cli.main(["sweep", "--nbar-grid", "1", "--gamma-tau-grid",
+                     "0.5,1e307,1e308", "--quantities",
+                     "qfi,ratio_thermal"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["ok", "ok", "ValueError"]
+    assert rows[2] == "1,1e+308,nan,nan,ValueError"
+    # the overflow at (1e10, 1e300) used to escape as a RuntimeWarning, an
+    # error under this suite's warning filter
+    assert cli.main(["sweep", "--nbar-grid", "1,1e10", "--gamma-tau-grid",
+                     "0.5,1e300"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["ok", "ok", "ok",
+                                                     "ValueError"]
 
 
 def test_missing_subcommand_exits():

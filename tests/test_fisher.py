@@ -9,12 +9,13 @@ from collide_qfi import qmat
 from collide_qfi.channels import Interaction, ModelParams
 from collide_qfi.collision import (AncillaBlock, outgoing_with_derivative,
                                    step_maps)
-from collide_qfi.fisher import (RankChangeError, dnbar_dT, fisher_for, qfi,
-                                qfi_values, thermal_fi_nbar)
+from collide_qfi.fisher import (RankChangeError, fisher_for, qfi, qfi_values,
+                                thermal_fi_nbar)
 from collide_qfi.zz_analytic import zz_fn
 from fd_oracle import (default_step, fd_qfi, joint_state_builder,
                        state_derivative, state_pair)
-from oracles import KET_PLUS_Y, Povm, cfi, gibbs_state, sld_qfi
+from oracles import (KET_PLUS_Y, Povm, bures_qfi, cfi, dnbar_dT, gibbs_state,
+                     sld_qfi)
 
 
 def test_thermal_fi_matches_binomial_oracle():
@@ -278,6 +279,27 @@ def test_qfi_values_match_sylvester_oracle(b_n, interaction, nbar, gamma_tau,
     rho, drho = outgoing_with_derivative(step_maps(params, psi), n)
     ref = sld_qfi(rho[0], drho[0])
     assert abs(qfi_values(params, psi, n)[0] - ref) <= 1e-10 * ref
+
+
+def test_qfi_values_match_bures_oracle_near_rank_deficiency():
+    # at nbar = 1e-3 rho is near rank deficient (cond 1.5e7 for gg N=2,
+    # 2e14 for N=4), where the Sylvester system is ill-posed; the fidelity
+    # form converges to the QFI as O(h^2) over h = nbar / 4 ... nbar / 256
+    nbar = 1e-3
+    gg = AncillaBlock(b=2, psi=np.kron(qmat.KET_G, qmat.KET_G))
+    plusx = AncillaBlock(b=1, psi=qmat.KET_PLUS_X)
+    cases = [(Interaction.EXCHANGE, gg, n, 0.3) for n in (2, 4)]
+    cases += [(Interaction.ZZ, plusx, n, 0.5) for n in (1, 2)]
+    for interaction, block, n, gamma_tau in cases:
+        params = ModelParams(nbar=nbar, gamma_tau_se=gamma_tau,
+                             interaction=interaction)
+        value = qfi_values(params, block.psi[None], n)[0]
+        build = joint_state_builder(params, block, n)
+        errors = [abs(bures_qfi(build, nbar, nbar * 2.0 ** -k) - value) / value
+                  for k in range(2, 9)]
+        assert min(errors) <= 1e-4, (interaction, n, errors)
+        for coarse, fine in zip(errors[:4], errors[1:5]):
+            assert fine <= coarse / 3.0, (interaction, n, errors)
 
 
 def test_qfi_values_raise_rank_change_in_a_batch():

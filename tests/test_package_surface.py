@@ -4,7 +4,9 @@ the package has a caller.
 A public top-level function or class of ``src/collide_qfi``, or a public
 UPPER_CASE module constant, must be used somewhere in the package outside
 its own definition, be exported from ``collide_qfi/__init__.py``, or be an
-attribute that the span wrappers of perfbench/spans.py rebind. A public
+attribute that the span wrappers of perfbench/spans.py rebind. An export
+needs a caller in the package itself: a name that only tests or span
+targets use is not exported. A public
 @property of a top-level class must be looked up as an attribute outside
 its own definition. A use inside a definition that itself has no caller
 does not count, and neither does a name that a function, lambda or
@@ -116,30 +118,53 @@ def package_trees():
             for path in sorted(SRC.glob("*.py"))}
 
 
-def test_every_public_definition_has_a_caller():
-    trees = package_trees()
-    exported = {alias.asname or alias.name
-                for node in trees["__init__.py"].body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    spanned = {attr for _, attr, _ in load_perfbench("spans").TARGETS}
+def exported_names(trees):
+    """The names ``collide_qfi/__init__.py`` imports from its modules."""
+    return {alias.asname or alias.name
+            for node in trees["__init__.py"].body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def orphans(trees, roots):
+    """(key, label) of each public definition that nothing in the package
+    uses, where a name in ``roots`` counts as used."""
     # one entry per top-level statement or property, so a definition's own
     # body is not counted as a use of it; orphans are dropped and the search
     # repeats, so what only an orphan uses is found too
     live = dict(enumerate(
         ([(key, f"{name}:{label}") for key, label in defined], uses)
         for name, tree in trees.items() for defined, uses in definitions(tree)))
-    orphans = []
-    while found := [(entry, label)
+    out = []
+    while found := [(entry, key, label)
                     for entry, (defined, _) in live.items()
                     for key, label in defined
-                    if key not in exported | spanned
+                    if key not in roots
                     and not any(key in uses
                                 for other, (_, uses) in live.items()
                                 if other != entry)]:
-        orphans += [label for _, label in found]
-        for entry, _ in found:
+        out += [(key, label) for _, key, label in found]
+        for entry, _, _ in found:
             live.pop(entry, None)
-    assert not orphans, f"public definitions with no caller in src/: {orphans}"
+    return out
+
+
+def test_every_public_definition_has_a_caller():
+    trees = package_trees()
+    spanned = {attr for _, attr, _ in load_perfbench("spans").TARGETS}
+    unused = [label for _, label in
+              orphans(trees, exported_names(trees) | spanned)]
+    assert not unused, f"public definitions with no caller in src/: {unused}"
+
+
+def test_every_export_has_a_caller_in_the_package():
+    # an export is the package's interface, not a way to keep test or
+    # benchmark scaffolding in it: a name whose only callers are tests or
+    # the span wrappers of perfbench/spans.py is not exported
+    trees = package_trees()
+    unused = {key for key, _ in orphans(trees, roots=set())}
+    scaffolding = sorted(exported_names(trees) & unused)
+    assert not scaffolding, ("exported from __init__ with no caller in src/: "
+                             f"{scaffolding}")
 
 
 def is_dataclass(node):

@@ -91,8 +91,6 @@ def point_by_point(config):
                 base = fisher_for(params, block, block.b).value_nbar
                 values["ratio_per_copy"] = value / ((n // block.b) * base)
                 out.append(("ok", values))
-            except FixedPointError:
-                out.append(("degenerate", None))
             except (ValueError, RuntimeError) as exc:
                 out.append((type(exc).__name__, None))
     return out
@@ -201,6 +199,22 @@ def test_run_sweep_records_error_status():
         assert ok.status == "ok" and ok.values["qfi"] > 0.0
         for r in huge:
             assert r.status == "ValueError" and math.isnan(r.values["qfi"])
+
+
+def test_run_sweep_status_is_the_error_class(monkeypatch):
+    # a block map that does not preserve trace is labelled by its error
+    # class like any other failure, not as a degenerate fixed space (which
+    # raises nothing: zz |+x> at gamma_tau = 0 reads ok)
+    def not_trace_preserving(params, psi, n_measured):
+        raise FixedPointError("block map does not preserve trace")
+
+    [row] = run_sweep(small_config(nbar_grid=(1.0,), gamma_tau_grid=(0.0,),
+                                   n_measured=1))
+    assert row.status == "ok"
+    monkeypatch.setattr(sweeps, "qfi_values", not_trace_preserving)
+    rows = run_sweep(small_config())
+    assert [r.status for r in rows] == ["FixedPointError"] * 4
+    assert all(math.isnan(v) for r in rows for v in r.values.values())
 
 
 def test_run_sweep_closed_form_only_computes_no_qfi(monkeypatch):

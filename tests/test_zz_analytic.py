@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from collide_qfi.channels import ModelParams
 from collide_qfi.fisher import thermal_fi_nbar
 from collide_qfi.zz_analytic import zz_delta, zz_f1, zz_fn, zz_probs
 
@@ -72,3 +74,28 @@ def test_zz_fn_progression_is_arithmetic():
         with pytest.raises(ValueError, match="nonnegative"):
             zz_fn(1.0, -1.0, n)
 
+
+def test_closed_forms_reject_what_the_chain_rejects():
+    # the closed forms check their point with the chain's rule: no value
+    # past NBAR_MAX (zz_delta read 0.0 at 1e100 and raised OverflowError at
+    # 1e200), and none where 2 gamma_tau (2nbar+1) overflows (nan)
+    closed_forms = (zz_probs, zz_delta, lambda nbar, gt: zz_fn(nbar, gt, 1),
+                    lambda nbar, gt: zz_fn(nbar, gt, 2))
+    for nbar, gamma_tau, message in ((1e100, 0.5, "nbar must be in"),
+                                     (1e200, 0.5, "nbar must be in"),
+                                     (1.0, 1e308, "must be finite"),
+                                     (1e10, 1e300, "must be finite"),
+                                     (math.nan, 0.5, "must be finite"),
+                                     (1.0, -1.0, "nonnegative")):
+        with pytest.raises(ValueError, match=message):
+            ModelParams(nbar=nbar, gamma_tau_se=gamma_tau)
+        for f in closed_forms:
+            with pytest.raises(ValueError, match=message):
+                f(nbar, gamma_tau)
+            # numpy scalars too, without an overflow warning
+            with pytest.raises(ValueError, match=message):
+                f(np.float64(nbar), np.float64(gamma_tau))
+    # just inside the bound every closed form has a finite value
+    assert math.isfinite(zz_probs(1.0, 1e307).p_eg)
+    for f in closed_forms[1:]:
+        assert math.isfinite(f(1.0, 1e307))
