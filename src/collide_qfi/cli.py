@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -92,7 +93,7 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-def write_output(rows, quantities, fmt: str, path: str | None):
+def write_output(rows, quantities, fmt: str, out):
     header = ["nbar", "gamma_tau", *quantities, "status"]
     if fmt == "csv":
         lines = [",".join(header)]
@@ -110,11 +111,7 @@ def write_output(rows, quantities, fmt: str, path: str | None):
             obj["status"] = row.status
             objs.append(obj)
         text = json.dumps(objs, indent=2, allow_nan=False) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    out.write(text)
 
 
 def _model_params(args) -> ModelParams:
@@ -212,8 +209,12 @@ def cmd_sweep(args) -> int:
         interaction=Interaction(args.interaction),
         block=block, n_measured=args.n,
         quantities=quantities, g_tau_sa=args.g_tau_sa)
-    rows = run_sweep(config, seed=args.seed)
-    write_output(rows, quantities, args.format, args.output)
+    # Opened before the sweep runs, so a bad path costs no sweep.
+    out = (contextlib.nullcontext(sys.stdout) if args.output in (None, "-")
+           else open(args.output, "w", encoding="utf-8", newline="\n"))
+    with out as fh:
+        rows = run_sweep(config, seed=args.seed)
+        write_output(rows, quantities, args.format, fh)
     return 0
 
 

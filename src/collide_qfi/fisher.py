@@ -28,11 +28,13 @@ KERNEL_LEAK_TOL = 1e-8
 
 class RankChangeError(RuntimeError):
     """The state derivative has support on the kernel of rho: a rank change
-    of the state at this nbar, where the QFI is discontinuous."""
+    of the state at this nbar, where the QFI is discontinuous. ``values``
+    holds each row's QFI, NaN where it leaks; None means no row has one."""
 
-    def __init__(self, max_kernel_element: float):
+    def __init__(self, max_kernel_element: float, values=None):
         super().__init__(max_kernel_element)
         self.max_kernel_element = max_kernel_element
+        self.values = values
 
     def __str__(self) -> str:
         return ("derivative leaves the state's support "
@@ -71,21 +73,24 @@ def qfi(rho: np.ndarray, drho: np.ndarray):
     In the eigenbasis of rho, QFI = sum_{ij} 2 |<i|drho|j>|^2 / (lambda_i +
     lambda_j) over pairs outside the kernel. A leading batch axis gives one
     value per row from one stacked eigendecomposition; a single state gives
-    a float. Any row whose derivative leaks into its kernel raises.
+    a float. If a row's derivative leaks into its kernel, the error raised
+    carries the value of every row, NaN on the leaking rows.
     """
     lam, v = qmat.herm_eigen(rho)
     a = v.conj().swapaxes(-1, -2) @ drho @ v
     denom = lam[..., :, None] + lam[..., None, :]
     # eigh sorts ascending, so the last eigenvalue is the largest
     mask = denom > KERNEL_REL_CUTOFF * lam[..., -1, None, None]
+    leaking = None
     if not mask.all():
         leak = np.where(mask, 0.0, np.abs(a)).max(axis=(-2, -1))
-        leaking = np.flatnonzero(leak > KERNEL_LEAK_TOL)
-        if leaking.size:
-            raise RankChangeError(float(leak.flat[leaking[0]]))
+        leaking = leak > KERNEL_LEAK_TOL
         denom = np.where(mask, denom, np.inf)
     terms = (a.real * a.real + a.imag * a.imag) / denom
     val = np.maximum(2.0 * terms.sum(axis=(-2, -1)), 0.0)
+    if leaking is not None and leaking.any():
+        raise RankChangeError(float(leak[leaking][0]),
+                              np.where(leaking, math.nan, val))
     return float(val) if val.ndim == 0 else val
 
 

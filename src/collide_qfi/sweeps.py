@@ -92,14 +92,29 @@ def _rows(config: SweepConfig, nbar: float, gamma_taus: tuple,
     ``optimize-b2``. ``ratio_per_copy`` divides by the QFI of one block of
     size b (NaN where that is 0); ``theta_opt`` and ``schmidt_r`` come from
     the optima. A request for closed-form quantities only computes no QFI.
+    Each point is evaluated once. Its status is the class name of the first
+    error it meets; later steps skip it, and it reads NaN in every column. A
+    stacked call that raises fails each point whose value it does not carry.
     """
     block, n = config.block, config.n_measured
+    status = ["ok"] * len(gamma_taus)
+
+    def each(call, args):
+        """call(arg) at each point that has not failed, NaN at the others."""
+        out = [math.nan] * len(args)
+        for i, arg in enumerate(args):
+            if status[i] == "ok":
+                try:
+                    out[i] = call(arg)
+                except (ValueError, RuntimeError) as exc:
+                    status[i] = type(exc).__name__
+        return out
+
     columns = {}
     if not set(config.quantities) <= {"delta_zz"}:
-        points = [ModelParams(nbar=nbar, gamma_tau_se=gt,
-                              g_tau_sa=config.g_tau_sa,
-                              interaction=config.interaction)
-                  for gt in gamma_taus]
+        points = each(lambda gt: ModelParams(
+            nbar=nbar, gamma_tau_se=gt, g_tau_sa=config.g_tau_sa,
+            interaction=config.interaction), gamma_taus)
         if isinstance(block, AncillaBlock):
             b, optimize = block.b, None
         elif block == "optimize-b1":
@@ -109,10 +124,22 @@ def _rows(config: SweepConfig, nbar: float, gamma_taus: tuple,
 
         def qfi_at(m):
             """The QFI at m ancillas of each point, and the optima behind it."""
-            if optimize is None:
-                return qfi_values(points, block.psi[None], m), None
-            optima = [optimize(p, m) for p in points]
-            return np.array([o.value_nbar for o in optima]), optima
+            if optimize is not None:
+                optima = each(lambda p: optimize(p, m), points)
+                return np.array(each(lambda o: o.value_nbar, optima)), optima
+            live = [i for i, s in enumerate(status) if s == "ok"]
+            qfi = np.full(len(points), math.nan)
+            try:
+                if live:
+                    qfi[live] = qfi_values([points[i] for i in live],
+                                           block.psi[None], m)
+            except (ValueError, RuntimeError) as exc:
+                if getattr(exc, "values", None) is not None:
+                    qfi[live] = exc.values
+                for i in live:
+                    if math.isnan(qfi[i]):
+                        status[i] = type(exc).__name__
+            return qfi, None
 
         qfi, optima = qfi_at(n)
         columns["qfi"] = qfi
@@ -122,47 +149,35 @@ def _rows(config: SweepConfig, nbar: float, gamma_taus: tuple,
                 qfi, n // b * base, out=np.full(len(qfi), math.nan),
                 where=base != 0.0)
         if "theta_opt" in config.quantities:
-            columns["theta_opt"] = [o.argmax.theta for o in optima]
+            columns["theta_opt"] = each(lambda o: o.argmax.theta, optima)
         if "schmidt_r" in config.quantities:
-            columns["schmidt_r"] = [o.argmax.r for o in optima]
+            columns["schmidt_r"] = each(lambda o: o.argmax.r, optima)
+    if {"ratio_thermal", "delta_zz"} & set(config.quantities):
+        f_th = np.array(each(lambda gt: thermal_fi_nbar(nbar), gamma_taus))
     if "ratio_thermal" in config.quantities:
-        columns["ratio_thermal"] = columns["qfi"] / (n * thermal_fi_nbar(nbar))
+        columns["ratio_thermal"] = columns["qfi"] / (n * f_th)
     if "delta_zz" in config.quantities:
-        f_th = thermal_fi_nbar(nbar)
-        columns["delta_zz"] = [zz_delta(nbar, gt) / f_th for gt in gamma_taus]
+        columns["delta_zz"] = np.array(
+            each(lambda gt: zz_delta(nbar, gt), gamma_taus)) / f_th
     rows = []
     for i, gt in enumerate(gamma_taus):
-        values = {q: float(columns[q][i]) for q in config.quantities}
+        values = {q: float(columns[q][i]) if status[i] == "ok" else math.nan
+                  for q in config.quantities}
         # A one-block QFI of 0 (e.g. no system-ancilla coupling) leaves the
         # per-copy ratio without a value.
-        status = ("undefined" if math.isnan(values.get("ratio_per_copy", 0.0))
-                  else "ok")
+        if status[i] == "ok" and math.isnan(values.get("ratio_per_copy", 0.0)):
+            status[i] = "undefined"
         rows.append(SweepRow(nbar=nbar, gamma_tau=gt, values=values,
-                             status=status))
+                             status=status[i]))
     return rows
 
 
 def run_sweep(config: SweepConfig, seed: int = 0):
     """Evaluate every grid point, nbar outer and gamma_tau inner, serially
-    (measured faster than a thread pool). A fixed block takes one stacked
-    pass over each nbar row; if any point of it raises, each point is
-    evaluated again alone and gets its own status. An optimizing block runs
-    point by point, so no optimizer point is solved twice."""
+    (measured faster than a thread pool), one ``_rows`` call per nbar row."""
     rows = []
     for nbar in config.nbar_grid:
-        if isinstance(config.block, AncillaBlock):
-            try:
-                rows += _rows(config, nbar, config.gamma_tau_grid, seed)
-                continue
-            except (ValueError, RuntimeError):
-                pass
-        for gt in config.gamma_tau_grid:
-            try:
-                rows += _rows(config, nbar, (gt,), seed)
-            except (ValueError, RuntimeError) as exc:
-                out = {q: math.nan for q in config.quantities}
-                rows.append(SweepRow(nbar=nbar, gamma_tau=gt, values=out,
-                                     status=type(exc).__name__))
+        rows += _rows(config, nbar, config.gamma_tau_grid, seed)
     return rows
 
 

@@ -221,6 +221,29 @@ def test_sweep_command_csv(tmp_path, capsys):
     assert abs(float(first[2]) - zz_fn(0.5, 0.2, 2)) < 1e-6
 
 
+def test_sweep_command_opens_its_output_before_the_sweep(tmp_path, monkeypatch,
+                                                         capsys):
+    # a path that cannot be written fails before any point is computed, and
+    # a rejected config leaves an existing output file alone
+    seen = []
+    monkeypatch.setattr(cli, "run_sweep",
+                        lambda config, seed: seen.append(config) or [])
+    point = ["sweep", "--nbar-grid", "1.0", "--gamma-tau-grid", "0.5"]
+    missing = tmp_path / "missing" / "rows.csv"
+    assert cli.main(point + ["--output", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert "No such file or directory" in captured.err and captured.out == ""
+    assert seen == [] and not missing.parent.exists()
+    kept = tmp_path / "rows.csv"
+    kept.write_text("earlier rows\n")
+    assert cli.main(point + ["--n", "9", "--output", str(kept)]) == 2
+    assert "n_measured must be in 1..4" in capsys.readouterr().err
+    assert seen == [] and kept.read_text() == "earlier rows\n"
+    assert cli.main(point + ["--output", str(kept)]) == 0
+    assert len(seen) == 1 and kept.read_text() == (
+        "nbar,gamma_tau,qfi,ratio_thermal,status\n")
+
+
 def test_sweep_command_rejects_non_finite_grid(capsys, tmp_path):
     # a NaN point used to pass the monotonicity check and reach LAPACK
     for grid in ("0.5,nan", "inf", "0.5,1.0,-inf"):

@@ -316,6 +316,25 @@ def test_qfi_values_raise_rank_change_in_a_batch():
     # without that row the same point evaluates
     values = qfi_values(params, psi[[0, 2]], 4)
     assert np.all(np.isfinite(values))
+    # the error carries every row's value, NaN on the leaking row; the rows
+    # left are the values of the call without it, bit for bit
+    assert np.isnan(batch.value.values[1])
+    np.testing.assert_array_equal(batch.value.values[[0, 2]], values)
+    # the same for a sweep row of nonzero QFIs (exchange |gg>, N=4), whose
+    # three middle points change rank
+    points = [ModelParams(nbar=1e-6, gamma_tau_se=gt,
+                          interaction=Interaction.EXCHANGE)
+              for gt in (0.01, 0.1, 0.3, 1.0, 3.0)]
+    gg = np.kron(qmat.KET_G, qmat.KET_G)[None]
+    with pytest.raises(RankChangeError) as row:
+        qfi_values(points, gg, 4)
+    assert np.isnan(row.value.values).tolist() == [False, True, True, True,
+                                                   False]
+    ends = qfi_values([points[0], points[-1]], gg, 4)
+    assert np.all(ends > 0.0)
+    np.testing.assert_array_equal(row.value.values[[0, -1]], ends)
+    # raised without values, the error says that no row has one
+    assert RankChangeError(1.0).values is None
 
 
 def test_qfi_values_degenerate_fixed_point():

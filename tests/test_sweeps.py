@@ -130,6 +130,52 @@ def test_run_sweep_stacked_rows_match_fisher_for():
     assert [r.status for r in rows] == ["ok"] + ["RankChangeError"] * 3 + ["ok"]
 
 
+def test_run_sweep_evaluates_each_point_once(monkeypatch):
+    # a row with a failing point is not evaluated again point by point: one
+    # stacked QFI call per block count over the points still live, and one
+    # optimizer call per point and block count
+    calls = []
+
+    def counted(name, describe):
+        call = getattr(sweeps, name)
+
+        def wrapper(params, *args):
+            calls.append((name, describe(params, *args)))
+            return call(params, *args)
+        monkeypatch.setattr(sweeps, name, wrapper)
+
+    # the rows of a stacked call; the point and block count of an optimum
+    counted("qfi_values", lambda params, psi, n: len(params))
+    counted("optimize_b1", lambda params, n: (params.gamma_tau_se, n))
+    gg4 = small_config(nbar_grid=(1e-6,),
+                       gamma_tau_grid=(0.01, 0.1, 0.3, 1.0, 3.0),
+                       interaction=Interaction.EXCHANGE, block=parse_block("gg"),
+                       n_measured=4, quantities=("qfi", "ratio_per_copy"))
+    rows = run_sweep(gg4)
+    assert [r.status for r in rows] == (["ok"] + ["RankChangeError"] * 3
+                                        + ["ok"])
+    assert calls == [("qfi_values", 5), ("qfi_values", 2)]
+    # Delta fails at gamma_tau = 0 after the row's QFI call
+    calls.clear()
+    zz = small_config(nbar_grid=(0.5, 1.0), gamma_tau_grid=(0.0, 0.5, 1.0),
+                      quantities=("qfi", "delta_zz"))
+    rows = run_sweep(zz)
+    assert [r.status for r in rows] == ["ValueError", "ok", "ok"] * 2
+    assert calls == [("qfi_values", 3)] * 2
+    # the low-nbar b=1 optimum still reads the rank change, not a masked
+    # value; only the point that passes N=2 is optimized at N=1
+    calls.clear()
+    b1 = small_config(nbar_grid=(1e-6,), gamma_tau_grid=(0.0, 0.1, 1.0),
+                      interaction=Interaction.EXCHANGE, block="optimize-b1",
+                      quantities=("qfi", "ratio_per_copy"))
+    rows = run_sweep(b1)
+    assert [r.status for r in rows] == ["undefined", "RankChangeError",
+                                        "RankChangeError"]
+    assert calls == [("optimize_b1", (gt, 2)) for gt in (0.0, 0.1, 1.0)] + [
+        ("optimize_b1", (0.0, 1))]
+    assert math.isnan(rows[1].values["qfi"])
+
+
 def test_run_sweep_optimized_rows_match_optimizer_calls():
     # an optimizing block's row holds what one optimizer call per point and
     # block count gives, bit for bit
