@@ -39,6 +39,20 @@ class FixedPointError(RuntimeError):
     solve for. A trace-preserving map always has eigenvalue 1."""
 
 
+def check_measured(n_measured, b: int) -> None:
+    """Reject an ancilla count the chain cannot take: it must be an integer
+    (a bool is not one) in 1..MAX_MEASURED and a multiple of the block size."""
+    if (isinstance(n_measured, bool)
+            or not isinstance(n_measured, (int, np.integer))):
+        raise ValueError(f"n_measured must be an integer, got {n_measured!r}")
+    if not 1 <= n_measured <= MAX_MEASURED:
+        raise ValueError(f"n_measured must be in 1..{MAX_MEASURED}, "
+                         f"got {n_measured}")
+    if n_measured % b:
+        raise ValueError(f"n_measured={n_measured} is not a multiple of block "
+                         f"size {b}")
+
+
 @dataclass(frozen=True)
 class AncillaBlock:
     """Block size b and the pure input state of one block of ancillas."""
@@ -49,7 +63,7 @@ class AncillaBlock:
     def __post_init__(self):
         if self.b not in (1, 2):
             raise ValueError(f"block size must be 1 or 2, got {self.b}")
-        psi = qmat.pure_state(self.psi)
+        psi = qmat.pure_states(np.ravel(self.psi))
         if psi.shape[0] != 2 ** self.b:
             raise ValueError(f"psi dim {psi.shape[0]} does not match b={self.b}")
         object.__setattr__(self, "psi", psi)
@@ -264,11 +278,7 @@ def outgoing_with_derivative(maps: np.ndarray, n_measured: int):
     r, _, rows, _ = maps.shape
     big_b = math.isqrt(rows // 4)
     b = big_b.bit_length() - 1
-    if not 1 <= n_measured <= MAX_MEASURED:
-        raise ValueError(f"n_measured must be in 1..{MAX_MEASURED}")
-    if n_measured % b != 0:
-        raise ValueError(
-            f"n_measured={n_measured} is not a multiple of block size {b}")
+    check_measured(n_measured, b)
     phi = _block_trace(maps)
     rho_s, drho_s = _fixed_point_pair(phi[:, 0], phi[:, 1])
     # x[r, (iS, jS), columns]: the state; dx its derivative

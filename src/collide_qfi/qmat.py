@@ -21,11 +21,6 @@ def pure_states(amplitudes) -> np.ndarray:
     return psi
 
 
-def pure_state(amplitudes) -> np.ndarray:
-    """Validate and return a normalized state vector."""
-    return pure_states(np.asarray(amplitudes, dtype=complex).reshape(-1))
-
-
 def herm_eigen(h):
     """Eigendecomposition of a Hermitian matrix, or of each matrix in a stack
     along the leading axes.

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import qmat
 from .channels import Interaction, ModelParams
-from .collision import MAX_MEASURED, AncillaBlock
+from .collision import AncillaBlock, check_measured
 from .fisher import qfi_values, thermal_fi_nbar
 # Bound here as well for callers that look it up through this module, such
 # as the span wrappers of perfbench/spans.py.
@@ -33,6 +33,9 @@ class SweepConfig:
     g_tau_sa: float = math.pi / 2
 
     def __post_init__(self):
+        if not isinstance(self.interaction, Interaction):
+            object.__setattr__(self, "interaction",
+                               Interaction(self.interaction))
         for name in ("nbar_grid", "gamma_tau_grid"):
             grid = tuple(float(x) for x in getattr(self, name))
             if not grid:
@@ -51,8 +54,8 @@ class SweepConfig:
             if self.quantities.count(q) > 1:
                 raise ValueError(f"quantity {q!r} is repeated")
         n = self.n_measured
-        if not 1 <= n <= MAX_MEASURED:
-            raise ValueError(f"n_measured must be in 1..{MAX_MEASURED}, got {n}")
+        # the optimizers' block sizes are checked below: b=2 takes 2 or 4
+        check_measured(n, 1 if isinstance(self.block, str) else self.block.b)
         if isinstance(self.block, str):
             if self.block not in ("optimize-b1", "optimize-b2"):
                 raise ValueError(f"unknown block spec {self.block!r}")
@@ -61,9 +64,6 @@ class SweepConfig:
                     f"{self.block} is defined for the exchange interaction")
             if self.block == "optimize-b2" and n not in (2, 4):
                 raise ValueError(f"optimize-b2 needs n_measured 2 or 4, got {n}")
-        elif n % self.block.b:
-            raise ValueError(f"n_measured={n} is not a multiple of block size "
-                             f"{self.block.b}")
         for q, spec in (("theta_opt", "optimize-b1"), ("schmidt_r", "optimize-b2")):
             if q in self.quantities and self.block != spec:
                 raise ValueError(f"{q} is defined for the {spec} block only")
@@ -75,12 +75,6 @@ class SweepRow:
     gamma_tau: float
     values: dict
     status: str = "ok"
-
-
-def default_grids():
-    """Log-spaced grids covering the parameter ranges of the reference figures."""
-    return (tuple(np.logspace(-1, 1, 41)),
-            tuple(np.logspace(-2, math.log10(3.0), 41)))
 
 
 def _rows(config: SweepConfig, nbar: float, gamma_taus: tuple,
@@ -208,15 +202,6 @@ class ClaimResult:
     def passed(self) -> bool:
         return _VERDICTS[self.comparison](self.measured, self.expected,
                                           self.tolerance)
-
-
-@dataclass(frozen=True)
-class ClaimReport:
-    results: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
 
 
 def _sweep_values(block, n: int, quantities: tuple, nbars: tuple,
@@ -403,8 +388,8 @@ def _claims_low_temperature_threshold(seed: int = 0):
                         0.189, threshold, 0.05, "rel")]
 
 
-def claim_suite(seed: int = 0) -> ClaimReport:
-    """Run every scalar regression check and collect pass/fail results."""
+def claim_suite(seed: int = 0) -> tuple:
+    """Run every scalar regression check: a tuple of ``ClaimResult``s."""
     results = []
     results += _claims_zz_angle()
     results += _claims_zz_progression()
@@ -415,17 +400,17 @@ def claim_suite(seed: int = 0) -> ClaimReport:
     results += _claims_ground_additivity()
     results += _claims_b2_products(seed)
     results += _claims_low_temperature_threshold(seed)
-    return ClaimReport(results=tuple(results))
+    return tuple(results)
 
 
-def render_report(report: ClaimReport) -> str:
+def render_report(results: tuple) -> str:
     lines = []
-    for r in report.results:
+    for r in results:
         status = "PASS" if r.passed else "FAIL"
         lines.append(
             f"[{status}] {r.name}: expected {r.expected:.12g} "
             f"measured {r.measured:.12g} tol {r.tolerance:.12g} "
             f"({r.comparison}) -- {r.description}")
-    n_pass = sum(r.passed for r in report.results)
-    lines.append(f"{n_pass}/{len(report.results)} checks passed")
+    n_pass = sum(r.passed for r in results)
+    lines.append(f"{n_pass}/{len(results)} checks passed")
     return "\n".join(lines) + "\n"

@@ -43,22 +43,6 @@ def zz_f1(nbar: float, g_tau_sa: float) -> float:
     return 0.5 * (1.0 - math.cos(2.0 * g_tau_sa)) * thermal_fi_nbar(nbar)
 
 
-def _transition_derivatives(nbar: float, gamma_tau: float):
-    """Analytic d p_{k->g} / d nbar via the chain rule through Gamma and p_g."""
-    q = 2.0 * nbar + 1.0
-    p_e = nbar / q
-    p_g = 1.0 - p_e
-    dp_g = -1.0 / q ** 2
-    dp_e = -dp_g
-    big_gamma = gamma_tau * q
-    e = math.exp(-big_gamma)
-    dgamma = 2.0 * gamma_tau
-    # p_gg = 1 - (1 - e^-G) p_e ; p_eg = (1 - e^-G) p_g
-    dp_gg = -(e * dgamma * p_e + (1.0 - e) * dp_e)
-    dp_eg = e * dgamma * p_g + (1.0 - e) * dp_g
-    return dp_gg, dp_eg
-
-
 def zz_delta(nbar: float, gamma_tau: float) -> float:
     """Per-ancilla collective increment Delta, in nbar units."""
     probs = zz_probs(nbar, gamma_tau)
@@ -66,7 +50,13 @@ def zz_delta(nbar: float, gamma_tau: float) -> float:
         raise ValueError("nbar must be > 0")
     if gamma_tau <= 0:
         raise ValueError("gamma_tau must be > 0 (no transitions, Delta undefined)")
-    dp_gg, dp_eg = _transition_derivatives(nbar, gamma_tau)
+    # d p_{k->g} / d nbar by the chain rule through Gamma = gamma_tau (2nbar+1)
+    # and p_g, from p_gg = 1 - (1 - e^-Gamma) p_e and p_eg = (1 - e^-Gamma) p_g
+    q = 2.0 * nbar + 1.0
+    e = math.exp(-gamma_tau * q)
+    dp_e = 1.0 / q ** 2
+    dp_gg = -(e * 2.0 * gamma_tau * probs.p_e + (1.0 - e) * dp_e)
+    dp_eg = e * 2.0 * gamma_tau * probs.p_g - (1.0 - e) * dp_e
     terms = [
         (probs.p_g, probs.p_gg, dp_gg),
         (probs.p_e, probs.p_eg, dp_eg),

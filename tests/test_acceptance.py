@@ -27,7 +27,7 @@ def report():
 
 
 def by_name(report):
-    return {r.name: r for r in report.results}
+    return {r.name: r for r in report}
 
 
 def gate(tag, ok, detail=""):

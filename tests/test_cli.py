@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from collide_qfi import cli
 from collide_qfi.channels import Interaction, ModelParams
 from collide_qfi.fisher import thermal_fi_nbar
 from collide_qfi.optimize import optimize_b2
-from collide_qfi.sweeps import ClaimReport, ClaimResult
+from collide_qfi.sweeps import ClaimResult
 from collide_qfi.zz_analytic import zz_fn
 
 
@@ -390,8 +392,7 @@ def test_sweep_config_values_are_checked_like_flags(tmp_path, monkeypatch,
 
 
 def stub_report(measured):
-    return ClaimReport(results=(
-        ClaimResult("stub", "stub check", 1.0, measured, 1e-6, "abs"),))
+    return (ClaimResult("stub", "stub check", 1.0, measured, 1e-6, "abs"),)
 
 
 def test_claims_command_exit_codes(monkeypatch, capsys):
@@ -401,3 +402,23 @@ def test_claims_command_exit_codes(monkeypatch, capsys):
     monkeypatch.setattr(cli, "claim_suite", lambda seed: stub_report(2.0))
     assert cli.main(["claims"]) == 1
     assert "0/1 checks passed" in capsys.readouterr().out
+
+
+def test_readme_commands_parse():
+    # every collide-qfi line of README's command-line block, continuation
+    # lines joined, parses; together they show every subcommand
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    parser = cli.build_parser()
+    commands = set()
+    for line in lines:
+        if line.startswith("collide-qfi "):
+            try:
+                args = parser.parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}")
+            commands.add(args.command)
+    assert commands == {"thermal-fi", "fisher", "zz-closed", "optimize",
+                        "sweep", "claims"}

@@ -33,10 +33,10 @@ def test_check_density_matrix_rejects():
 
 
 def test_pure_state_normalization():
-    psi = qmat.pure_state([1 / np.sqrt(2), 1j / np.sqrt(2)])
+    psi = qmat.pure_states([1 / np.sqrt(2), 1j / np.sqrt(2)])
     assert abs(np.vdot(psi, psi) - 1.0) < 1e-12
     with pytest.raises(ValueError):
-        qmat.pure_state([1.0, 1.0])
+        qmat.pure_states([1.0, 1.0])
 
 
 def test_projector_idempotent():
@@ -109,7 +109,7 @@ def test_pure_states_checks_each_row():
     with pytest.raises(ValueError):
         qmat.pure_states(np.array([[np.nan, 0.0]]))
     with pytest.raises(ValueError):
-        qmat.pure_state([np.nan, 0.0])
+        qmat.pure_states([np.nan, 0.0])
 
 
 def test_trace_norm():

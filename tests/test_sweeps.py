@@ -9,11 +9,10 @@ from collide_qfi.channels import Interaction, ModelParams
 from collide_qfi.collision import AncillaBlock, FixedPointError
 from collide_qfi.fisher import RankChangeError, fisher_for, thermal_fi_nbar
 from collide_qfi.optimize import optimize_b1, optimize_b2
-from collide_qfi.sweeps import (ClaimReport, ClaimResult, SweepConfig,
-                                _ground_swap_ratio, _maximize_1d,
-                                default_grids, render_report, run_sweep)
+from collide_qfi.sweeps import (ClaimResult, SweepConfig, _ground_swap_ratio,
+                                _maximize_1d, render_report, run_sweep)
 from collide_qfi.zz_analytic import zz_delta, zz_fn
-from collide_qfi.cli import parse_block
+from collide_qfi.cli import build_parser, parse_block, parse_grid
 
 
 def small_config(**overrides):
@@ -52,8 +51,54 @@ def test_sweep_config_validation():
             small_config(g_tau_sa=bad)
 
 
+def test_interaction_may_be_given_by_name():
+    # a name runs the model it names, bit for bit as the enum does: the zz
+    # value at (1, 0.5), not the exchange one
+    qfi = {}
+    for interaction in ("zz", Interaction.ZZ):
+        config = small_config(nbar_grid=(1.0,), gamma_tau_grid=(0.5,),
+                              interaction=interaction, quantities=("qfi",))
+        assert config.interaction is Interaction.ZZ
+        [row] = run_sweep(config)
+        qfi[interaction] = row.values["qfi"]
+    assert qfi["zz"] == qfi[Interaction.ZZ]
+    assert abs(qfi["zz"] - zz_fn(1.0, 0.5, 2)) < 1e-12 * qfi["zz"]
+    params = ModelParams(nbar=1.0, gamma_tau_se=0.5, interaction="exchange")
+    assert params == ModelParams(nbar=1.0, gamma_tau_se=0.5,
+                                 interaction=Interaction.EXCHANGE)
+    config = small_config(interaction="exchange", block="optimize-b1",
+                          n_measured=1, quantities=("qfi",))
+    assert config.interaction is Interaction.EXCHANGE
+    for bad in (None, "ZZ", "bogus"):
+        with pytest.raises(ValueError):
+            ModelParams(nbar=1.0, gamma_tau_se=0.5, interaction=bad)
+        with pytest.raises(ValueError):
+            small_config(interaction=bad)
+
+
+def test_ancilla_count_must_be_an_integer():
+    plusx = parse_block("plusx")
+    params = ModelParams(nbar=1.0, gamma_tau_se=0.5)
+    for bad in (2.0, True):
+        with pytest.raises(ValueError, match="n_measured must be an integer"):
+            small_config(n_measured=bad)
+    with pytest.raises(ValueError, match="n_measured must be an integer"):
+        fisher_for(params, plusx, 2.0)
+    exchange = ModelParams(nbar=1.0, gamma_tau_se=0.5,
+                           interaction=Interaction.EXCHANGE)
+    with pytest.raises(ValueError, match="n_measured must be an integer"):
+        optimize_b2(exchange, 2.0)
+    # a numpy integer is a count
+    rows = run_sweep(small_config(n_measured=np.int64(2)))
+    assert [r.values for r in rows] == [r.values for r in
+                                        run_sweep(small_config())]
+    assert fisher_for(params, plusx, np.int64(2)) == fisher_for(params, plusx, 2)
+
+
 def test_default_grids_shapes():
-    nbar, gt = default_grids()
+    defaults = build_parser().parse_args(["sweep"])
+    nbar = parse_grid(defaults.nbar_grid)
+    gt = parse_grid(defaults.gamma_tau_grid)
     assert len(nbar) == 41 and len(gt) == 41
     assert abs(nbar[0] - 0.1) < 1e-12 and abs(nbar[-1] - 10.0) < 1e-12
     assert abs(gt[0] - 0.01) < 1e-12 and abs(gt[-1] - 3.0) < 1e-12
@@ -373,13 +418,13 @@ def test_claims_fail_where_a_stacked_row_fails(monkeypatch):
 
 def test_render_report_format():
     # each verdict is derived from the record's own numbers
-    report = ClaimReport(results=(
+    report = (
         ClaimResult("alpha", "first check", 1.0, 1.0, 1e-6, "abs"),
         ClaimResult("beta", "second check", 2.0, 3.0, 1e-6, "rel"),
         ClaimResult("gamma", "third check", 0.9, 0.95, 0.0, "lower-bound"),
         ClaimResult("delta", "fourth check", 0.0, 2e-5, 1e-5, "upper-bound"),
         ClaimResult("epsilon", "fifth check", 0.189, math.nan, 0.05, "rel"),
-    ))
+    )
     text = render_report(report)
     lines = text.splitlines()
     assert lines[0].startswith("[PASS] alpha:")
@@ -389,6 +434,6 @@ def test_render_report_format():
     assert lines[4].startswith("[FAIL] epsilon:")
     assert "measured nan" in lines[4]
     assert lines[-1] == "2/5 checks passed"
-    assert not report.passed
+    assert not all(r.passed for r in report)
     # rendering is a pure function of the report
     assert render_report(report) == text
