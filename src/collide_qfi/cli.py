@@ -10,43 +10,16 @@ import sys
 
 import numpy as np
 
-from . import qmat
 from .channels import ModelParams
-from .collision import AncillaBlock
 from .fisher import fisher_for, thermal_fi_nbar
-from .optimize import (BlochAngles, SchmidtParams, bloch_state, optimize_b1,
-                       optimize_b2, schmidt_state)
-from .sweeps import SweepConfig, claim_suite, render_report, run_sweep
+from .optimize import optimize_b1, optimize_b2
+from .sweeps import (SweepConfig, check_seed, claim_suite, parse_block,
+                     render_report, run_sweep)
 from .zz_analytic import zz_delta, zz_fn
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def parse_block(spec: str) -> AncillaBlock:
-    """Map a block shorthand or theta:/schmidt: form to an AncillaBlock."""
-    named = {
-        "g": qmat.KET_G,
-        "plusx": qmat.KET_PLUS_X,
-        "gg": np.kron(qmat.KET_G, qmat.KET_G),
-        "g-plusx": np.kron(qmat.KET_G, qmat.KET_PLUS_X),
-        "plusx-g": np.kron(qmat.KET_PLUS_X, qmat.KET_G),
-    }
-    if spec in named:
-        psi = named[spec]
-        return AncillaBlock(b=1 if psi.shape[0] == 2 else 2, psi=psi)
-    if spec.startswith("theta:"):
-        theta = float(spec.split(":", 1)[1])
-        return AncillaBlock(b=1, psi=bloch_state(BlochAngles(theta=theta)))
-    if spec.startswith("schmidt:"):
-        parts = [float(x) for x in spec.split(":", 1)[1].split(",")]
-        if len(parts) != 5:
-            raise ValueError("schmidt: form needs 5 comma-separated values")
-        p = SchmidtParams(r=parts[0], theta_m=parts[1], theta_n=parts[2],
-                          phi_n=parts[3], alpha=parts[4])
-        return AncillaBlock(b=2, psi=schmidt_state(p))
-    raise ValueError(f"unknown block spec {spec!r}")
 
 
 def parse_grid(spec: str):
@@ -112,13 +85,12 @@ def _model_params(args) -> ModelParams:
 
 
 def _seed(text: str) -> int:
-    """A --seed value: numpy's generators take only integers >= 0."""
+    """A --seed value, by the rule of ``check_seed``."""
     try:
-        if int(text) >= 0:
-            return int(text)
+        return check_seed(int(text))
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 0, got {text!r}") from None
 
 
 def _add_point_args(p):
@@ -190,14 +162,11 @@ def _config_flags(path: str, keys) -> list:
 
 
 def cmd_sweep(args) -> int:
-    block = args.block
-    if block not in ("optimize-b1", "optimize-b2"):
-        block = parse_block(block)
     quantities = tuple(q.strip() for q in args.quantities.split(","))
     config = SweepConfig(
         nbar_grid=parse_grid(args.nbar_grid),
         gamma_tau_grid=parse_grid(args.gamma_tau_grid),
-        interaction=args.interaction, block=block, n_measured=args.n,
+        interaction=args.interaction, block=args.block, n_measured=args.n,
         quantities=quantities, g_tau_sa=args.g_tau_sa)
     # Opened before the sweep runs, so a bad path costs no sweep.
     out = (contextlib.nullcontext(sys.stdout) if args.output in (None, "-")
@@ -224,8 +193,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "fisher":
             params = _model_params(args)
-            block = parse_block(args.block)
-            result = fisher_for(params, block, args.n)
+            result = fisher_for(params, parse_block(args.block), args.n)
             print(f"value_nbar = {_fmt(result.value_nbar)}")
             print(f"ratio_thermal = {_fmt(result.ratio_thermal)}")
             return 0
@@ -236,12 +204,8 @@ def main(argv=None) -> int:
                 print(f"theta_opt = {_fmt(opt.argmax.theta)}")
             else:
                 opt = optimize_b2(params, args.n, seed=args.seed)
-                a = opt.argmax
-                print(f"r = {_fmt(a.r)}")
-                print(f"theta_m = {_fmt(a.theta_m)}")
-                print(f"theta_n = {_fmt(a.theta_n)}")
-                print(f"phi_n = {_fmt(a.phi_n)}")
-                print(f"alpha = {_fmt(a.alpha)}")
+                for name, value in vars(opt.argmax).items():
+                    print(f"{name} = {_fmt(value)}")
             print(f"value_nbar = {_fmt(opt.value_nbar)}")
             print(f"evaluations = {opt.evaluations}")
             return 0
@@ -259,12 +223,9 @@ def main(argv=None) -> int:
             print(f"delta = {_fmt(zz_delta(args.nbar, args.gamma_tau))}")
         print(f"ratio_thermal = {_fmt(value / (args.n * fth))}")
         return 0
-    except ValueError as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 if __name__ == "__main__":

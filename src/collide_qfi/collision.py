@@ -39,11 +39,15 @@ class FixedPointError(RuntimeError):
     solve for. A trace-preserving map always has eigenvalue 1."""
 
 
+def is_integer(value) -> bool:
+    """Whether value is a Python or numpy int; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_measured(n_measured, b: int) -> None:
     """Reject an ancilla count the chain cannot take: it must be an integer
-    (a bool is not one) in 1..MAX_MEASURED and a multiple of the block size."""
-    if (isinstance(n_measured, bool)
-            or not isinstance(n_measured, (int, np.integer))):
+    in 1..MAX_MEASURED and a multiple of the block size."""
+    if not is_integer(n_measured):
         raise ValueError(f"n_measured must be an integer, got {n_measured!r}")
     if not 1 <= n_measured <= MAX_MEASURED:
         raise ValueError(f"n_measured must be in 1..{MAX_MEASURED}, "

@@ -1,7 +1,7 @@
 """Ancilla-state parameterizations and QFI maximization.
 
-b=1 states are a polar angle on the Bloch sphere (the exchange interaction is
-invariant under Z rotations, so the azimuth is fixed to 0); the search is an
+b=1 states are a polar angle on the Bloch sphere (the QFI of either interaction
+is invariant under Z rotations, so the azimuth is fixed to 0); the search is an
 exhaustive angle scan refined by scipy's bounded scalar search. b=2 states
 are searched as raw vectors psi in C^4 with scipy's L-BFGS-B from several
 seeded starts, and the optimum is reported in the five-parameter Schmidt form.
@@ -93,8 +93,7 @@ def _phase(z: complex) -> float:
 
 def _schmidt_params(psi: np.ndarray) -> SchmidtParams:
     """Schmidt form of a normalized two-qubit state, up to a collective Z
-    rotation and a global phase, which leave the QFI of the exchange model
-    unchanged.
+    rotation and a global phase, which leave the QFI unchanged.
 
     From the SVD psi = sum_k s_k u_k (x) v_k: r = s_0^2; the rotation takes
     u_0 to the (theta_m, 0) direction, the global phase makes
@@ -145,8 +144,6 @@ def optimize_b1(params: ModelParams, n_measured: int) -> Optimum:
     """Maximize QFI over the single-ancilla polar angle: a 181-point scan
     over [0, pi], stacked into one evaluation, then refinement of the
     bracket around its maximum to 1e-6 in theta."""
-    if params.interaction is not Interaction.EXCHANGE:
-        raise ValueError("b=1 optimization is defined for the exchange interaction")
     thetas = np.linspace(0.0, math.pi, 181)
     psi = np.array([bloch_state(BlochAngles(float(t))) for t in thetas])
     values = qfi_values(params, psi, n_measured)
@@ -183,6 +180,9 @@ def optimize_b2(params: ModelParams, n_measured: int, seed: int = 0,
     wins. It is reported in Schmidt form; ``evaluations`` counts QFI
     evaluations.
     """
+    # Under zz the gradient at the Bell start can be radial (nbar=0.1,
+    # gamma_tau=0.05, N=2), and the first step lands on x = 0 (norm NaN).
+    # Projecting the radial part out slows and moves the exchange search.
     if params.interaction is not Interaction.EXCHANGE:
         raise ValueError("b=2 optimization is defined for the exchange interaction")
     if n_measured not in (2, 4):

@@ -10,16 +10,47 @@ import numpy as np
 
 from . import qmat
 from .channels import Interaction, ModelParams
-from .collision import AncillaBlock, check_measured
+from .collision import AncillaBlock, check_measured, is_integer
 from .fisher import qfi_values, thermal_fi_nbar
 # Bound here as well for callers that look it up through this module, such
 # as the span wrappers of perfbench/spans.py.
 from .fisher import fisher_for  # noqa: F401
-from .optimize import optimize_b1, optimize_b2, refine_grid_max
+from .optimize import (BlochAngles, SchmidtParams, bloch_state, optimize_b1,
+                       optimize_b2, refine_grid_max, schmidt_state)
 from .zz_analytic import zz_delta, zz_fn
 
 QUANTITIES = ("qfi", "ratio_thermal", "ratio_per_copy", "theta_opt",
               "schmidt_r", "delta_zz")
+
+
+def parse_block(spec: str) -> AncillaBlock:
+    """Map a block shorthand or theta:/schmidt: form to an AncillaBlock."""
+    named = {
+        "g": qmat.KET_G,
+        "plusx": qmat.KET_PLUS_X,
+        "gg": np.kron(qmat.KET_G, qmat.KET_G),
+        "g-plusx": np.kron(qmat.KET_G, qmat.KET_PLUS_X),
+        "plusx-g": np.kron(qmat.KET_PLUS_X, qmat.KET_G),
+    }
+    if spec in named:
+        psi = named[spec]
+        return AncillaBlock(b=1 if psi.shape[0] == 2 else 2, psi=psi)
+    if spec.startswith("theta:"):
+        theta = float(spec.split(":", 1)[1])
+        return AncillaBlock(b=1, psi=bloch_state(BlochAngles(theta=theta)))
+    if spec.startswith("schmidt:"):
+        parts = [float(x) for x in spec.split(":", 1)[1].split(",")]
+        if len(parts) != 5:
+            raise ValueError("schmidt: form needs 5 comma-separated values")
+        return AncillaBlock(b=2, psi=schmidt_state(SchmidtParams(*parts)))
+    raise ValueError(f"unknown block spec {spec!r}")
+
+
+def check_seed(seed) -> int:
+    """An optimizer seed: numpy's generators take integers >= 0 only."""
+    if not is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -27,12 +58,18 @@ class SweepConfig:
     nbar_grid: tuple
     gamma_tau_grid: tuple
     interaction: Interaction
-    block: object  # AncillaBlock, "optimize-b1", or "optimize-b2"
+    block: object  # AncillaBlock, parse_block spec, optimize-b1 or optimize-b2
     n_measured: int
     quantities: tuple
     g_tau_sa: float = math.pi / 2
 
     def __post_init__(self):
+        if not isinstance(self.block, AncillaBlock):
+            if not isinstance(self.block, str):
+                raise ValueError("block must be an AncillaBlock or a spec "
+                                 f"string, got {self.block!r}")
+            if self.block not in ("optimize-b1", "optimize-b2"):
+                object.__setattr__(self, "block", parse_block(self.block))
         if not isinstance(self.interaction, Interaction):
             object.__setattr__(self, "interaction",
                                Interaction(self.interaction))
@@ -47,6 +84,9 @@ class SweepConfig:
             object.__setattr__(self, name, grid)
         if not math.isfinite(self.g_tau_sa):
             raise ValueError(f"g_tau_sa must be finite, got {self.g_tau_sa}")
+        if isinstance(self.quantities, str):
+            raise ValueError("quantities must be a sequence of names, got "
+                             f"{self.quantities!r}")
         object.__setattr__(self, "quantities", tuple(self.quantities))
         for q in self.quantities:
             if q not in QUANTITIES:
@@ -56,13 +96,11 @@ class SweepConfig:
         n = self.n_measured
         # the optimizers' block sizes are checked below: b=2 takes 2 or 4
         check_measured(n, 1 if isinstance(self.block, str) else self.block.b)
-        if isinstance(self.block, str):
-            if self.block not in ("optimize-b1", "optimize-b2"):
-                raise ValueError(f"unknown block spec {self.block!r}")
+        if self.block == "optimize-b2":
             if self.interaction is not Interaction.EXCHANGE:
                 raise ValueError(
-                    f"{self.block} is defined for the exchange interaction")
-            if self.block == "optimize-b2" and n not in (2, 4):
+                    "optimize-b2 is defined for the exchange interaction")
+            if n not in (2, 4):
                 raise ValueError(f"optimize-b2 needs n_measured 2 or 4, got {n}")
         for q, spec in (("theta_opt", "optimize-b1"), ("schmidt_r", "optimize-b2")):
             if q in self.quantities and self.block != spec:
@@ -169,6 +207,7 @@ def _rows(config: SweepConfig, nbar: float, gamma_taus: tuple,
 def run_sweep(config: SweepConfig, seed: int = 0):
     """Evaluate every grid point, nbar outer and gamma_tau inner, serially
     (measured faster than a thread pool), one ``_rows`` call per nbar row."""
+    check_seed(seed)
     rows = []
     for nbar in config.nbar_grid:
         rows += _rows(config, nbar, config.gamma_tau_grid, seed)
@@ -225,11 +264,10 @@ def _maximize_1d(f, lo, hi, coarse=25, tol=1e-4, log=True):
 
 
 def _claims_zz_angle():
-    plusx = AncillaBlock(b=1, psi=qmat.KET_PLUS_X)
     expected = {0.0: 0.0, math.pi / 4: 0.5, math.pi / 2: 1.0}
     out = []
     for i, (g_tau, exp) in enumerate(expected.items()):
-        [values] = _sweep_values(plusx, 1, ("ratio_thermal",), (1.0,), (0.5,),
+        [values] = _sweep_values("plusx", 1, ("ratio_thermal",), (1.0,), (0.5,),
                                  Interaction.ZZ, g_tau_sa=g_tau)
         out.append(ClaimResult(
             f"zz-angle-{i}",
@@ -239,11 +277,10 @@ def _claims_zz_angle():
 
 
 def _claims_zz_progression():
-    plusx = AncillaBlock(b=1, psi=qmat.KET_PLUS_X)
     nbars, gts = (0.2, 1.0, 5.0, 10.0), (0.1, 0.5, 2.0)
     deviations = []
     for n in range(1, 5):
-        rows = _sweep_values(plusx, n, ("qfi",), nbars, gts, Interaction.ZZ)
+        rows = _sweep_values("plusx", n, ("qfi",), nbars, gts, Interaction.ZZ)
         closed = [zz_fn(nbar, gt, n) for nbar in nbars for gt in gts]
         deviations += [abs(v["qfi"] - c) / c for v, c in zip(rows, closed)]
     return [ClaimResult(
@@ -254,10 +291,8 @@ def _claims_zz_progression():
 
 
 def _claims_zz_delta_max():
-    plusx = AncillaBlock(b=1, psi=qmat.KET_PLUS_X)
-
     def delta(gt):
-        return _sweep_values(plusx, 1, ("delta_zz",), (10.0,), (gt,),
+        return _sweep_values("plusx", 1, ("delta_zz",), (10.0,), (gt,),
                              Interaction.ZZ)[0]["delta_zz"]
 
     _, val = _maximize_1d(delta, 1e-3, 5.0)
@@ -296,12 +331,12 @@ def _ground_swap_ratio(nbar: float, gamma_tau: float) -> float:
 
 def _claims_ground_small_gt():
     nbar, gt = 10.0, 0.04
-    ratio = _sweep_values(AncillaBlock(b=1, psi=qmat.KET_G), 1,
-                          ("ratio_thermal",), (nbar,), (gt,))[0]["ratio_thermal"]
+    [values] = _sweep_values("g", 1, ("ratio_thermal",), (nbar,), (gt,))
     return [ClaimResult("exchange-ground-small-coupling",
                         "|g>-ancilla FI ratio at nbar=10, gamma_tau=0.04 vs "
                         "its full-swap closed form",
-                        _ground_swap_ratio(nbar, gt), ratio, 1e-6, "rel")]
+                        _ground_swap_ratio(nbar, gt), values["ratio_thermal"],
+                        1e-6, "rel")]
 
 
 def _claims_exchange_collective():
@@ -329,9 +364,8 @@ def _claims_exchange_collective():
 
 
 def _claims_ground_additivity():
-    ground = AncillaBlock(b=1, psi=qmat.KET_G)
     ratios = [values["ratio_per_copy"] for n in (2, 3, 4)
-              for values in _sweep_values(ground, n, ("ratio_per_copy",),
+              for values in _sweep_values("g", n, ("ratio_per_copy",),
                                           (0.5, 2.0, 10.0), (0.1, 1.0))]
     return [ClaimResult(
         "exchange-ground-additivity",
@@ -344,12 +378,9 @@ def _claims_b2_products(seed: int = 0):
     grid = ((1.0, 10.0 ** 0.5, 10.0), (0.1, 10.0 ** -0.5, 1.0))
     optima = _sweep_values("optimize-b2", 2, ("qfi", "schmidt_r"), *grid,
                            seed=seed)
-    g, x = qmat.KET_G, qmat.KET_PLUS_X
-    products = [AncillaBlock(b=2, psi=np.kron(first, second))
-                for first, second in ((g, g), (x, g), (g, x))]
     # np.max keeps a point's NaN, so a failing product fails its fraction
     best = np.max([[v["qfi"] for v in _sweep_values(blk, 2, ("qfi",), *grid)]
-                   for blk in products], axis=0)
+                   for blk in ("gg", "plusx-g", "g-plusx")], axis=0)
     fractions = best / [v["qfi"] for v in optima]
     weights = [v["schmidt_r"] for v in optima]
     return [

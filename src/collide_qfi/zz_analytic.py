@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .channels import ModelParams
+from .collision import is_integer
 from .fisher import thermal_fi_nbar
 
 
@@ -73,6 +74,8 @@ def zz_delta(nbar: float, gamma_tau: float) -> float:
 def zz_fn(nbar: float, gamma_tau: float, n_measured: int) -> float:
     """N-ancilla QFI of the |+x> protocol at the optimal collision angle."""
     ModelParams(nbar=nbar, gamma_tau_se=gamma_tau)  # the chain's domain check
+    if not is_integer(n_measured):
+        raise ValueError(f"n_measured must be an integer, got {n_measured!r}")
     if n_measured < 1:
         raise ValueError("n_measured must be >= 1")
     f1 = zz_f1(nbar, math.pi / 2.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collide_qfi import optimize, qmat
 from collide_qfi.channels import Interaction, ModelParams
@@ -9,6 +11,7 @@ from collide_qfi.collision import AncillaBlock
 from collide_qfi.fisher import fisher_for, qfi_values
 from collide_qfi.optimize import (BlochAngles, SchmidtParams, bloch_state,
                                   optimize_b1, optimize_b2, schmidt_state)
+from collide_qfi.zz_analytic import zz_fn
 
 
 def test_bloch_angles_validation():
@@ -65,10 +68,42 @@ def test_schmidt_state_normalized_and_weights():
         assert abs(s[0] ** 2 - max(p.r, 1 - p.r)) < 1e-12
 
 
-def test_optimize_b1_requires_exchange():
-    params = ModelParams(nbar=1.0, gamma_tau_se=0.5, interaction=Interaction.ZZ)
-    with pytest.raises(ValueError):
-        optimize_b1(params, 1)
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(interaction=st.sampled_from(list(Interaction)),
+       b=st.sampled_from([1, 2]), copies=st.sampled_from([1, 2]),
+       nbar=st.floats(0.1, 5.0), gamma_tau=st.floats(0.05, 2.0),
+       g_tau=st.floats(0.2, 1.5), phi=st.floats(0.0, 2 * math.pi),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_qfi_is_invariant_under_collective_z_rotation(interaction, b, copies,
+                                                      nbar, gamma_tau, g_tau,
+                                                      phi, seed):
+    # the premise of optimize_b1's one-angle scan and of the Schmidt form
+    # of optimize_b2's optimum: R = Rz(phi) on every qubit of the block
+    # leaves the QFI of N = b or 2b outgoing ancillas unchanged
+    params = ModelParams(nbar=nbar, gamma_tau_se=gamma_tau, g_tau_sa=g_tau,
+                         interaction=interaction)
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=2 ** b) + 1j * rng.normal(size=2 ** b)
+    psi /= np.linalg.norm(psi)
+    rz = np.array([1.0, np.exp(1j * phi)])
+    rotated = rz if b == 1 else np.kron(rz, rz)
+    plain, turned = qfi_values(params, np.array([psi, rotated * psi]),
+                               copies * b)
+    assert abs(turned - plain) <= 1e-12 * plain
+
+
+def test_optimize_b1_zz_optimum_is_plusx():
+    # under zz the scan finds Seah et al.'s |+x> (theta = pi/2), whose QFI
+    # is the closed form zz_fn
+    for nbar in (0.1, 0.5, 2.0, 10.0):
+        for gamma_tau in (0.05, 0.3, 1.0, 3.0):
+            params = ModelParams(nbar=nbar, gamma_tau_se=gamma_tau,
+                                 interaction=Interaction.ZZ)
+            for n in range(1, 5):
+                opt = optimize_b1(params, n)
+                closed = zz_fn(nbar, gamma_tau, n)
+                assert abs(opt.argmax.theta - math.pi / 2) <= 1e-6
+                assert abs(opt.value_nbar - closed) <= 1e-12 * closed
     pe = ModelParams(nbar=1.0, gamma_tau_se=0.5, interaction=Interaction.EXCHANGE)
     with pytest.raises(ValueError):
         optimize_b1(pe, 5)

@@ -10,9 +10,10 @@ from collide_qfi.collision import AncillaBlock, FixedPointError
 from collide_qfi.fisher import RankChangeError, fisher_for, thermal_fi_nbar
 from collide_qfi.optimize import optimize_b1, optimize_b2
 from collide_qfi.sweeps import (ClaimResult, SweepConfig, _ground_swap_ratio,
-                                _maximize_1d, render_report, run_sweep)
+                                _maximize_1d, parse_block, render_report,
+                                run_sweep)
 from collide_qfi.zz_analytic import zz_delta, zz_fn
-from collide_qfi.cli import build_parser, parse_block, parse_grid
+from collide_qfi.cli import build_parser, parse_grid
 
 
 def small_config(**overrides):
@@ -49,6 +50,60 @@ def test_sweep_config_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="g_tau_sa must be finite"):
             small_config(g_tau_sa=bad)
+
+
+def test_sweep_config_fields_of_the_wrong_type_are_named():
+    # a string of quantities read as its letters ("unknown quantity 'q'"),
+    # and a block of no known type raised AttributeError
+    with pytest.raises(ValueError, match="quantities must be a sequence of "
+                                         "names, got 'qfi'"):
+        small_config(quantities="qfi")
+    for bad in (None, 42, qmat.KET_PLUS_X):
+        with pytest.raises(ValueError, match="block must be an AncillaBlock "
+                                             "or a spec string"):
+            small_config(block=bad)
+
+
+def test_block_may_be_given_by_spec():
+    # a spec string runs the block parse_block names, bit for bit as the
+    # AncillaBlock does, and is stored as that block
+    for spec, interaction, n in (("plusx", Interaction.ZZ, 2),
+                                 ("gg", Interaction.EXCHANGE, 4),
+                                 ("theta:1.2", Interaction.EXCHANGE, 2),
+                                 ("schmidt:0.8,0.5,0.5,0.1,0.2",
+                                  Interaction.EXCHANGE, 2)):
+        named = small_config(interaction=interaction, block=spec, n_measured=n)
+        built = small_config(interaction=interaction, block=parse_block(spec),
+                             n_measured=n)
+        assert isinstance(named.block, AncillaBlock)
+        assert named.block.b == built.block.b
+        assert np.array_equal(named.block.psi, built.block.psi)
+        assert run_sweep(named) == run_sweep(built)
+    with pytest.raises(ValueError, match="unknown block spec 'bogus'"):
+        small_config(block="bogus")
+
+
+def test_run_sweep_seed_is_an_integer_of_at_least_zero(monkeypatch):
+    # -1 failed every point, 1.5 escaped the statuses as a TypeError, None
+    # ran from OS entropy and True ran as 1: each is now refused before any
+    # point is evaluated
+    seeds = []
+
+    def no_optimum(params, n_measured, seed):
+        seeds.append(seed)
+        raise RuntimeError("no optimum")
+
+    monkeypatch.setattr(sweeps, "optimize_b2", no_optimum)
+    config = small_config(interaction=Interaction.EXCHANGE, block="optimize-b2",
+                          nbar_grid=(1.0,), gamma_tau_grid=(0.3,),
+                          quantities=("qfi",))
+    for bad in (-1, 1.5, None, True, "3"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            run_sweep(config, seed=bad)
+    assert seeds == []
+    # a numpy integer is a seed, and reaches the optimizer
+    [row] = run_sweep(config, seed=np.int64(3))
+    assert row.status == "RuntimeError" and seeds == [3]
 
 
 def test_interaction_may_be_given_by_name():
@@ -256,11 +311,11 @@ def test_run_sweep_optimized_rows_match_optimizer_calls():
 
 
 def test_run_sweep_records_error_status():
-    # b=1 optimization under the ZZ interaction fails at every point, so the
+    # b=2 optimization under the ZZ interaction fails at every point, so the
     # config is rejected; a point that fails alone keeps its error class.
     # Delta has no value without bath contact (gamma_tau = 0).
     with pytest.raises(ValueError, match="exchange"):
-        small_config(block="optimize-b1", n_measured=1, quantities=("qfi",))
+        small_config(block="optimize-b2", n_measured=2, quantities=("qfi",))
     config = small_config(gamma_tau_grid=(0.0, 0.5), n_measured=1,
                           quantities=("qfi", "delta_zz"))
     rows = run_sweep(config)

@@ -75,6 +75,19 @@ def test_zz_fn_progression_is_arithmetic():
             zz_fn(1.0, -1.0, n)
 
 
+def test_zz_fn_takes_the_chains_ancilla_counts():
+    # a count is an integer, as in the chain: 2.5 read 0.197928 and True
+    # read F_1; a numpy integer is a count, and N has no upper cap here
+    for bad in (2.5, 2.0, True):
+        with pytest.raises(ValueError,
+                           match=f"n_measured must be an integer, got {bad!r}"):
+            zz_fn(1.0, 0.5, bad)
+    assert zz_fn(1.0, 0.5, np.int64(2)) == zz_fn(1.0, 0.5, 2)
+    assert math.isfinite(zz_fn(1.0, 0.5, 5))
+    with pytest.raises(ValueError, match="n_measured must be >= 1"):
+        zz_fn(1.0, 0.5, 0)
+
+
 def test_closed_forms_reject_what_the_chain_rejects():
     # the closed forms check their point with the chain's rule: no value
     # past NBAR_MAX (zz_delta read 0.0 at 1e100 and raised OverflowError at
