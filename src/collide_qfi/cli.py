@@ -11,10 +11,11 @@ import sys
 import numpy as np
 
 from .channels import ModelParams
+from .collision import check_seed
 from .fisher import fisher_for, thermal_fi_nbar
 from .optimize import optimize_b1, optimize_b2
-from .sweeps import (SweepConfig, check_seed, claim_suite, parse_block,
-                     render_report, run_sweep)
+from .sweeps import (SweepConfig, claim_suite, parse_block, render_report,
+                     run_sweep)
 from .zz_analytic import zz_delta, zz_fn
 
 

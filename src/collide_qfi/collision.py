@@ -44,6 +44,13 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_seed(seed) -> int:
+    """An optimizer seed: numpy's generators take integers >= 0 only."""
+    if not is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return seed
+
+
 def check_measured(n_measured, b: int) -> None:
     """Reject an ancilla count the chain cannot take: it must be an integer
     in 1..MAX_MEASURED and a multiple of the block size."""

@@ -13,14 +13,27 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from . import qmat
 from .channels import Interaction, ModelParams
-from .collision import AncillaBlock
+from .collision import AncillaBlock, check_seed, is_integer
 from .fisher import fisher_for, qfi_values, thermal_fi_nbar
 
 TIE_TOL = 1e-9
+
+
+# scipy.optimize, with the scipy.linalg it pulls in, takes most of the
+# package's import time, and only the optimizers need it. These forward to
+# scipy's functions, imported on the first call; as module attributes they
+# can be rebound, like the names they stand for.
+def minimize(*args, **kwargs):
+    from scipy.optimize import minimize
+    return minimize(*args, **kwargs)
+
+
+def minimize_scalar(*args, **kwargs):
+    from scipy.optimize import minimize_scalar
+    return minimize_scalar(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -187,6 +200,10 @@ def optimize_b2(params: ModelParams, n_measured: int, seed: int = 0,
         raise ValueError("b=2 optimization is defined for the exchange interaction")
     if n_measured not in (2, 4):
         raise ValueError("n_measured must be 2 or 4 for b=2 blocks")
+    check_seed(seed)
+    if not is_integer(n_random_starts) or n_random_starts < 0:
+        raise ValueError("n_random_starts must be an integer >= 0, got "
+                         f"{n_random_starts!r}")
     # Unscaled, the QFI at large nbar is ~1e-5 and the search meets its
     # absolute tolerances far from the optimum.
     scale = n_measured * thermal_fi_nbar(params.nbar)

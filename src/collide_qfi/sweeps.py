@@ -10,7 +10,7 @@ import numpy as np
 
 from . import qmat
 from .channels import Interaction, ModelParams
-from .collision import AncillaBlock, check_measured, is_integer
+from .collision import AncillaBlock, check_measured, check_seed
 from .fisher import qfi_values, thermal_fi_nbar
 # Bound here as well for callers that look it up through this module, such
 # as the span wrappers of perfbench/spans.py.
@@ -44,13 +44,6 @@ def parse_block(spec: str) -> AncillaBlock:
             raise ValueError("schmidt: form needs 5 comma-separated values")
         return AncillaBlock(b=2, psi=schmidt_state(SchmidtParams(*parts)))
     raise ValueError(f"unknown block spec {spec!r}")
-
-
-def check_seed(seed) -> int:
-    """An optimizer seed: numpy's generators take integers >= 0 only."""
-    if not is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    return seed
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +166,18 @@ def test_optimize_b2_validation():
         optimize_b2(pe, 3)
 
 
+def test_optimize_b2_seed_and_start_count_are_integers_of_at_least_zero():
+    params = ModelParams(nbar=1.0, gamma_tau_se=0.3, interaction="exchange")
+    for seed in (True, 1.5, -1, None):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            optimize_b2(params, 2, seed=seed)
+    for starts in (-1, 2.0, True):
+        with pytest.raises(ValueError,
+                           match="n_random_starts must be an integer >= 0"):
+            optimize_b2(params, 2, n_random_starts=starts)
+    assert optimize_b2(params, 2, seed=1).value_nbar == 0.27364302886117386
+
+
 def test_optimize_b2_dominates_seeded_corners():
     params = ModelParams(nbar=1.0, gamma_tau_se=0.5,
                          interaction=Interaction.EXCHANGE)
@@ -274,3 +292,66 @@ def test_optimize_b2_runs_one_minimize_per_start(monkeypatch):
     assert opt.evaluations == 17 * sum(calls)
     assert min(gains) >= 0.0
     assert min(gains[8:]) > 1e-3
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(code: str, *args):
+    """Run ``code`` in a fresh interpreter that imports the package from
+    src/, and return the JSON value of its last line of output."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args],
+                          env=env, capture_output=True, text=True, timeout=120,
+                          check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_scipy_optimize_is_imported_by_the_first_optimizer_call():
+    # importing the package and the commands that optimize nothing leave
+    # scipy.optimize unloaded; the optimize command loads it
+    commands = [
+        ["fisher", "--nbar", "1", "--gamma-tau", "0.5", "--interaction", "zz",
+         "--block", "plusx", "--n", "2"],
+        ["zz-closed", "--nbar", "1", "--gamma-tau", "0.5", "--n", "2"],
+        ["sweep", "--block", "plusx", "--n", "2", "--nbar-grid", "0.5,1",
+         "--gamma-tau-grid", "0.1,1"],
+        ["optimize", "--nbar", "1", "--gamma-tau", "0.5", "--b", "1",
+         "--n", "1"],
+    ]
+    seen = run_fresh("""
+        import contextlib, io, json, sys
+        def loaded():
+            return "scipy.optimize" in sys.modules
+        seen = []
+        import collide_qfi
+        seen.append(["import collide_qfi", 0, loaded()])
+        from collide_qfi import cli
+        seen.append(["import collide_qfi.cli", 0, loaded()])
+        for argv in json.loads(sys.argv[1]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            seen.append([argv[0], code, loaded()])
+        print(json.dumps(seen))
+        """, json.dumps(commands))
+    assert seen == [["import collide_qfi", 0, False],
+                    ["import collide_qfi.cli", 0, False],
+                    ["fisher", 0, False], ["zz-closed", 0, False],
+                    ["sweep", 0, False], ["optimize", 0, True]]
+
+
+def test_optimizers_do_not_depend_on_when_scipy_is_imported():
+    code = """
+        import json, sys
+        if sys.argv[1] == "early":
+            import scipy.optimize
+        from collide_qfi import ModelParams, optimize_b1, optimize_b2
+        before = "scipy.optimize" in sys.modules
+        p = ModelParams(nbar=1.0, gamma_tau_se=0.3, interaction="exchange")
+        print(json.dumps([before, repr(optimize_b1(p, 2)),
+                          repr(optimize_b2(p, 2, seed=1, n_random_starts=1))]))
+        """
+    early, late = run_fresh(code, "early"), run_fresh(code, "late")
+    assert early[0] and not late[0]
+    assert early[1:] == late[1:]
