@@ -39,10 +39,8 @@ class ModelParams:
     interaction: Interaction = Interaction.ZZ
 
     def __post_init__(self):
-        if not isinstance(self.interaction, Interaction):
-            # a value such as "zz" is accepted; Interaction() rejects the rest
-            object.__setattr__(self, "interaction",
-                               Interaction(self.interaction))
+        # a member or its value, such as "zz"; Interaction() rejects the rest
+        object.__setattr__(self, "interaction", Interaction(self.interaction))
         for name in ("nbar", "gamma_tau_se", "g_tau_sa"):
             value = getattr(self, name)
             if not math.isfinite(value):

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from .channels import ModelParams
-from .collision import check_seed
+from .collision import check_count
 from .fisher import fisher_for, thermal_fi_nbar
 from .optimize import optimize_b1, optimize_b2
 from .sweeps import (SweepConfig, claim_suite, parse_block, render_report,
@@ -86,9 +86,9 @@ def _model_params(args) -> ModelParams:
 
 
 def _seed(text: str) -> int:
-    """A --seed value, by the rule of ``check_seed``."""
+    """A --seed value, by the rule of ``check_count``."""
     try:
-        return check_seed(int(text))
+        return check_count(int(text), "seed")
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"must be an integer >= 0, got {text!r}") from None
@@ -139,8 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--seed", type=_seed, default=0)
 
-    p = sub.add_parser("claims", help="run the scalar claim suite")
-    p.add_argument("--seed", type=_seed, default=0)
+    sub.add_parser("claims", help="run the scalar claim suite")
 
     p = sub.add_parser("zz-closed", help="closed-form ZZ Fisher information")
     p.add_argument("--nbar", type=float, required=True)
@@ -213,7 +212,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(args)
         if args.command == "claims":
-            results = claim_suite(seed=args.seed)
+            results = claim_suite()
             sys.stdout.write(render_report(results))
             return 0 if all(r.passed for r in results) else 1
         # zz-closed, the last subcommand

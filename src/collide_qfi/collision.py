@@ -44,11 +44,11 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def check_seed(seed) -> int:
-    """An optimizer seed: numpy's generators take integers >= 0 only."""
-    if not is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    return seed
+def check_count(value, name: str) -> int:
+    """An integer >= 0: a seed (numpy's generators take no other) or a count."""
+    if not is_integer(value) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    return value
 
 
 def check_measured(n_measured, b: int) -> None:

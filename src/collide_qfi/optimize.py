@@ -16,24 +16,18 @@ import numpy as np
 
 from . import qmat
 from .channels import Interaction, ModelParams
-from .collision import AncillaBlock, check_seed, is_integer
+from .collision import AncillaBlock, check_count
 from .fisher import fisher_for, qfi_values, thermal_fi_nbar
 
 TIE_TOL = 1e-9
 
 
 # scipy.optimize, with the scipy.linalg it pulls in, takes most of the
-# package's import time, and only the optimizers need it. These forward to
-# scipy's functions, imported on the first call; as module attributes they
-# can be rebound, like the names they stand for.
+# package's import time, and only the optimizers need it, so it is imported
+# on the first call. As a module attribute, this forwarder can be rebound.
 def minimize(*args, **kwargs):
     from scipy.optimize import minimize
     return minimize(*args, **kwargs)
-
-
-def minimize_scalar(*args, **kwargs):
-    from scipy.optimize import minimize_scalar
-    return minimize_scalar(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -144,6 +138,7 @@ def refine_grid_max(f, grid, values, xatol: float):
     i = int(np.argmax(values))
     if math.isnan(values[i]):
         return math.nan, math.nan, 0
+    from scipy.optimize import minimize_scalar
     res = minimize_scalar(lambda x: -f(x), method="bounded",
                           bounds=(grid[max(i - 1, 0)],
                                   grid[min(i + 1, len(grid) - 1)]),
@@ -180,6 +175,18 @@ _FD_STEP = 1e-6
 _FD_ROWS = np.vstack([np.zeros(8), _FD_STEP * np.eye(8), -_FD_STEP * np.eye(8)])
 
 
+def check_b2(interaction: Interaction, n_measured) -> None:
+    """The domain of the b=2 search: the exchange interaction, N = 2 or 4."""
+    # Under zz the gradient at the Bell start can be radial (nbar=0.1,
+    # gamma_tau=0.05, N=2), and the first step lands on x = 0 (norm NaN).
+    # Projecting the radial part out slows and moves the exchange search.
+    if interaction is not Interaction.EXCHANGE:
+        raise ValueError("b=2 optimization is defined for the exchange interaction")
+    if n_measured not in (2, 4):
+        raise ValueError("b=2 optimization needs n_measured 2 or 4, got "
+                         f"{n_measured}")
+
+
 def optimize_b2(params: ModelParams, n_measured: int, seed: int = 0,
                 n_random_starts: int = 8) -> Optimum:
     """Maximize QFI over the two-qubit block states of a b=2 block.
@@ -193,17 +200,9 @@ def optimize_b2(params: ModelParams, n_measured: int, seed: int = 0,
     wins. It is reported in Schmidt form; ``evaluations`` counts QFI
     evaluations.
     """
-    # Under zz the gradient at the Bell start can be radial (nbar=0.1,
-    # gamma_tau=0.05, N=2), and the first step lands on x = 0 (norm NaN).
-    # Projecting the radial part out slows and moves the exchange search.
-    if params.interaction is not Interaction.EXCHANGE:
-        raise ValueError("b=2 optimization is defined for the exchange interaction")
-    if n_measured not in (2, 4):
-        raise ValueError("n_measured must be 2 or 4 for b=2 blocks")
-    check_seed(seed)
-    if not is_integer(n_random_starts) or n_random_starts < 0:
-        raise ValueError("n_random_starts must be an integer >= 0, got "
-                         f"{n_random_starts!r}")
+    check_b2(params.interaction, n_measured)
+    check_count(seed, "seed")
+    check_count(n_random_starts, "n_random_starts")
     # Unscaled, the QFI at large nbar is ~1e-5 and the search meets its
     # absolute tolerances far from the optimum.
     scale = n_measured * thermal_fi_nbar(params.nbar)

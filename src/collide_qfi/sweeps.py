@@ -10,13 +10,14 @@ import numpy as np
 
 from . import qmat
 from .channels import Interaction, ModelParams
-from .collision import AncillaBlock, check_measured, check_seed
+from .collision import AncillaBlock, check_count, check_measured
 from .fisher import qfi_values, thermal_fi_nbar
 # Bound here as well for callers that look it up through this module, such
 # as the span wrappers of perfbench/spans.py.
 from .fisher import fisher_for  # noqa: F401
-from .optimize import (BlochAngles, SchmidtParams, bloch_state, optimize_b1,
-                       optimize_b2, refine_grid_max, schmidt_state)
+from .optimize import (BlochAngles, SchmidtParams, bloch_state, check_b2,
+                       optimize_b1, optimize_b2, refine_grid_max,
+                       schmidt_state)
 from .zz_analytic import zz_delta, zz_fn
 
 QUANTITIES = ("qfi", "ratio_thermal", "ratio_per_copy", "theta_opt",
@@ -63,9 +64,7 @@ class SweepConfig:
                                  f"string, got {self.block!r}")
             if self.block not in ("optimize-b1", "optimize-b2"):
                 object.__setattr__(self, "block", parse_block(self.block))
-        if not isinstance(self.interaction, Interaction):
-            object.__setattr__(self, "interaction",
-                               Interaction(self.interaction))
+        object.__setattr__(self, "interaction", Interaction(self.interaction))
         for name in ("nbar_grid", "gamma_tau_grid"):
             grid = tuple(float(x) for x in getattr(self, name))
             if not grid:
@@ -90,11 +89,7 @@ class SweepConfig:
         # the optimizers' block sizes are checked below: b=2 takes 2 or 4
         check_measured(n, 1 if isinstance(self.block, str) else self.block.b)
         if self.block == "optimize-b2":
-            if self.interaction is not Interaction.EXCHANGE:
-                raise ValueError(
-                    "optimize-b2 is defined for the exchange interaction")
-            if n not in (2, 4):
-                raise ValueError(f"optimize-b2 needs n_measured 2 or 4, got {n}")
+            check_b2(self.interaction, n)
         for q, spec in (("theta_opt", "optimize-b1"), ("schmidt_r", "optimize-b2")):
             if q in self.quantities and self.block != spec:
                 raise ValueError(f"{q} is defined for the {spec} block only")
@@ -108,8 +103,7 @@ class SweepRow:
     status: str = "ok"
 
 
-def _rows(config: SweepConfig, nbar: float, gamma_taus: tuple,
-          seed: int) -> list:
+def _rows(config: SweepConfig, nbar: float, seed: int) -> list:
     """Finished rows of one nbar value at each gamma_tau, for any block spec.
 
     The QFI at m ancillas is one stacked ``qfi_values`` call over the row for
@@ -121,7 +115,7 @@ def _rows(config: SweepConfig, nbar: float, gamma_taus: tuple,
     error it meets; later steps skip it, and it reads NaN in every column. A
     stacked call that raises fails each point whose value it does not carry.
     """
-    block, n = config.block, config.n_measured
+    block, n, gamma_taus = config.block, config.n_measured, config.gamma_tau_grid
     status = ["ok"] * len(gamma_taus)
 
     def each(call, args):
@@ -200,10 +194,10 @@ def _rows(config: SweepConfig, nbar: float, gamma_taus: tuple,
 def run_sweep(config: SweepConfig, seed: int = 0):
     """Evaluate every grid point, nbar outer and gamma_tau inner, serially
     (measured faster than a thread pool), one ``_rows`` call per nbar row."""
-    check_seed(seed)
+    check_count(seed, "seed")
     rows = []
     for nbar in config.nbar_grid:
-        rows += _rows(config, nbar, config.gamma_tau_grid, seed)
+        rows += _rows(config, nbar, seed)
     return rows
 
 
@@ -238,13 +232,13 @@ class ClaimResult:
 
 def _sweep_values(block, n: int, quantities: tuple, nbars: tuple,
                   gamma_taus: tuple, interaction=Interaction.EXCHANGE,
-                  g_tau_sa: float = math.pi / 2, seed: int = 0) -> list:
+                  g_tau_sa: float = math.pi / 2) -> list:
     """Each row's values of one sweep, nbar outer and gamma_tau inner: the
     numbers ``collide-qfi sweep`` prints, NaN at a point that fails."""
     config = SweepConfig(nbar_grid=nbars, gamma_tau_grid=gamma_taus,
                          interaction=interaction, block=block, n_measured=n,
                          quantities=quantities, g_tau_sa=g_tau_sa)
-    return [row.values for row in run_sweep(config, seed)]
+    return [row.values for row in run_sweep(config)]
 
 
 def _maximize_1d(f, lo, hi, coarse=25, tol=1e-4, log=True):
@@ -367,10 +361,9 @@ def _claims_ground_additivity():
         0.0, np.max(np.abs(np.subtract(ratios, 1.0))), 1e-6, "upper-bound")]
 
 
-def _claims_b2_products(seed: int = 0):
+def _claims_b2_products():
     grid = ((1.0, 10.0 ** 0.5, 10.0), (0.1, 10.0 ** -0.5, 1.0))
-    optima = _sweep_values("optimize-b2", 2, ("qfi", "schmidt_r"), *grid,
-                           seed=seed)
+    optima = _sweep_values("optimize-b2", 2, ("qfi", "schmidt_r"), *grid)
     # np.max keeps a point's NaN, so a failing product fails its fraction
     best = np.max([[v["qfi"] for v in _sweep_values(blk, 2, ("qfi",), *grid)]
                    for blk in ("gg", "plusx-g", "g-plusx")], axis=0)
@@ -388,10 +381,10 @@ def _claims_b2_products(seed: int = 0):
     ]
 
 
-def _claims_low_temperature_threshold(seed: int = 0):
+def _claims_low_temperature_threshold():
     def excess(nbar):
         return _sweep_values("optimize-b2", 2, ("ratio_thermal",), (nbar,),
-                             (1.0,), seed=seed)[0]["ratio_thermal"] - 1.0
+                             (1.0,))[0]["ratio_thermal"] - 1.0
 
     # Four halvings of the 0.12-wide bracket put the midpoint within ~2%
     # of the crossing, inside the 5% tolerance. A bracket that holds no
@@ -412,7 +405,7 @@ def _claims_low_temperature_threshold(seed: int = 0):
                         0.189, threshold, 0.05, "rel")]
 
 
-def claim_suite(seed: int = 0) -> tuple:
+def claim_suite() -> tuple:
     """Run every scalar regression check: a tuple of ``ClaimResult``s."""
     results = []
     results += _claims_zz_angle()
@@ -422,8 +415,8 @@ def claim_suite(seed: int = 0) -> tuple:
     results += _claims_ground_small_gt()
     results += _claims_exchange_collective()
     results += _claims_ground_additivity()
-    results += _claims_b2_products(seed)
-    results += _claims_low_temperature_threshold(seed)
+    results += _claims_b2_products()
+    results += _claims_low_temperature_threshold()
     return tuple(results)
 
 

@@ -30,8 +30,8 @@ def zz_probs(nbar: float, gamma_tau: float) -> ZzProbabilities:
     ModelParams(nbar=nbar, gamma_tau_se=gamma_tau)  # the chain's domain check
     big_gamma = gamma_tau * (2.0 * nbar + 1.0)
     p_g = (nbar + 1.0) / (2.0 * nbar + 1.0)
-    p_e = 1.0 - p_g
-    decay = 1.0 - math.exp(-big_gamma)
+    p_e = nbar / (2.0 * nbar + 1.0)  # 1 - p_g cancels at small nbar
+    decay = -math.expm1(-big_gamma)  # 1 - e^-Gamma cancels at small Gamma
     return ZzProbabilities(
         p_g=p_g, p_e=p_e,
         p_gg=1.0 - decay * p_e,
@@ -55,16 +55,16 @@ def zz_delta(nbar: float, gamma_tau: float) -> float:
     # and p_g, from p_gg = 1 - (1 - e^-Gamma) p_e and p_eg = (1 - e^-Gamma) p_g
     q = 2.0 * nbar + 1.0
     e = math.exp(-gamma_tau * q)
+    decay = -math.expm1(-gamma_tau * q)  # 1 - e, without cancellation
     dp_e = 1.0 / q ** 2
-    dp_gg = -(e * 2.0 * gamma_tau * probs.p_e + (1.0 - e) * dp_e)
-    dp_eg = e * 2.0 * gamma_tau * probs.p_g - (1.0 - e) * dp_e
-    terms = [
-        (probs.p_g, probs.p_gg, dp_gg),
-        (probs.p_e, probs.p_eg, dp_eg),
+    dp_gg = -(e * 2.0 * gamma_tau * probs.p_e + decay * dp_e)
+    dp_eg = e * 2.0 * gamma_tau * probs.p_g - decay * dp_e
+    terms = [  # (p_k, p_{k->g}, p_{k->e}, d p_{k->g} / d nbar)
+        (probs.p_g, probs.p_gg, decay * probs.p_e, dp_gg),  # 1 - p_gg cancels
+        (probs.p_e, probs.p_eg, 1.0 - probs.p_eg, dp_eg),
     ]
     total = 0.0
-    for p_k, p_kg, dp_kg in terms:
-        p_ke = 1.0 - p_kg
+    for p_k, p_kg, p_ke, dp_kg in terms:
         if p_kg * p_ke == 0.0:
             raise ValueError("degenerate transition probabilities")
         total += p_k / (p_kg * p_ke) * dp_kg ** 2

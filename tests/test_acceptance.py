@@ -23,7 +23,7 @@ from oracles import Povm, cfi, default_rk4_steps, lindblad_rk4, partial_trace
 
 @pytest.fixture(scope="module")
 def report():
-    return claim_suite(seed=0)
+    return claim_suite()
 
 
 def by_name(report):
@@ -237,6 +237,6 @@ def test_14_finite_difference_convergence():
 
 
 def test_15_claim_suite_deterministic(report):
-    second = claim_suite(seed=0)
+    second = claim_suite()
     same = render_report(report) == render_report(second)
     gate("acceptance-15 repeated claim runs byte-identical", same)

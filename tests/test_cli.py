@@ -156,8 +156,9 @@ def test_chain_failure_exits_1(capsys):
 
 
 def test_zz_closed_degenerate_transitions_exit_2(capsys):
-    # at gamma_tau = 1e-20, 1 - p_gg rounds to 0: Delta has no value
-    rc = cli.main(["zz-closed", "--nbar", "1", "--gamma-tau", "1e-20",
+    # at nbar = gamma_tau = 1e-200, p_{g->e} = (1 - e^-Gamma) p_e underflows
+    # to 0: Delta has no value
+    rc = cli.main(["zz-closed", "--nbar", "1e-200", "--gamma-tau", "1e-200",
                    "--n", "2"])
     assert rc == 2
     captured = capsys.readouterr()
@@ -395,12 +396,17 @@ def stub_report(measured):
 
 
 def test_claims_command_exit_codes(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "claim_suite", lambda seed: stub_report(1.0))
+    monkeypatch.setattr(cli, "claim_suite", lambda: stub_report(1.0))
     assert cli.main(["claims"]) == 0
     assert "1/1 checks passed" in capsys.readouterr().out
-    monkeypatch.setattr(cli, "claim_suite", lambda seed: stub_report(2.0))
+    monkeypatch.setattr(cli, "claim_suite", lambda: stub_report(2.0))
     assert cli.main(["claims"]) == 1
     assert "0/1 checks passed" in capsys.readouterr().out
+
+
+def test_claims_command_takes_no_options(capsys):
+    assert exit_code(["claims", "--seed", "0"]) == 2
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
 
 def test_readme_commands_parse():

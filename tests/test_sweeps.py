@@ -131,6 +131,18 @@ def test_interaction_may_be_given_by_name():
             small_config(interaction=bad)
 
 
+def test_b2_domain_has_one_text_for_sweeps_and_the_optimizer():
+    for interaction, n in ((Interaction.ZZ, 2), (Interaction.EXCHANGE, 3)):
+        with pytest.raises(ValueError) as from_sweep:
+            small_config(interaction=interaction, block="optimize-b2",
+                         n_measured=n, quantities=("qfi",))
+        params = ModelParams(nbar=1.0, gamma_tau_se=0.5,
+                             interaction=interaction)
+        with pytest.raises(ValueError) as from_optimizer:
+            optimize_b2(params, n)
+        assert str(from_sweep.value) == str(from_optimizer.value)
+
+
 def test_ancilla_count_must_be_an_integer():
     plusx = parse_block("plusx")
     params = ModelParams(nbar=1.0, gamma_tau_se=0.5)

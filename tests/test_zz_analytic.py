@@ -55,6 +55,19 @@ def test_zz_delta_matches_finite_difference():
             assert abs(got - expect) < 1e-6 * expect
 
 
+def test_zz_delta_matches_high_precision_reference():
+    # 60-digit references from the same formulas (mpmath): at small nbar and
+    # small gamma_tau, 1 - p_g, 1 - e^-Gamma and 1 - p_gg cancel unless each
+    # is formed directly
+    for nbar, gt, ref in ((1e-8, 1e-3, 99950.015661001696386),
+                          (1e-8, 0.5, 39346933.248861390799),
+                          (1e-6, 1e-3, 999.49916512884110041),
+                          (1e-6, 1e-10, 0.000099999899995299992469),
+                          (1.0, 1e-8, 8.3333331083333357577e-9),
+                          (1.0, 1e-10, 8.3333333310833336372e-11)):
+        assert abs(zz_delta(nbar, gt) - ref) <= 2e-15 * ref, (nbar, gt)
+
+
 def test_zz_delta_validation():
     with pytest.raises(ValueError):
         zz_delta(0.0, 0.5)
