@@ -180,12 +180,12 @@ def step_maps(params, psi: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"block size must be 1 or 2: psi stack shape {psi.shape}")
     if isinstance(params, ModelParams):
-        # Real products, not one complex one: numpy's OpenBLAS runs the
-        # complex product of a 17-row optimizer stack multithreaded, scipy's
-        # L-BFGS-B wakes scipy's own OpenBLAS pool between two such calls, and
-        # when the two pools want more workers than there are cores they
-        # stall each other for a scheduler slice per call. These real
-        # products do not.
+        # Real products, not one complex one: numpy's OpenBLAS runs a complex
+        # product against the tensor multithreaded, even for the optimizer's
+        # one-row stack, scipy's L-BFGS-B wakes scipy's own OpenBLAS pool
+        # between two such calls, and when the two pools want more workers
+        # than there are cores they stall each other for a scheduler slice
+        # per call. These real products do not.
         b = psi.shape[1].bit_length() - 1
         tensor = _step_map_tensor(params, b).view(float)
         p = _projectors(psi).reshape(len(psi), -1)
@@ -198,6 +198,28 @@ def step_maps(params, psi: np.ndarray) -> np.ndarray:
         raise ValueError(f"a sequence of {len(params)} parameter points takes "
                          f"one block state, got {len(psi)}")
     return _step_maps(_collision_pairs(params), _projectors(psi))
+
+
+def step_maps_pullback(params: ModelParams,
+                       maps_bar: np.ndarray) -> np.ndarray:
+    """Reverse of ``step_maps`` for one ``ModelParams``: a cotangent of the
+    (R, 2, 4*4^b, 4) step-map stack pulled back to the block states, as
+    the Hermitian (R, 2^b, 2^b) stack G with which a variation of psi moves
+    the function by 2 Re <G psi, dpsi>.
+
+    The maps are linear in P = |psi><psi|, maps = P T, so P_bar = maps_bar
+    T^dag against the cached tensor, and G is its Hermitian part.
+    """
+    r = len(maps_bar)
+    big_b = math.isqrt(maps_bar.shape[2] // 4)
+    tensor = _step_map_tensor(params, big_b.bit_length() - 1).view(float)
+    m = maps_bar.reshape(r, -1)
+    # Real products, not one complex one, for the reason given in step_maps:
+    # the real and imaginary parts of maps_bar T^dag are [Re m, Im m] and
+    # [Im m, -Re m] against [Re T, Im T].
+    parts = np.concatenate([m, -1j * m]).view(float) @ tensor.T
+    g = (parts[:r] + 1j * parts[r:]).reshape(r, big_b, big_b)
+    return (g + g.conj().transpose(0, 2, 1)) / 2.0
 
 
 def _block_trace(maps: np.ndarray) -> np.ndarray:
@@ -238,7 +260,8 @@ def _fixed_point_pair(superop: np.ndarray, dsuperop: np.ndarray):
     inverse. A map that does not preserve trace raises FixedPointError. A
     trace-preserving map has a unit eigenvalue, so a row whose inverse fails
     the residual check has a degenerate fixed space, and the pseudo-inverse
-    of its system gives the minimum-norm solutions instead.
+    of its system gives the minimum-norm solutions instead. The inverse of
+    the bordered system is returned third, for ``_fixed_point_pullback``.
     """
     a = superop - _I4
     # Trace preservation: rows 0 and 3 of Phi sum to the trace functional
@@ -263,7 +286,34 @@ def _fixed_point_pair(superop: np.ndarray, dsuperop: np.ndarray):
     r = -(dsuperop @ rho.reshape(-1, 4, 1))
     r[:, 3] = 0.0
     drho = (inv @ r).reshape(-1, 2, 2)
-    return rho, (drho + drho.conj().transpose(0, 2, 1)) / 2.0
+    return rho, (drho + drho.conj().transpose(0, 2, 1)) / 2.0, inv
+
+
+def _fixed_point_pullback(dsuperop, inv, rho, drho, rho_bar, drho_bar):
+    """Reverse of ``_fixed_point_pair``: the cotangents (rho_bar, drho_bar)
+    of its outputs, each (B, 4, 1), pulled back to its maps as a (B, 2, 4,
+    4) stack (Phi_bar, dPhi_bar).
+
+    Each solve x = A^-1 y pulls back as y_bar = A^-H x_bar and A_bar =
+    -y_bar x^dag, with the inverse the forward pass formed. Row 3 of A is
+    the trace constraint, which no map entry reaches. Symmetrizing and
+    normalizing leave a trace-one Hermitian solution as it is, so they pull
+    back as the identity.
+    """
+    inv_h = inv.conj().transpose(0, 2, 1)
+    rho, drho = rho.reshape(-1, 4, 1), drho.reshape(-1, 4, 1)
+    # drho = A^-1 r with r = -(dPhi rho) outside the trace row
+    r_bar = inv_h @ drho_bar
+    a_bar = -r_bar @ drho.conj().transpose(0, 2, 1)
+    r_bar[:, 3] = 0.0
+    rho_h = rho.conj().transpose(0, 2, 1)
+    out = np.empty((len(inv), 2, 4, 4), dtype=complex)
+    out[:, 1] = -r_bar @ rho_h
+    # rho = A^-1 e_3, read by both the state and the right-hand side r
+    s_bar = inv_h @ (rho_bar - dsuperop.conj().transpose(0, 2, 1) @ r_bar)
+    out[:, 0] = a_bar - s_bar @ rho_h
+    out[:, 0, 3] = 0.0
+    return out
 
 
 def steady_state(superop: np.ndarray) -> np.ndarray:
@@ -277,7 +327,9 @@ def steady_state(superop: np.ndarray) -> np.ndarray:
 def outgoing_with_derivative(maps: np.ndarray, n_measured: int):
     """Joint state of N consecutive outgoing ancillas at steady-state
     operation and its exact derivative in nbar, for each row of a step-map
-    stack ``maps``; returns (rho, drho), each (R, 2^N, 2^N).
+    stack ``maps``; returns (rho, drho, tape), rho and drho each (R, 2^N,
+    2^N), and the tape the arrays of the pass that ``outgoing_pullback``
+    reads.
 
     The block trace of the maps gives the fixed point and its tangent
     (rho_S*, drho_S*). Each block then takes matmuls over the system legs
@@ -291,14 +343,16 @@ def outgoing_with_derivative(maps: np.ndarray, n_measured: int):
     b = big_b.bit_length() - 1
     check_measured(n_measured, b)
     phi = _block_trace(maps)
-    rho_s, drho_s = _fixed_point_pair(phi[:, 0], phi[:, 1])
+    rho_s, drho_s, inv = _fixed_point_pair(phi[:, 0], phi[:, 1])
     # x[r, (iS, jS), columns]: the state; dx its derivative
     x, dx = rho_s.reshape(r, 4, 1), drho_s.reshape(r, 4, 1)
     blocks = n_measured // b
     split = maps.reshape(r, 2, 4, -1, 4)
     last = split[:, :, 0] + split[:, :, 3]
+    steps = []
     for i in range(blocks):
         step = maps if i < blocks - 1 else last
+        steps.append((step, x, dx))
         z = step.reshape(r, -1, 4) @ x
         half = z.shape[1] // 2
         x, dx = z[:, :half], step[:, 0] @ dx + z[:, half:]
@@ -307,9 +361,52 @@ def outgoing_with_derivative(maps: np.ndarray, n_measured: int):
     # columns (i_L, j_L, ..., i_1, j_1) -> (i_1..i_L), (j_1..j_L)
     order = [1 + 2 * (blocks - 1 - k) for k in range(blocks)]
     perm = [0] + order + [o + 1 for o in order]
+    legs = (r, *[big_b] * (2 * blocks))
     dim = big_b ** blocks
-    return tuple(y.reshape(r, *[big_b] * (2 * blocks)).transpose(perm).reshape(
-        r, dim, dim) for y in (x, dx))
+    rho, drho = (y.reshape(legs).transpose(perm).reshape(r, dim, dim)
+                 for y in (x, dx))
+    return rho, drho, (maps, phi[:, 1], inv, rho_s, drho_s, steps, perm)
+
+
+def outgoing_pullback(tape, rho_bar: np.ndarray,
+                      drho_bar: np.ndarray) -> np.ndarray:
+    """Reverse of ``outgoing_with_derivative``, from its ``tape``: the
+    cotangents (rho_bar, drho_bar) of its outputs pulled back to the
+    step-map stack, as an array shaped like ``maps``. A cotangent pairs with
+    a variation as Re tr(bar^dag delta).
+
+    Each block is linear in (E, dE): the forward z = [E; dE] x and dx' = z_1
+    + E dx pull back as z_bar = [x'_bar; dx'_bar], [E; dE]_bar = z_bar
+    x^dag, E_bar += dx'_bar dx^dag, x_bar = [E; dE]^dag z_bar and dx_bar =
+    E^dag dx'_bar. The fixed point and the block trace then pull back to
+    the maps.
+    """
+    maps, dphi, inv, rho_s, drho_s, steps, perm = tape
+    r, _, rows, _ = maps.shape
+    big_b = math.isqrt(rows // 4)
+    legs = (r, *[big_b] * (len(perm) - 1))
+    back = [perm.index(k) for k in range(len(perm))]
+    x_bar, dx_bar = (y.reshape(legs).transpose(back)
+                     for y in (rho_bar, drho_bar))
+    maps_bar = np.zeros(maps.shape, dtype=complex)
+    split_bar = maps_bar.reshape(r, 2, 4, -1, 4)
+    for i in reversed(range(len(steps))):
+        step, x, dx = steps[i]
+        half = step.shape[2]
+        x_bar, dx_bar = x_bar.reshape(r, half, -1), dx_bar.reshape(r, half, -1)
+        z_bar = np.concatenate([x_bar, dx_bar], axis=1)
+        step_bar = (z_bar @ x.conj().transpose(0, 2, 1)).reshape(r, 2, half, 4)
+        step_bar[:, 0] += dx_bar @ dx.conj().transpose(0, 2, 1)
+        x_bar = step.reshape(r, -1, 4).conj().transpose(0, 2, 1) @ z_bar
+        dx_bar = step[:, 0].conj().transpose(0, 2, 1) @ dx_bar
+        if i < len(steps) - 1:
+            maps_bar += step_bar
+        else:
+            split_bar[:, :, 0] += step_bar
+            split_bar[:, :, 3] += step_bar
+    phi_bar = _fixed_point_pullback(dphi, inv, rho_s, drho_s, x_bar, dx_bar)
+    split_bar[:, :, :, ::big_b + 1] += phi_bar[:, :, :, None]
+    return maps_bar
 
 
 def outgoing_joint_state(params: ModelParams, block: AncillaBlock,

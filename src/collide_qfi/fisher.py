@@ -6,6 +6,8 @@ that cancels in every reported ratio. The QFI is evaluated directly from the
 eigendecomposition of rho, excluding the kernel, which sidesteps an explicit
 solve of the Lyapunov equation for the symmetric logarithmic derivative.
 The state derivative is exact: forward-mode through the collision chain.
+The gradient of the QFI in the block state is exact too: reverse-mode through
+the same chain.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import numpy as np
 
 from . import qmat
 from .channels import NBAR_MAX, ModelParams
-from .collision import AncillaBlock, outgoing_with_derivative, step_maps
+from .collision import (AncillaBlock, outgoing_pullback,
+                        outgoing_with_derivative, step_maps,
+                        step_maps_pullback)
 # Bound here as well for callers that look it up through this module, such
 # as the span wrappers of perfbench/spans.py.
 from .collision import outgoing_joint_state  # noqa: F401
@@ -76,6 +80,14 @@ def qfi(rho: np.ndarray, drho: np.ndarray):
     a float. If a row's derivative leaks into its kernel, the error raised
     carries the value of every row, NaN on the leaking rows.
     """
+    val = _qfi_eigen(rho, drho)[0]
+    return float(val) if val.ndim == 0 else val
+
+
+def _qfi_eigen(rho: np.ndarray, drho: np.ndarray):
+    """The pass of ``qfi``: (values, v, a, denom), with v the eigenvectors
+    of rho, a = v^dag drho v, and denom the pair sums lambda_i + lambda_j,
+    inf on the kernel pairs. The SLD is v (2 a / denom) v^dag."""
     lam, v = qmat.herm_eigen(rho)
     a = v.conj().swapaxes(-1, -2) @ drho @ v
     denom = lam[..., :, None] + lam[..., None, :]
@@ -91,7 +103,7 @@ def qfi(rho: np.ndarray, drho: np.ndarray):
     if leaking is not None and leaking.any():
         raise RankChangeError(float(leak[leaking][0]),
                               np.where(leaking, math.nan, val))
-    return float(val) if val.ndim == 0 else val
+    return val, v, a, denom
 
 
 def qfi_values(params, psi: np.ndarray, n_measured: int) -> np.ndarray:
@@ -102,7 +114,29 @@ def qfi_values(params, psi: np.ndarray, n_measured: int) -> np.ndarray:
     model parameters, such as one row of a sweep grid, and a one-state stack,
     as ``step_maps`` takes them."""
     psi = qmat.pure_states(psi)
-    return qfi(*outgoing_with_derivative(step_maps(params, psi), n_measured))
+    # The tape is dropped before the QFI, so no array of the pass outlives it.
+    return qfi(*outgoing_with_derivative(step_maps(params, psi),
+                                         n_measured)[:2])
+
+
+def qfi_and_gradient(params: ModelParams, psi: np.ndarray, n_measured: int):
+    """QFI in nbar units of each row of a (B, 2^b) stack of block states, as
+    ``qfi_values`` gives it, and its exact gradient: (values, G), with G a
+    Hermitian (B, 2^b, 2^b) stack such that a variation dpsi of row k moves
+    its QFI by 2 Re <G_k psi_k, dpsi>.
+
+    One pass forward and one back. With the SLD L of the outgoing state,
+    dF = 2 tr(L d(drho)) - tr(L^2 drho) (Paris, IJQI 7, 125 (2009)), so the
+    reverse pass starts from the cotangents (-L^2, 2L) and runs through the
+    chain, the fixed point and the step maps.
+    """
+    psi = qmat.pure_states(psi)
+    maps = step_maps(params, psi)
+    rho, drho, tape = outgoing_with_derivative(maps, n_measured)
+    val, v, a, denom = _qfi_eigen(rho, drho)
+    sld = v @ (2.0 * a / denom) @ v.conj().swapaxes(-1, -2)
+    maps_bar = outgoing_pullback(tape, -(sld @ sld), 2.0 * sld)
+    return val, step_maps_pullback(params, maps_bar)
 
 
 def fisher_for(params: ModelParams, block: AncillaBlock,

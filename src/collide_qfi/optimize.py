@@ -4,7 +4,8 @@ b=1 states are a polar angle on the Bloch sphere (the QFI of either interaction
 is invariant under Z rotations, so the azimuth is fixed to 0); the search is an
 exhaustive angle scan refined by scipy's bounded scalar search. b=2 states
 are searched as raw vectors psi in C^4 with scipy's L-BFGS-B from several
-seeded starts, and the optimum is reported in the five-parameter Schmidt form.
+seeded starts, on the exact QFI gradient of ``fisher.qfi_and_gradient``, and
+the optimum is reported in the five-parameter Schmidt form.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .channels import Interaction, ModelParams
+from .channels import ModelParams
 from .collision import AncillaBlock, check_count
-from .fisher import fisher_for, qfi_values, thermal_fi_nbar
+from .fisher import fisher_for, qfi_and_gradient, qfi_values, thermal_fi_nbar
 
 TIE_TOL = 1e-9
 
@@ -170,18 +171,8 @@ _B2_SEEDS = (
     np.kron(bloch_state(BlochAngles(math.pi / 4)), _G),
 )
 
-# Central-difference step of the gradient, in each real coordinate of psi.
-_FD_STEP = 1e-6
-_FD_ROWS = np.vstack([np.zeros(8), _FD_STEP * np.eye(8), -_FD_STEP * np.eye(8)])
-
-
-def check_b2(interaction: Interaction, n_measured) -> None:
-    """The domain of the b=2 search: the exchange interaction, N = 2 or 4."""
-    # Under zz the gradient at the Bell start can be radial (nbar=0.1,
-    # gamma_tau=0.05, N=2), and the first step lands on x = 0 (norm NaN).
-    # Projecting the radial part out slows and moves the exchange search.
-    if interaction is not Interaction.EXCHANGE:
-        raise ValueError("b=2 optimization is defined for the exchange interaction")
+def check_b2(n_measured) -> None:
+    """The domain of the b=2 search: N = 2 or 4."""
     if n_measured not in (2, 4):
         raise ValueError("b=2 optimization needs n_measured 2 or 4, got "
                          f"{n_measured}")
@@ -192,15 +183,16 @@ def optimize_b2(params: ModelParams, n_measured: int, seed: int = 0,
     """Maximize QFI over the two-qubit block states of a b=2 block.
 
     The search runs over x in R^8, psi = (x[:4] + i x[4:]) / |.|, so it needs
-    no bounds. Each start is one L-BFGS-B run on -QFI / (N F_th(nbar)); the
-    value and its central-difference gradient come from one stacked
-    evaluation of 17 states. The starts are the seeded corners plus
-    ``n_random_starts`` complex-Gaussian states from ``seed``. Among optima
-    within ``TIE_TOL`` relative, the one with the larger Schmidt weight r
-    wins. It is reported in Schmidt form; ``evaluations`` counts QFI
-    evaluations.
+    no bounds. Each start is one L-BFGS-B run on -QFI / (N F_th(nbar)); each
+    objective call takes the value and its exact gradient from one
+    ``qfi_and_gradient`` call on psi, and the radial part of the gradient,
+    which only rescales x, is projected out. The starts are the seeded
+    corners plus ``n_random_starts`` complex-Gaussian states from ``seed``.
+    Among optima within ``TIE_TOL`` relative, the one with the larger
+    Schmidt weight r wins. It is reported in Schmidt form; ``evaluations``
+    counts objective calls, each one value and its gradient.
     """
-    check_b2(params.interaction, n_measured)
+    check_b2(n_measured)
     check_count(seed, "seed")
     check_count(n_random_starts, "n_random_starts")
     # Unscaled, the QFI at large nbar is ~1e-5 and the search meets its
@@ -208,11 +200,14 @@ def optimize_b2(params: ModelParams, n_measured: int, seed: int = 0,
     scale = n_measured * thermal_fi_nbar(params.nbar)
 
     def objective(x):
-        z = x + _FD_ROWS
-        psi = z[:, :4] + 1j * z[:, 4:]
-        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        f = -qfi_values(params, psi, n_measured) / scale
-        return f[0], (f[1:9] - f[9:]) / (2.0 * _FD_STEP)
+        psi = x[:4] + 1j * x[4:]
+        norm = np.linalg.norm(psi)
+        psi /= norm
+        value, g = qfi_and_gradient(params, psi[None], n_measured)
+        grad = 2.0 * g[0] @ psi
+        grad -= np.vdot(psi, grad).real * psi
+        grad /= -scale * norm
+        return -value[0] / scale, np.concatenate([grad.real, grad.imag])
 
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_random_starts, 2, 4))
@@ -238,5 +233,4 @@ def optimize_b2(params: ModelParams, n_measured: int, seed: int = 0,
                                                 and best is not None
                                                 and found.r > best.r):
             best, best_val = found, val
-    return Optimum(argmax=best, value_nbar=best_val,
-                   evaluations=len(_FD_ROWS) * nfev)
+    return Optimum(argmax=best, value_nbar=best_val, evaluations=nfev)

@@ -89,7 +89,7 @@ class SweepConfig:
         # the optimizers' block sizes are checked below: b=2 takes 2 or 4
         check_measured(n, 1 if isinstance(self.block, str) else self.block.b)
         if self.block == "optimize-b2":
-            check_b2(self.interaction, n)
+            check_b2(n)
         for q, spec in (("theta_opt", "optimize-b1"), ("schmidt_r", "optimize-b2")):
             if q in self.quantities and self.block != spec:
                 raise ValueError(f"{q} is defined for the {spec} block only")

@@ -1,8 +1,10 @@
-"""Central-difference oracle for the nbar-derivative of a state family.
+"""Central-difference oracle for the nbar-derivative of a state family,
+and for the gradient of a function of a block state.
 
-The package differentiates the collision chain exactly. These helpers take
-the derivative from builds of the state at nbar +- step instead, so tests
-can check the exact path, and the CFI and QFI built on it, against them.
+The package differentiates the collision chain exactly, forward in nbar and
+in reverse from the QFI to the block state. These helpers take the
+derivatives from evaluations at x +- step instead, so tests can check the
+exact paths, and the CFI and QFI built on them, against them.
 """
 
 import math
@@ -50,6 +52,19 @@ def state_pair(builder, nbar: float, step: float | None = None):
     difference over ``step`` (``default_step(nbar)`` when None)."""
     h = default_step(nbar) if step is None else step
     return builder(nbar), state_derivative(builder, nbar, h)
+
+
+def psi_gradient(f, psi: np.ndarray, step: float) -> np.ndarray:
+    """Central-difference gradient of a real function f of a state vector,
+    one real coordinate at a time: df/dRe psi_k + i df/dIm psi_k, so that a
+    move dpsi changes f by Re <gradient, dpsi>."""
+    grad = np.zeros(len(psi), dtype=complex)
+    for k in range(len(psi)):
+        for unit in (1.0, 1j):
+            e = np.zeros(len(psi), dtype=complex)
+            e[k] = unit * step
+            grad[k] += unit * (f(psi + e) - f(psi - e)) / (2.0 * step)
+    return grad
 
 
 def fd_qfi(params, block, n_measured: int, step: float) -> float:

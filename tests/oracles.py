@@ -214,12 +214,17 @@ def cfi(rho: np.ndarray, drho: np.ndarray, povm: Povm) -> float:
     return total
 
 
+def sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
+    """The symmetric logarithmic derivative L, solved from rho L + L rho =
+    2 drho as a Sylvester equation, without the eigenbasis of rho. rho must
+    have full rank."""
+    return solve_sylvester(rho, rho, 2.0 * drho)
+
+
 def sld_qfi(rho: np.ndarray, drho: np.ndarray) -> float:
-    """QFI tr(rho L^2), with the symmetric logarithmic derivative L solved
-    from rho L + L rho = 2 drho as a Sylvester equation, without the
-    eigenbasis of rho. rho must have full rank."""
-    sld = solve_sylvester(rho, rho, 2.0 * drho)
-    return float(np.trace(rho @ sld @ sld).real)
+    """QFI tr(rho L^2) with the Sylvester L of ``sld``."""
+    L = sld(rho, drho)
+    return float(np.trace(rho @ L @ L).real)
 
 
 def _psd_sqrt(a: np.ndarray) -> np.ndarray:

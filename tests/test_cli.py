@@ -319,8 +319,8 @@ def test_sweep_config_unknown_key(tmp_path, capsys):
     # configs that would fail at every grid point are rejected up front
     point = ["sweep", "--nbar-grid", "1.0", "--gamma-tau-grid", "0.5"]
     for flags, message in (
-            (["--block", "optimize-b2", "--interaction", "zz", "--n", "2"],
-             "exchange"),
+            (["--block", "optimize-b2", "--interaction", "zz", "--n", "3"],
+             "2 or 4"),
             (["--block", "plusx", "--n", "0"], "n_measured must be in 1..4"),
             (["--block", "plusx", "--n", "5"], "n_measured must be in 1..4"),
             (["--block", "gg", "--n", "3"], "not a multiple of block size 2"),

@@ -350,9 +350,9 @@ def test_fixed_point_pair_stack_mixes_degenerate_rows():
     maps.insert(2, identity)
     phi = np.array([m[0] for m in maps])
     dphi = np.array([m[1] for m in maps])
-    rho, drho = _fixed_point_pair(phi, dphi)
+    rho, drho, _ = _fixed_point_pair(phi, dphi)
     for i, (p, dp) in enumerate(maps):
-        rho_1, drho_1 = _fixed_point_pair(p[None], dp[None])
+        rho_1, drho_1, _ = _fixed_point_pair(p[None], dp[None])
         assert np.max(np.abs(rho[i] - rho_1[0])) < 1e-14
         assert np.max(np.abs(drho[i] - drho_1[0])) < 1e-12
     # the degenerate row keeps the minimum-norm fixed point I/2

@@ -9,13 +9,13 @@ from collide_qfi import qmat
 from collide_qfi.channels import Interaction, ModelParams
 from collide_qfi.collision import (AncillaBlock, outgoing_with_derivative,
                                    step_maps)
-from collide_qfi.fisher import (RankChangeError, fisher_for, qfi, qfi_values,
-                                thermal_fi_nbar)
+from collide_qfi.fisher import (RankChangeError, fisher_for, qfi,
+                                qfi_and_gradient, qfi_values, thermal_fi_nbar)
 from collide_qfi.zz_analytic import zz_fn
 from fd_oracle import (default_step, fd_qfi, joint_state_builder,
-                       state_derivative, state_pair)
+                       psi_gradient, state_derivative, state_pair)
 from oracles import (KET_PLUS_Y, Povm, bures_qfi, cfi, dnbar_dT, gibbs_state,
-                     sld_qfi)
+                     sld, sld_qfi)
 
 
 def test_thermal_fi_matches_binomial_oracle():
@@ -276,7 +276,7 @@ def test_qfi_values_match_sylvester_oracle(b_n, interaction, nbar, gamma_tau,
     params = ModelParams(nbar=nbar, gamma_tau_se=gamma_tau, g_tau_sa=g_tau,
                          interaction=interaction)
     psi = random_states(np.random.default_rng(seed), 1, 2 ** b)
-    rho, drho = outgoing_with_derivative(step_maps(params, psi), n)
+    rho, drho, _ = outgoing_with_derivative(step_maps(params, psi), n)
     ref = sld_qfi(rho[0], drho[0])
     assert abs(qfi_values(params, psi, n)[0] - ref) <= 1e-10 * ref
 
@@ -372,3 +372,102 @@ def test_qfi_values_validation():
         qfi_values(mixed, qmat.KET_G[None], 1)
     with pytest.raises(ValueError, match="empty parameter sequence"):
         qfi_values([], qmat.KET_G[None], 1)
+
+
+def tangent(psi, grad):
+    """The part of a gradient in psi that moves the state: the radial part,
+    which only rescales psi, is removed."""
+    return grad - np.vdot(psi, grad).real * psi
+
+
+def normalized_qfi(params, n):
+    """psi -> QFI of the state psi / |psi|."""
+    return lambda z: qfi_values(params, (z / np.linalg.norm(z))[None], n)[0]
+
+
+GRADIENT_CASES = [(b, n, interaction)
+                  for b, n in ((1, 1), (1, 2), (2, 2), (2, 4))
+                  for interaction in Interaction]
+
+
+def test_qfi_gradient_matches_finite_differences():
+    # the exact gradient of each row of a stack against central differences
+    # of the QFI of the normalized state in every real coordinate of psi
+    rng = np.random.default_rng(21)
+    for b, n, interaction in GRADIENT_CASES:
+        params = ModelParams(nbar=0.8, gamma_tau_se=0.4, g_tau_sa=1.1,
+                             interaction=interaction)
+        psi = random_states(rng, 3, 2 ** b)
+        values, g = qfi_and_gradient(params, psi, n)
+        np.testing.assert_array_equal(values, qfi_values(params, psi, n))
+        for row, gk in zip(psi, g):
+            assert np.max(np.abs(gk - gk.conj().T)) == 0.0
+            grad = tangent(row, 2.0 * gk @ row)
+            fd = psi_gradient(normalized_qfi(params, n), row, 1e-6)
+            assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(grad)), (
+                b, n, interaction)
+
+
+def test_qfi_gradient_matches_sylvester_sld():
+    # dF = 2 tr(L d(drho)) - tr(L^2 d(rho)) with L from the oracle's
+    # Sylvester solve and the moves of (rho, drho) taken by central
+    # differences of the forward chain, one real coordinate of psi at a time
+    rng = np.random.default_rng(22)
+    h = 1e-6
+    for b, n, interaction in GRADIENT_CASES:
+        params = ModelParams(nbar=1.7, gamma_tau_se=0.6, g_tau_sa=0.8,
+                             interaction=interaction)
+        psi = random_states(rng, 1, 2 ** b)[0]
+
+        def state(z):
+            z = z / np.linalg.norm(z)
+            return outgoing_with_derivative(step_maps(params, z[None]), n)[:2]
+
+        rho, drho = state(psi)
+        L = sld(rho[0], drho[0])
+        grad = tangent(psi, 2.0 * qfi_and_gradient(params, psi[None], n)[1][0]
+                       @ psi)
+        for k in range(2 ** b):
+            for unit in (1.0, 1j):
+                e = np.zeros(2 ** b, dtype=complex)
+                e[k] = unit * h
+                (rp, dp), (rm, dm) = state(psi + e), state(psi - e)
+                move = (2.0 * np.trace(L @ (dp - dm)[0])
+                        - np.trace(L @ L @ (rp - rm)[0])).real / (2.0 * h)
+                assert abs(np.vdot(grad, e / h).real - move) <= (
+                    1e-6 * np.max(np.abs(grad))), (b, n, interaction, k, unit)
+
+
+# Z (x) I + I (x) Z: the generator of a collective Z rotation of the block
+Z_COLL = np.diag([2.0, 0.0, 0.0, -2.0])
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(interaction=st.sampled_from(list(Interaction)),
+       n=st.sampled_from([2, 4]), nbar=st.floats(0.1, 10.0),
+       gamma_tau=st.floats(0.01, 3.0), g_tau=st.floats(0.3, 1.5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_qfi_gradient_is_blind_to_phase_and_collective_z(interaction, n, nbar,
+                                                         gamma_tau, g_tau,
+                                                         seed):
+    # the QFI does not change under a global phase or a collective Z
+    # rotation of the block, so its gradient has no part along either move
+    params = ModelParams(nbar=nbar, gamma_tau_se=gamma_tau, g_tau_sa=g_tau,
+                         interaction=interaction)
+    psi = random_states(np.random.default_rng(seed), 1, 4)[0]
+    grad = 2.0 * qfi_and_gradient(params, psi[None], n)[1][0] @ psi
+    for move in (1j * psi, 1j * Z_COLL @ psi):
+        assert abs(np.vdot(grad, move).real) <= 1e-12 * np.linalg.norm(grad)
+
+
+def test_qfi_gradient_raises_rank_change_as_qfi_values_does():
+    # exchange |g,g> without a bath occupation leaves a pure state whose
+    # derivative leaks into its kernel
+    params = ModelParams(nbar=0.0, gamma_tau_se=0.5,
+                         interaction=Interaction.EXCHANGE)
+    gg = np.kron(qmat.KET_G, qmat.KET_G)[None]
+    with pytest.raises(RankChangeError) as value_path:
+        qfi_values(params, gg, 2)
+    with pytest.raises(RankChangeError) as gradient_path:
+        qfi_and_gradient(params, gg, 2)
+    assert str(gradient_path.value) == str(value_path.value)

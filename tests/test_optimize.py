@@ -160,10 +160,26 @@ def test_optimize_b1_ties_are_relative():
 def test_optimize_b2_validation():
     params = ModelParams(nbar=1.0, gamma_tau_se=0.5, interaction=Interaction.ZZ)
     with pytest.raises(ValueError):
-        optimize_b2(params, 2)
+        optimize_b2(params, 3)
     pe = ModelParams(nbar=1.0, gamma_tau_se=0.5, interaction=Interaction.EXCHANGE)
     with pytest.raises(ValueError):
         optimize_b2(pe, 3)
+
+
+def test_optimize_b2_zz_optimum_is_the_plusx_pair():
+    # under zz the b=2 optimum is the product |+x>|+x>, whose QFI is the
+    # closed form zz_fn. At these four points and N=2 a central-difference
+    # gradient is radial at the Bell start and its first step lands on
+    # psi = 0; the exact gradient is tangent.
+    for nbar, gamma_tau in ((0.1, 0.05), (0.1, 1.0), (2.0, 0.05),
+                            (10.0, 0.05)):
+        params = ModelParams(nbar=nbar, gamma_tau_se=gamma_tau,
+                             interaction=Interaction.ZZ)
+        for n in (2, 4):
+            opt = optimize_b2(params, n)
+            closed = zz_fn(nbar, gamma_tau, n)
+            assert abs(opt.value_nbar - closed) <= 1e-12 * closed
+            assert opt.argmax.r >= 0.9999
 
 
 def test_optimize_b2_seed_and_start_count_are_integers_of_at_least_zero():
@@ -175,7 +191,7 @@ def test_optimize_b2_seed_and_start_count_are_integers_of_at_least_zero():
         with pytest.raises(ValueError,
                            match="n_random_starts must be an integer >= 0"):
             optimize_b2(params, 2, n_random_starts=starts)
-    assert optimize_b2(params, 2, seed=1).value_nbar == 0.27364302886117386
+    assert optimize_b2(params, 2, seed=1).value_nbar == 0.27364302886117375
 
 
 def test_optimize_b2_dominates_seeded_corners():
@@ -289,7 +305,7 @@ def test_optimize_b2_runs_one_minimize_per_start(monkeypatch):
                          interaction=Interaction.EXCHANGE)
     opt = optimize_b2(params, 2, n_random_starts=3)
     assert len(calls) == 8 + 3
-    assert opt.evaluations == 17 * sum(calls)
+    assert opt.evaluations == sum(calls)
     assert min(gains) >= 0.0
     assert min(gains[8:]) > 1e-3
 

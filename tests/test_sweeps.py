@@ -132,7 +132,7 @@ def test_interaction_may_be_given_by_name():
 
 
 def test_b2_domain_has_one_text_for_sweeps_and_the_optimizer():
-    for interaction, n in ((Interaction.ZZ, 2), (Interaction.EXCHANGE, 3)):
+    for interaction, n in ((Interaction.ZZ, 3), (Interaction.EXCHANGE, 3)):
         with pytest.raises(ValueError) as from_sweep:
             small_config(interaction=interaction, block="optimize-b2",
                          n_measured=n, quantities=("qfi",))
@@ -323,11 +323,11 @@ def test_run_sweep_optimized_rows_match_optimizer_calls():
 
 
 def test_run_sweep_records_error_status():
-    # b=2 optimization under the ZZ interaction fails at every point, so the
-    # config is rejected; a point that fails alone keeps its error class.
-    # Delta has no value without bath contact (gamma_tau = 0).
-    with pytest.raises(ValueError, match="exchange"):
-        small_config(block="optimize-b2", n_measured=2, quantities=("qfi",))
+    # b=2 optimization of N=3 ancillas fails at every point, so the config
+    # is rejected; a point that fails alone keeps its error class. Delta has
+    # no value without bath contact (gamma_tau = 0).
+    with pytest.raises(ValueError, match="2 or 4"):
+        small_config(block="optimize-b2", n_measured=3, quantities=("qfi",))
     config = small_config(gamma_tau_grid=(0.0, 0.5), n_measured=1,
                           quantities=("qfi", "delta_zz"))
     rows = run_sweep(config)
