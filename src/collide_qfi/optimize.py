@@ -17,8 +17,11 @@ import numpy as np
 
 from . import qmat
 from .channels import ModelParams
-from .collision import AncillaBlock, check_count
-from .fisher import fisher_for, qfi_and_gradient, qfi_values, thermal_fi_nbar
+from .collision import check_count, check_measured
+from .fisher import qfi_and_gradient, qfi_values, thermal_fi_nbar
+# Bound here as well for callers that look it up through this module, such
+# as the span wrappers of perfbench/spans.py.
+from .fisher import fisher_for  # noqa: F401
 
 TIE_TOL = 1e-9
 
@@ -125,11 +128,6 @@ def _schmidt_params(psi: np.ndarray) -> SchmidtParams:
                          theta_n=theta_n, phi_n=phi_n, alpha=alpha)
 
 
-def _qfi_of_theta(params: ModelParams, n_measured: int, theta: float) -> float:
-    block = AncillaBlock(b=1, psi=bloch_state(BlochAngles(theta)))
-    return fisher_for(params, block, n_measured).value_nbar
-
-
 def refine_grid_max(f, grid, values, xatol: float):
     """Refine the maximum of f found by a scan: ``values`` are f on the
     sorted ``grid``, and the bracket around their first argmax is searched
@@ -151,13 +149,16 @@ def refine_grid_max(f, grid, values, xatol: float):
 
 def optimize_b1(params: ModelParams, n_measured: int) -> Optimum:
     """Maximize QFI over the single-ancilla polar angle: a 181-point scan
-    over [0, pi], stacked into one evaluation, then refinement of the
-    bracket around its maximum to 1e-6 in theta."""
+    over [0, pi], stacked into one ``qfi_values`` call, then refinement of
+    the bracket around its maximum to 1e-6 in theta, one single-row call of
+    the same evaluator per step."""
+    def scan(thetas):
+        psi = np.array([bloch_state(BlochAngles(float(t))) for t in thetas])
+        return qfi_values(params, psi, n_measured)
+
     thetas = np.linspace(0.0, math.pi, 181)
-    psi = np.array([bloch_state(BlochAngles(float(t))) for t in thetas])
-    values = qfi_values(params, psi, n_measured)
-    theta, value, nfev = refine_grid_max(
-        lambda t: _qfi_of_theta(params, n_measured, t), thetas, values, 1e-6)
+    theta, value, nfev = refine_grid_max(lambda t: scan([t])[0], thetas,
+                                         scan(thetas), 1e-6)
     return Optimum(argmax=BlochAngles(theta=theta), value_nbar=value,
                    evaluations=len(thetas) + nfev)
 
@@ -170,12 +171,6 @@ _B2_SEEDS = (
     (np.kron(_G, _G) + np.kron(_E, _E)) / math.sqrt(2.0),
     np.kron(bloch_state(BlochAngles(math.pi / 4)), _G),
 )
-
-def check_b2(n_measured) -> None:
-    """The domain of the b=2 search: N = 2 or 4."""
-    if n_measured not in (2, 4):
-        raise ValueError("b=2 optimization needs n_measured 2 or 4, got "
-                         f"{n_measured}")
 
 
 def optimize_b2(params: ModelParams, n_measured: int, seed: int = 0,
@@ -192,7 +187,7 @@ def optimize_b2(params: ModelParams, n_measured: int, seed: int = 0,
     Schmidt weight r wins. It is reported in Schmidt form; ``evaluations``
     counts objective calls, each one value and its gradient.
     """
-    check_b2(n_measured)
+    check_measured(n_measured, 2)
     check_count(seed, "seed")
     check_count(n_random_starts, "n_random_starts")
     # Unscaled, the QFI at large nbar is ~1e-5 and the search meets its

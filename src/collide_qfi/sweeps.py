@@ -15,9 +15,8 @@ from .fisher import qfi_values, thermal_fi_nbar
 # Bound here as well for callers that look it up through this module, such
 # as the span wrappers of perfbench/spans.py.
 from .fisher import fisher_for  # noqa: F401
-from .optimize import (BlochAngles, SchmidtParams, bloch_state, check_b2,
-                       optimize_b1, optimize_b2, refine_grid_max,
-                       schmidt_state)
+from .optimize import (BlochAngles, SchmidtParams, bloch_state, optimize_b1,
+                       optimize_b2, refine_grid_max, schmidt_state)
 from .zz_analytic import zz_delta, zz_fn
 
 QUANTITIES = ("qfi", "ratio_thermal", "ratio_per_copy", "theta_opt",
@@ -85,11 +84,9 @@ class SweepConfig:
                 raise ValueError(f"unknown quantity {q!r}")
             if self.quantities.count(q) > 1:
                 raise ValueError(f"quantity {q!r} is repeated")
-        n = self.n_measured
-        # the optimizers' block sizes are checked below: b=2 takes 2 or 4
-        check_measured(n, 1 if isinstance(self.block, str) else self.block.b)
-        if self.block == "optimize-b2":
-            check_b2(n)
+        b = (self.block.b if isinstance(self.block, AncillaBlock)
+             else 2 if self.block == "optimize-b2" else 1)
+        check_measured(self.n_measured, b)
         for q, spec in (("theta_opt", "optimize-b1"), ("schmidt_r", "optimize-b2")):
             if q in self.quantities and self.block != spec:
                 raise ValueError(f"{q} is defined for the {spec} block only")

@@ -320,12 +320,12 @@ def test_sweep_config_unknown_key(tmp_path, capsys):
     point = ["sweep", "--nbar-grid", "1.0", "--gamma-tau-grid", "0.5"]
     for flags, message in (
             (["--block", "optimize-b2", "--interaction", "zz", "--n", "3"],
-             "2 or 4"),
+             "n_measured=3 is not a multiple of block size 2"),
             (["--block", "plusx", "--n", "0"], "n_measured must be in 1..4"),
             (["--block", "plusx", "--n", "5"], "n_measured must be in 1..4"),
             (["--block", "gg", "--n", "3"], "not a multiple of block size 2"),
             (["--block", "optimize-b2", "--interaction", "exchange",
-              "--n", "3"], "2 or 4"),
+              "--n", "3"], "n_measured=3 is not a multiple of block size 2"),
             (["--block", "plusx", "--quantities", "qfi,theta_opt"],
              "theta_opt")):
         assert cli.main(point + flags) == 2

@@ -357,6 +357,41 @@ def test_scipy_optimize_is_imported_by_the_first_optimizer_call():
                     ["sweep", 0, False], ["optimize", 0, True]]
 
 
+def test_optimize_b2_rejects_a_float_count_before_any_search(monkeypatch):
+    # the count rule comes first: no minimize run starts, and in a fresh
+    # interpreter scipy.optimize stays unloaded
+    calls = []
+    real = optimize.minimize
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "minimize", counted)
+    params = ModelParams(nbar=1.0, gamma_tau_se=0.3,
+                         interaction=Interaction.EXCHANGE)
+    for bad in (2.0, np.float64(4.0)):
+        with pytest.raises(ValueError, match="n_measured must be an integer"):
+            optimize_b2(params, bad)
+    assert len(calls) == 0
+    seen = run_fresh("""
+        import json, sys
+        import numpy as np
+        from collide_qfi import ModelParams, optimize_b2
+        p = ModelParams(nbar=1.0, gamma_tau_se=0.3, interaction="exchange")
+        seen = []
+        for bad in (2.0, np.float64(4.0)):
+            try:
+                optimize_b2(p, bad)
+            except ValueError as exc:
+                seen.append(str(exc))
+        print(json.dumps([seen, "scipy.optimize" in sys.modules]))
+        """)
+    texts, loaded = seen
+    assert len(texts) == 2 and not loaded
+    assert all(t.startswith("n_measured must be an integer") for t in texts)
+
+
 def test_optimizers_do_not_depend_on_when_scipy_is_imported():
     code = """
         import json, sys

@@ -14,7 +14,9 @@ comprehension binds for itself: a parameter, local variable or class field
 of the same name is no caller. A public field of a top-level dataclass must
 be read as an attribute somewhere in the package; a read inside its own
 class's ``__post_init__``, which only validates it, does not count. Code,
-constants and fields that only tests use belong under ``tests/``.
+constants and fields that only tests use belong under ``tests/``. A
+module-level import that its module does not use is there only for the span
+wrappers, so it must be a span target of that module.
 """
 
 import ast
@@ -203,3 +205,29 @@ def test_every_dataclass_field_has_a_reader():
               and not any(attr == field.target.id and owner != node.name
                           for owner, attr in reads)]
     assert not unread, f"dataclass fields with no reader in src/: {unread}"
+
+
+def unused_imports(tree):
+    """Names that a module's top-level imports bind and that the module never
+    loads. ``from __future__`` imports bind nothing."""
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    loaded = {n.id for n in ast.walk(tree)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return imported - loaded
+
+
+def test_every_unused_import_is_a_span_target():
+    # an import a module does not use only rebinds a name for the span
+    # wrappers; once perfbench/spans.py drops that target, the import goes.
+    # __init__.py's imports are the package's exports.
+    trees = package_trees()
+    targets = {(mod, attr) for mod, attr, _ in load_perfbench("spans").TARGETS}
+    stray = sorted(f"{name[:-3]}.{attr}" for name, tree in trees.items()
+                   if name != "__init__.py"
+                   for attr in unused_imports(tree)
+                   if (name[:-3], attr) not in targets)
+    assert not stray, f"imports with no use and no span target: {stray}"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -132,7 +133,13 @@ def test_interaction_may_be_given_by_name():
 
 
 def test_b2_domain_has_one_text_for_sweeps_and_the_optimizer():
-    for interaction, n in ((Interaction.ZZ, 3), (Interaction.EXCHANGE, 3)):
+    # both take the chain's count rule at block size 2
+    texts = {1: "n_measured=1 is not a multiple of block size 2",
+             3: "n_measured=3 is not a multiple of block size 2",
+             5: "n_measured must be in 1..4, got 5",
+             2.0: "n_measured must be an integer, got 2.0"}
+    for interaction, n in itertools.product(
+            (Interaction.ZZ, Interaction.EXCHANGE), texts):
         with pytest.raises(ValueError) as from_sweep:
             small_config(interaction=interaction, block="optimize-b2",
                          n_measured=n, quantities=("qfi",))
@@ -140,7 +147,7 @@ def test_b2_domain_has_one_text_for_sweeps_and_the_optimizer():
                              interaction=interaction)
         with pytest.raises(ValueError) as from_optimizer:
             optimize_b2(params, n)
-        assert str(from_sweep.value) == str(from_optimizer.value)
+        assert str(from_sweep.value) == str(from_optimizer.value) == texts[n]
 
 
 def test_ancilla_count_must_be_an_integer():
@@ -326,7 +333,8 @@ def test_run_sweep_records_error_status():
     # b=2 optimization of N=3 ancillas fails at every point, so the config
     # is rejected; a point that fails alone keeps its error class. Delta has
     # no value without bath contact (gamma_tau = 0).
-    with pytest.raises(ValueError, match="2 or 4"):
+    with pytest.raises(ValueError,
+                       match="n_measured=3 is not a multiple of block size 2"):
         small_config(block="optimize-b2", n_measured=3, quantities=("qfi",))
     config = small_config(gamma_tau_grid=(0.0, 0.5), n_measured=1,
                           quantities=("qfi", "delta_zz"))
