@@ -181,11 +181,12 @@ def step_maps(params, psi: np.ndarray) -> np.ndarray:
             f"block size must be 1 or 2: psi stack shape {psi.shape}")
     if isinstance(params, ModelParams):
         # Real products, not one complex one: numpy's OpenBLAS runs a complex
-        # product against the tensor multithreaded, even for the optimizer's
-        # one-row stack, scipy's L-BFGS-B wakes scipy's own OpenBLAS pool
-        # between two such calls, and when the two pools want more workers
-        # than there are cores they stall each other for a scheduler slice
-        # per call. These real products do not.
+        # product against the tensor multithreaded, even for a one-row stack,
+        # and when a second OpenBLAS pool in the process (scipy's, which the
+        # b=1 refinement loads) wakes between two such calls and the pools
+        # want more workers than there are cores, they stall each other for
+        # a scheduler slice per call. The b=2 search loads no scipy; the
+        # real products stay, as their results are bit-identical.
         b = psi.shape[1].bit_length() - 1
         tensor = _step_map_tensor(params, b).view(float)
         p = _projectors(psi).reshape(len(psi), -1)

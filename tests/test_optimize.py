@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from collide_qfi import optimize, qmat
 from collide_qfi.channels import Interaction, ModelParams
 from collide_qfi.collision import AncillaBlock
-from collide_qfi.fisher import fisher_for, qfi_values
+from collide_qfi.fisher import (RankChangeError, fisher_for, qfi_values,
+                                thermal_fi_nbar)
 from collide_qfi.optimize import (BlochAngles, SchmidtParams, bloch_state,
                                   optimize_b1, optimize_b2, schmidt_state)
 from collide_qfi.zz_analytic import zz_fn
@@ -191,7 +192,7 @@ def test_optimize_b2_seed_and_start_count_are_integers_of_at_least_zero():
         with pytest.raises(ValueError,
                            match="n_random_starts must be an integer >= 0"):
             optimize_b2(params, 2, n_random_starts=starts)
-    assert optimize_b2(params, 2, seed=1).value_nbar == 0.27364302886117375
+    assert optimize_b2(params, 2, seed=1).value_nbar == 0.2736430288611733
 
 
 def test_optimize_b2_dominates_seeded_corners():
@@ -217,11 +218,12 @@ def test_optimize_b2_dominates_seeded_corners():
 def test_optimize_b2_deterministic_for_fixed_seed():
     params = ModelParams(nbar=1.0, gamma_tau_se=0.5,
                          interaction=Interaction.EXCHANGE)
-    a = optimize_b2(params, 2, seed=3, n_random_starts=2)
-    b = optimize_b2(params, 2, seed=3, n_random_starts=2)
-    assert a.value_nbar == b.value_nbar
-    assert a.argmax == b.argmax
-    assert a == b
+    for n, starts in ((2, 2), (4, 8)):
+        a = optimize_b2(params, n, seed=3, n_random_starts=starts)
+        b = optimize_b2(params, n, seed=3, n_random_starts=starts)
+        assert a.value_nbar == b.value_nbar
+        assert a.argmax == b.argmax
+        assert a == b
 
 
 def test_optimize_b2_dominates_dense_scan():
@@ -289,25 +291,109 @@ def test_schmidt_params_round_trip():
     assert np.all(np.abs(after - before) <= 1e-12 * before)
 
 
-def test_optimize_b2_runs_one_minimize_per_start(monkeypatch):
-    # each start is one minimize run; from a random start it climbs
-    calls, gains = [], []
-    real = optimize.minimize
+def spy_on_evaluations(monkeypatch):
+    """Record the values of each ``qfi_and_gradient`` call the optimizer
+    makes, one array per call."""
+    calls = []
+    real = optimize.qfi_and_gradient
 
-    def counted(fun, x0, **kwargs):
-        res = real(fun, x0, **kwargs)
-        calls.append(res.nfev)
-        gains.append(fun(x0)[0] - res.fun)
-        return res
+    def counted(params, psi, n_measured):
+        values, grad = real(params, psi, n_measured)
+        calls.append(values)
+        return values, grad
 
-    monkeypatch.setattr(optimize, "minimize", counted)
+    monkeypatch.setattr(optimize, "qfi_and_gradient", counted)
+    return calls
+
+
+def test_optimize_b2_every_start_climbs(monkeypatch):
+    # the first stacked call holds every start, one row each; each start
+    # ends at or above its start value, and from a random start it climbs
+    calls = spy_on_evaluations(monkeypatch)
+    finals = []
+    real = optimize._ascend
+
+    def recorded(*args):
+        out = real(*args)
+        finals.append(out[1])
+        return out
+
+    monkeypatch.setattr(optimize, "_ascend", recorded)
     params = ModelParams(nbar=1.0, gamma_tau_se=0.5,
                          interaction=Interaction.EXCHANGE)
     opt = optimize_b2(params, 2, n_random_starts=3)
-    assert len(calls) == 8 + 3
-    assert opt.evaluations == sum(calls)
+    assert len(calls[0]) == 8 + 3
+    assert max(len(c) for c in calls) == 8 + 3
+    assert opt.evaluations == sum(len(c) for c in calls)
+    gains = (finals[0] - calls[0]) / (2 * thermal_fi_nbar(params.nbar))
     assert min(gains) >= 0.0
     assert min(gains[8:]) > 1e-3
+
+
+def test_optimize_b2_stacking_does_not_change_the_answer(monkeypatch):
+    # the same ascent run one start at a time, through the same tie rule,
+    # finds the same optimum
+    cases = [(ModelParams(nbar=nbar, gamma_tau_se=gamma_tau,
+                          interaction=interaction), n, seed)
+             for nbar, gamma_tau, interaction, n, seed in (
+                 (1.0, 0.5, Interaction.EXCHANGE, 2, 0),
+                 (10.0, 0.3, Interaction.EXCHANGE, 2, 7),
+                 (0.5, 1.0, Interaction.EXCHANGE, 4, 1),
+                 (0.1, 0.3, Interaction.ZZ, 2, 2))]
+    stacked = [optimize_b2(p, n, seed=seed, n_random_starts=4)
+               for p, n, seed in cases]
+    real = optimize._ascend
+
+    def one_at_a_time(params, n_measured, psi0):
+        runs = [real(params, n_measured, psi0[j:j + 1])
+                for j in range(len(psi0))]
+        return (np.concatenate([r[0] for r in runs]),
+                np.concatenate([r[1] for r in runs]), sum(r[2] for r in runs))
+
+    monkeypatch.setattr(optimize, "_ascend", one_at_a_time)
+    for (p, n, seed), opt in zip(cases, stacked):
+        single = optimize_b2(p, n, seed=seed, n_random_starts=4)
+        assert abs(single.value_nbar - opt.value_nbar) <= 1e-12 * opt.value_nbar
+        assert abs(single.argmax.r - opt.argmax.r) <= 1e-6
+
+
+def test_ascend_keeps_the_last_finite_point_and_passes_errors_on(monkeypatch):
+    # from the fourth call on every value is NaN: each row stops at its
+    # last finite point, the state and value of its last accepted step;
+    # a RankChangeError from any call propagates out of optimize_b2
+    params = ModelParams(nbar=1.0, gamma_tau_se=0.5,
+                         interaction=Interaction.EXCHANGE)
+    starts = optimize._b2_starts(0, 2)
+    calls = []
+    real = optimize.qfi_and_gradient
+
+    def poisoned(p, psi, n_measured):
+        values, grad = real(p, psi, n_measured)
+        calls.append(values.copy())
+        if len(calls) > 3:
+            values[:] = math.nan
+        return values, grad
+
+    monkeypatch.setattr(optimize, "qfi_and_gradient", poisoned)
+    psi, values, evaluations = optimize._ascend(params, 2, starts)
+    assert len(calls) == 4
+    assert evaluations == sum(len(c) for c in calls)
+    assert set(values) <= set(np.concatenate(calls[:3]))
+    assert np.all(values >= calls[0])
+    assert np.all(np.abs(real(params, psi, 2)[0] - values) <= 1e-12 * values)
+
+    rounds = []
+
+    def failing(p, psi, n_measured):
+        rounds.append(len(psi))
+        if len(rounds) == 2:
+            raise RankChangeError(1e-3)
+        return real(p, psi, n_measured)
+
+    monkeypatch.setattr(optimize, "qfi_and_gradient", failing)
+    with pytest.raises(RankChangeError):
+        optimize_b2(params, 2)
+    assert len(rounds) == 2
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -325,14 +411,16 @@ def run_fresh(code: str, *args):
 
 
 def test_scipy_optimize_is_imported_by_the_first_optimizer_call():
-    # importing the package and the commands that optimize nothing leave
-    # scipy.optimize unloaded; the optimize command loads it
+    # importing the package, the commands that optimize nothing and the b=2
+    # search leave scipy.optimize unloaded; the b=1 refinement loads it
     commands = [
         ["fisher", "--nbar", "1", "--gamma-tau", "0.5", "--interaction", "zz",
          "--block", "plusx", "--n", "2"],
         ["zz-closed", "--nbar", "1", "--gamma-tau", "0.5", "--n", "2"],
         ["sweep", "--block", "plusx", "--n", "2", "--nbar-grid", "0.5,1",
          "--gamma-tau-grid", "0.1,1"],
+        ["optimize", "--nbar", "1", "--gamma-tau", "0.5", "--b", "2",
+         "--n", "2"],
         ["optimize", "--nbar", "1", "--gamma-tau", "0.5", "--b", "1",
          "--n", "1"],
     ]
@@ -354,20 +442,14 @@ def test_scipy_optimize_is_imported_by_the_first_optimizer_call():
     assert seen == [["import collide_qfi", 0, False],
                     ["import collide_qfi.cli", 0, False],
                     ["fisher", 0, False], ["zz-closed", 0, False],
-                    ["sweep", 0, False], ["optimize", 0, True]]
+                    ["sweep", 0, False], ["optimize", 0, False],
+                    ["optimize", 0, True]]
 
 
 def test_optimize_b2_rejects_a_float_count_before_any_search(monkeypatch):
-    # the count rule comes first: no minimize run starts, and in a fresh
+    # the count rule comes first: no state is evaluated, and in a fresh
     # interpreter scipy.optimize stays unloaded
-    calls = []
-    real = optimize.minimize
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(optimize, "minimize", counted)
+    calls = spy_on_evaluations(monkeypatch)
     params = ModelParams(nbar=1.0, gamma_tau_se=0.3,
                          interaction=Interaction.EXCHANGE)
     for bad in (2.0, np.float64(4.0)):
