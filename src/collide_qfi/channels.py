@@ -147,10 +147,10 @@ def exchange_unitary(g_tau: float) -> np.ndarray:
     return u
 
 
-def collision_unitary(params: ModelParams) -> np.ndarray:
-    if params.interaction is Interaction.ZZ:
-        return zz_unitary(params.g_tau_sa)
-    return exchange_unitary(params.g_tau_sa)
+def collision_unitary(interaction: Interaction, g_tau: float) -> np.ndarray:
+    if interaction is Interaction.ZZ:
+        return zz_unitary(g_tau)
+    return exchange_unitary(g_tau)
 
 
 def embed_op(op: np.ndarray, targets, dims) -> np.ndarray:

@@ -10,11 +10,14 @@ The outgoing stream is a finitely correlated state with the system as its
 memory, so one step map per block carries everything the chain needs:
 E: rho_S -> C_b...C_1(rho_S (x) Psi), with C_i the collision with ancilla i
 followed by the thermal map on S. A stack of step maps and their nbar
-derivatives is an (R, 2, 4*4^b, 4) array: ``maps[r, 0]`` is E and
-``maps[r, 1]`` is dE/dnbar for stack row r. Rows index the output as (iS, jS,
-block row, block column), the block operator flattened row-major; columns
-index the system input (iS, jS). The block map Phi on the system is the
-block trace of E.
+derivatives is an (R, 2, rows, 4) array: ``maps[r, 0]`` holds the maps and
+``maps[r, 1]`` their derivatives for stack row r. Columns index the system
+input (iS, jS). The rows are [Phi; L; E]: the block map Phi = tr_A E on the
+system (4 rows, (iS, jS)), which the fixed point reads; the last block L =
+tr_S E (4^b rows, the block operator flattened row-major); and E itself (4*4^b
+rows: (iS, jS), then the (row, column) legs of each ancilla of the block,
+latest first), present only when the chain has more than one block, as only
+the blocks before the last read it.
 """
 
 from __future__ import annotations
@@ -80,6 +83,16 @@ class AncillaBlock:
         object.__setattr__(self, "psi", psi)
 
 
+@lru_cache(maxsize=128)
+def _unitary_superop(interaction, g_tau_sa: float) -> np.ndarray:
+    """Read-only (4, 64) matrix of kron(u, u*) for the collision unitary u,
+    with system legs first: rows (s, t), columns (a, c, S, T, A, C)."""
+    u = collision_unitary(interaction, g_tau_sa).reshape(2, 2, 2, 2)
+    w = np.einsum('saSA,tcTC->stacSTAC', u, u.conj()).reshape(4, 64)
+    w.flags.writeable = False
+    return w
+
+
 def _collision_pairs(params) -> np.ndarray:
     """Pairs (C, dC/dnbar) of one collision on (S, A), the collision unitary
     then the thermal map on S, for a sequence of model parameters that share
@@ -90,49 +103,91 @@ def _collision_pairs(params) -> np.ndarray:
     if any(p.g_tau_sa != first.g_tau_sa or p.interaction is not first.interaction
            for p in params):
         raise ValueError("stacked parameters must share g_tau_sa and interaction")
-    u = collision_unitary(first).reshape(2, 2, 2, 2)
-    # kron(u, u*) with system legs first: rows (s, t, a, c), columns (S, T, A, C)
-    w = np.einsum('saSA,tcTC->stacSTAC', u, u.conj()).reshape(4, 64)
+    w = _unitary_superop(first.interaction, first.g_tau_sa)
     t, dt = thermal_superop(np.array([p.nbar for p in params]),
                             np.array([p.gamma_tau_se for p in params]))
     return (np.stack([t, dt], axis=1).reshape(-1, 4) @ w).reshape(-1, 2, 16, 16)
 
 
-def _step_maps(pairs: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Step maps (E, dE/dnbar) of one block from one-collision pairs ``pairs``
-    (P, 2, 16, 16) and block input operators ``ops`` (Q, 2^b, 2^b), with P
-    or Q equal to 1: an (max(P, Q), 2, 4*4^b, 4) stack.
+def _layout(rows: int):
+    """(2^b, whether E is present) of a step-map stack with ``rows`` rows:
+    [Phi; L] has 4 + 4^b rows and [Phi; L; E] 4 + 5*4^b, and 4^b is never a
+    multiple of 5."""
+    with_e = (rows - 4) % 5 == 0
+    return math.isqrt((rows - 4) // 5 if with_e else rows - 4), with_e
+
+
+def _step_maps(pairs: np.ndarray, ops: np.ndarray, with_e: bool) -> np.ndarray:
+    """Step maps of one block from one-collision pairs ``pairs`` (P, 2, 16,
+    16) and block input operators ``ops`` (Q, 2^b, 2^b), with P or Q equal
+    to 1: an (max(P, Q), 2, rows, 4) stack [Phi; L; E], with the E rows only
+    when ``with_e``.
 
     The first ancilla's collision contracts its input legs with Psi. The
     second collides on (S, A_2) with A_1 and the system input as spectators;
-    its derivative is C dY + dC Y, so dC dY is never formed.
+    its derivative is C dY + dC Y, so dC dY is never formed. Its product
+    leaves the ancilla legs latest first, the order of the E rows. Phi and
+    L are read off E; without the E rows, E is a temporary.
     """
-    big_b = ops.shape[1]
-    m = big_b // 2  # dimension of the ancillas after the first
+    b = ops.shape[1].bit_length() - 1
+    m = 2 ** (b - 1)  # dimension of the ancillas after the first
+    d2 = 4 ** b
     # rows (a1, c1), columns (a2, c2) of each input operator
     psi = ops.reshape(-1, 2, m, 2, m).transpose(0, 1, 3, 2, 4).reshape(-1, 4, m * m)
-    # y[r, k, s, t, a1, c1, S, T, (a2, c2)]
-    y = pairs.reshape(-1, 128, 4) @ psi
-    if m == 1:
-        return y.reshape(-1, 2, 16, 4)
-    r = len(y)
-    # rows (s, t, a2, c2) on which the second collision acts
-    y = y.reshape(r, 2, 2, 2, 2, 2, 2, 2, 2, 2).transpose(
-        0, 1, 2, 3, 8, 9, 4, 5, 6, 7).reshape(r, 2, 16, 16)
-    z = pairs.reshape(-1, 32, 16) @ y[:, 0]
-    z[:, 16:] += pairs[:, 0] @ y[:, 1]
-    # z[r, k, s, t, a2, c2, a1, c1, (S, T)] -> rows (s, t, a1, a2, c1, c2)
-    z = z.reshape(r, 2, 2, 2, 2, 2, 2, 2, 4).transpose(0, 1, 2, 3, 6, 4, 7, 5, 8)
-    return z.reshape(r, 2, 64, 4)
+    r = max(len(pairs), len(psi))
+    rows = 4 + d2 * (5 if with_e else 1)
+    if b == 1:
+        out = np.empty((r, 2, rows, 4), dtype=complex)
+        e = out[:, :, 8:] if with_e else np.empty((r, 2, 16, 4), dtype=complex)
+        # E[r, k, (s, t, a, c), (S, T)]
+        np.matmul(pairs.reshape(-1, 2, 64, 4), psi[:, None],
+                  out=e.reshape(r, 2, 64, 1))
+    else:
+        # yt[r, k, (s, t, a2, c2), (a1, c1, S, T)]: the rows on which the
+        # second collision acts. It is allocated before y, so y's buffer is
+        # the heap top when freed and the stack takes its place, and E is
+        # formed in the stack: the call's heap peaks lower, and glibc trims
+        # less of it for the next call to fault back in.
+        yt = np.empty((r, 2, 16, 16), dtype=complex)
+        # y[r, k, s, t, a1, c1, S, T, (a2, c2)]
+        y = pairs.reshape(-1, 128, 4) @ psi
+        yt.reshape(r, 2, 2, 2, 2, 2, 2, 2, 2, 2)[...] = y.reshape(
+            r, 2, 2, 2, 2, 2, 2, 2, 2, 2).transpose(0, 1, 2, 3, 8, 9, 4, 5, 6, 7)
+        del y
+        out = np.empty((r, 2, rows, 4), dtype=complex)
+        e = (out[:, :, 4 + d2:] if with_e
+             else np.empty((r, 2, 64, 4), dtype=complex))
+        # E[r, k, (s, t, a2, c2), (a1, c1, S, T)] = [C; dC] Y_0 + [0; C Y_1]
+        np.matmul(pairs.reshape(-1, 2, 16, 16), yt[:, None, 0],
+                  out=e.reshape(r, 2, 16, 16))
+        np.matmul(pairs[:, 0], yt[:, 1], out=yt[:, 0])
+        e[:, 1] += yt[:, 0].reshape(r, 64, 4)
+    # e_legs[r, k, s, t, a_b, c_b, ..., a_1, c_1, (S, T)]. Phi sums the
+    # block diagonal, a_i = c_i, in row-major order of (a_1..a_b), and L
+    # adds the system diagonal, its rows (a_1..a_b, c_1..c_b).
+    e_legs = e.reshape(r, 2, 2, 2, *[2] * (2 * b), 4)
+    terms = [e_legs[(..., *[i for k in reversed(a) for i in (k, k)], slice(None))]
+             for a in np.ndindex(*[2] * b)]
+    phi = out[:, :, :4].reshape(r, 2, 2, 2, 4)
+    np.add(terms[0], terms[1], out=phi)
+    for term in terms[2:]:
+        phi += term
+    last = out[:, :, 4:4 + d2].reshape(r, 2, *[2] * (2 * b), 4)
+    # L's legs taken latest first, as E has them
+    latest_first = [2 + i for k in reversed(range(b)) for i in (k, b + k)]
+    np.add(e_legs[:, :, 0, 0], e_legs[:, :, 1, 1],
+           out=last.transpose(0, 1, *latest_first, 2 + 2 * b))
+    return out
 
 
 @lru_cache(maxsize=128)
-def _step_map_tensor(params: ModelParams, b: int) -> np.ndarray:
-    """Read-only (4^b, 32*4^b) matrix that maps a vectorized block input
+def _step_map_tensor(params: ModelParams, b: int, with_e: bool) -> np.ndarray:
+    """Read-only (4^b, 2*rows*4) matrix that maps a vectorized block input
     state to its flattened step maps: the step-map builder run on the
     operator basis of the block, one basis element per row."""
     basis = np.eye(4 ** b).reshape(-1, 2 ** b, 2 ** b)
-    tensor = _step_maps(_collision_pairs([params]), basis).reshape(4 ** b, -1)
+    tensor = _step_maps(_collision_pairs([params]), basis,
+                        with_e).reshape(4 ** b, -1)
     tensor.flags.writeable = False
     return tensor
 
@@ -145,15 +200,19 @@ def block_collision_superop(params: ModelParams, b: int) -> np.ndarray:
 
     The block applies, per ancilla in arrival order, the collision unitary on
     (S, A_i) followed by the thermal map on S. S on rho_S (x) |a><c| is the
-    step map of the block input |a><c|, so S is the step-map tensor
-    rearranged. Nothing computes with S; it is the reference layout against
-    which tests check the step maps.
+    step map of the block input |a><c|, so S is the E rows of the step-map
+    tensor rearranged. Nothing computes with S; it is the reference layout
+    against which tests check the step maps.
     """
     big_b = 2 ** b
-    e = _step_map_tensor(params, b).reshape(
-        big_b, big_b, 2, 2, 2, big_b, big_b, 2, 2)
-    # e[a, c, k, s, t, A, C, S, T] -> pair[k, (s, A, t, C), (S, a, T, c)]
-    pair = e.transpose(2, 3, 5, 4, 6, 7, 0, 8, 1).reshape(
+    e = _step_map_tensor(params, b, True).reshape(
+        big_b * big_b, 2, -1, 4)[:, :, 4 + big_b * big_b:].reshape(
+        big_b, big_b, 2, 2, 2, *[2] * (2 * b), 2, 2)
+    # e[a, c, k, s, t, (A_b, C_b, ..., A_1, C_1), S, T]
+    #   -> pair[k, (s, A_1..A_b, t, C_1..C_b), (S, a, T, c)]
+    rows = [5 + 2 * (b - 1 - k) for k in range(b)]  # the axes of A_1..A_b
+    pair = e.transpose(2, 3, *rows, 4, *[i + 1 for i in rows],
+                       5 + 2 * b, 0, 6 + 2 * b, 1).reshape(
         2, 4 * big_b * big_b, 4 * big_b * big_b)
     pair.flags.writeable = False
     return pair
@@ -164,12 +223,14 @@ def _projectors(psi: np.ndarray) -> np.ndarray:
     return psi[:, :, None] * psi.conj()[:, None, :]
 
 
-def step_maps(params, psi: np.ndarray) -> np.ndarray:
+def step_maps(params, psi: np.ndarray, n_measured: int) -> np.ndarray:
     """Step maps of one block for a stacked evaluation: either one
     ``ModelParams`` and each row of a (Q, 2^b) stack of block states, or each
     point of a sequence of model parameters that share g_tau_sa and the
     interaction, such as one row of a sweep grid, and a one-state stack.
-    Returns an (R, 2, 4*4^b, 4) stack; b is read from the width of ``psi``.
+    Returns an (R, 2, rows, 4) stack [Phi; L; E] for a chain of
+    ``n_measured`` ancillas; b is read from the width of ``psi``, and the E
+    rows are formed only when the chain has more than one block.
 
     One parameter point takes two real matmuls against its cached step-map
     tensor. A sequence is built per ancilla from the stacked one-collision
@@ -179,6 +240,9 @@ def step_maps(params, psi: np.ndarray) -> np.ndarray:
     if psi.ndim != 2 or psi.shape[1] not in (2, 4):
         raise ValueError(
             f"block size must be 1 or 2: psi stack shape {psi.shape}")
+    b = psi.shape[1].bit_length() - 1
+    check_measured(n_measured, b)
+    with_e = n_measured > b
     if isinstance(params, ModelParams):
         # Real products, not one complex one: numpy's OpenBLAS runs a complex
         # product against the tensor multithreaded, even for a one-row stack,
@@ -187,8 +251,7 @@ def step_maps(params, psi: np.ndarray) -> np.ndarray:
         # want more workers than there are cores, they stall each other for
         # a scheduler slice per call. The b=2 search loads no scipy; the
         # real products stay, as their results are bit-identical.
-        b = psi.shape[1].bit_length() - 1
-        tensor = _step_map_tensor(params, b).view(float)
+        tensor = _step_map_tensor(params, b, with_e).view(float)
         p = _projectors(psi).reshape(len(psi), -1)
         maps = (p.real @ tensor).view(complex) + 1j * (p.imag @ tensor).view(complex)
         return maps.reshape(len(psi), 2, -1, 4)
@@ -198,22 +261,23 @@ def step_maps(params, psi: np.ndarray) -> np.ndarray:
     if len(params) > 1 and len(psi) > 1:
         raise ValueError(f"a sequence of {len(params)} parameter points takes "
                          f"one block state, got {len(psi)}")
-    return _step_maps(_collision_pairs(params), _projectors(psi))
+    return _step_maps(_collision_pairs(params), _projectors(psi), with_e)
 
 
 def step_maps_pullback(params: ModelParams,
                        maps_bar: np.ndarray) -> np.ndarray:
     """Reverse of ``step_maps`` for one ``ModelParams``: a cotangent of the
-    (R, 2, 4*4^b, 4) step-map stack pulled back to the block states, as
-    the Hermitian (R, 2^b, 2^b) stack G with which a variation of psi moves
-    the function by 2 Re <G psi, dpsi>.
+    (R, 2, rows, 4) step-map stack pulled back to the block states, as the
+    Hermitian (R, 2^b, 2^b) stack G with which a variation of psi moves the
+    function by 2 Re <G psi, dpsi>.
 
     The maps are linear in P = |psi><psi|, maps = P T, so P_bar = maps_bar
-    T^dag against the cached tensor, and G is its Hermitian part.
+    T^dag against the cached tensor of the same rows, and G is its
+    Hermitian part.
     """
-    r = len(maps_bar)
-    big_b = math.isqrt(maps_bar.shape[2] // 4)
-    tensor = _step_map_tensor(params, big_b.bit_length() - 1).view(float)
+    r, _, rows, _ = maps_bar.shape
+    big_b, with_e = _layout(rows)
+    tensor = _step_map_tensor(params, big_b.bit_length() - 1, with_e).view(float)
     m = maps_bar.reshape(r, -1)
     # Real products, not one complex one, for the reason given in step_maps:
     # the real and imaginary parts of maps_bar T^dag are [Re m, Im m] and
@@ -223,16 +287,9 @@ def step_maps_pullback(params: ModelParams,
     return (g + g.conj().transpose(0, 2, 1)) / 2.0
 
 
-def _block_trace(maps: np.ndarray) -> np.ndarray:
-    """Block trace of a step-map stack: Phi and dPhi/dnbar, (R, 2, 4, 4)."""
-    r, _, rows, _ = maps.shape
-    big_b = math.isqrt(rows // 4)
-    return maps.reshape(r, 2, 4, big_b * big_b, 4)[:, :, :, ::big_b + 1].sum(axis=3)
-
-
 def block_map_superop(params: ModelParams, block: AncillaBlock) -> np.ndarray:
     """4x4 superoperator of Phi: rho_S -> tr_A{C[rho_S (x) Psi]}."""
-    return _block_trace(step_maps(params, block.psi[None]))[0, 0]
+    return step_maps(params, block.psi[None], block.b)[0, 0, :4]
 
 
 _I4 = np.eye(4)
@@ -328,45 +385,54 @@ def steady_state(superop: np.ndarray) -> np.ndarray:
 def outgoing_with_derivative(maps: np.ndarray, n_measured: int):
     """Joint state of N consecutive outgoing ancillas at steady-state
     operation and its exact derivative in nbar, for each row of a step-map
-    stack ``maps``; returns (rho, drho, tape), rho and drho each (R, 2^N,
-    2^N), and the tape the arrays of the pass that ``outgoing_pullback``
-    reads.
+    stack ``maps`` built for N; returns (rho, drho, tape), rho and drho each
+    (R, 2^N, 2^N), and the tape the arrays of the pass that
+    ``outgoing_pullback`` reads.
 
-    The block trace of the maps gives the fixed point and its tangent
-    (rho_S*, drho_S*). Each block then takes matmuls over the system legs
-    only: [E; dE] x and E dx, the product rule without dE dx. The last
-    block's maps are traced over the system first, which ends the chain.
-    The ancilla legs pile up latest first and are put in arrival order once,
-    at the end.
+    The Phi rows give the fixed point and its tangent (rho_S*, drho_S*).
+    Each block before the last takes matmuls over the system legs of its E
+    rows: [E; dE] x and E dx, the product rule without dE dx. The last block
+    takes the same with its L rows, which ends the chain. The ancilla legs
+    pile up latest first and, when there is more than one block, are put in
+    arrival order once, at the end.
     """
     r, _, rows, _ = maps.shape
-    big_b = math.isqrt(rows // 4)
+    big_b, with_e = _layout(rows)
     b = big_b.bit_length() - 1
     check_measured(n_measured, b)
-    phi = _block_trace(maps)
+    blocks = n_measured // b
+    if blocks > 1 and not with_e:
+        raise ValueError(f"a chain of {blocks} blocks needs the E rows: build "
+                         f"the step maps for n_measured={n_measured}")
+    d2 = big_b * big_b
+    phi, last, e = maps[:, :, :4], maps[:, :, 4:4 + d2], maps[:, :, 4 + d2:]
     rho_s, drho_s, inv = _fixed_point_pair(phi[:, 0], phi[:, 1])
     # x[r, (iS, jS), columns]: the state; dx its derivative
     x, dx = rho_s.reshape(r, 4, 1), drho_s.reshape(r, 4, 1)
-    blocks = n_measured // b
-    split = maps.reshape(r, 2, 4, -1, 4)
-    last = split[:, :, 0] + split[:, :, 3]
     steps = []
     for i in range(blocks):
-        step = maps if i < blocks - 1 else last
+        step = e if i < blocks - 1 else last
         steps.append((step, x, dx))
-        z = step.reshape(r, -1, 4) @ x
-        half = z.shape[1] // 2
-        x, dx = z[:, :half], step[:, 0] @ dx + z[:, half:]
+        z = step @ x[:, None]
+        x, dx = z[:, 0], step[:, 0] @ dx + z[:, 1]
         if i < blocks - 1:
             x, dx = x.reshape(r, 4, -1), dx.reshape(r, 4, -1)
-    # columns (i_L, j_L, ..., i_1, j_1) -> (i_1..i_L), (j_1..j_L)
-    order = [1 + 2 * (blocks - 1 - k) for k in range(blocks)]
-    perm = [0] + order + [o + 1 for o in order]
-    legs = (r, *[big_b] * (2 * blocks))
     dim = big_b ** blocks
-    rho, drho = (y.reshape(legs).transpose(perm).reshape(r, dim, dim)
-                 for y in (x, dx))
-    return rho, drho, (maps, phi[:, 1], inv, rho_s, drho_s, steps, perm)
+    rho, drho = x.reshape(r, dim, dim), dx.reshape(r, dim, dim)
+    perm = None
+    if blocks > 1:
+        # x's columns are legs (0 for a row, 1 for a column, ancilla): the
+        # last block's as L has them, then each earlier ancilla's as E has
+        # them, latest first; rho takes them as (i_1..i_N), (j_1..j_N).
+        tail = range(n_measured - b, n_measured)
+        columns = [(0, a) for a in tail] + [(1, a) for a in tail]
+        columns += [(k, a) for a in reversed(range(n_measured - b))
+                    for k in (0, 1)]
+        perm = [0] + [1 + columns.index(leg) for leg in sorted(columns)]
+        legs = (r, *[2] * (2 * n_measured))
+        rho, drho = (y.reshape(legs).transpose(perm).reshape(r, dim, dim)
+                     for y in (x, dx))
+    return rho, drho, (maps, inv, rho_s, drho_s, steps, perm)
 
 
 def outgoing_pullback(tape, rho_bar: np.ndarray,
@@ -376,21 +442,22 @@ def outgoing_pullback(tape, rho_bar: np.ndarray,
     step-map stack, as an array shaped like ``maps``. A cotangent pairs with
     a variation as Re tr(bar^dag delta).
 
-    Each block is linear in (E, dE): the forward z = [E; dE] x and dx' = z_1
-    + E dx pull back as z_bar = [x'_bar; dx'_bar], [E; dE]_bar = z_bar
-    x^dag, E_bar += dx'_bar dx^dag, x_bar = [E; dE]^dag z_bar and dx_bar =
-    E^dag dx'_bar. The fixed point and the block trace then pull back to
-    the maps.
+    Each block is linear in its rows (M, dM), E or L: the forward z = [M;
+    dM] x and dx' = z_1 + M dx pull back as z_bar = [x'_bar; dx'_bar], [M;
+    dM]_bar = z_bar x^dag, M_bar += dx'_bar dx^dag, x_bar = [M; dM]^dag
+    z_bar and dx_bar = M^dag dx'_bar. The L cotangent fills the L rows, the
+    E cotangents of the blocks before the last add up in the E rows, and the
+    fixed point pulls back to the Phi rows.
     """
-    maps, dphi, inv, rho_s, drho_s, steps, perm = tape
+    maps, inv, rho_s, drho_s, steps, perm = tape
     r, _, rows, _ = maps.shape
-    big_b = math.isqrt(rows // 4)
-    legs = (r, *[big_b] * (len(perm) - 1))
-    back = [perm.index(k) for k in range(len(perm))]
-    x_bar, dx_bar = (y.reshape(legs).transpose(back)
-                     for y in (rho_bar, drho_bar))
+    x_bar, dx_bar = rho_bar, drho_bar
+    if perm is not None:
+        legs = (r, *[2] * (len(perm) - 1))
+        back = [perm.index(k) for k in range(len(perm))]
+        x_bar, dx_bar = (y.reshape(legs).transpose(back)
+                         for y in (rho_bar, drho_bar))
     maps_bar = np.zeros(maps.shape, dtype=complex)
-    split_bar = maps_bar.reshape(r, 2, 4, -1, 4)
     for i in reversed(range(len(steps))):
         step, x, dx = steps[i]
         half = step.shape[2]
@@ -398,15 +465,14 @@ def outgoing_pullback(tape, rho_bar: np.ndarray,
         z_bar = np.concatenate([x_bar, dx_bar], axis=1)
         step_bar = (z_bar @ x.conj().transpose(0, 2, 1)).reshape(r, 2, half, 4)
         step_bar[:, 0] += dx_bar @ dx.conj().transpose(0, 2, 1)
-        x_bar = step.reshape(r, -1, 4).conj().transpose(0, 2, 1) @ z_bar
+        x_bar = step.conj().reshape(r, -1, 4).transpose(0, 2, 1) @ z_bar
         dx_bar = step[:, 0].conj().transpose(0, 2, 1) @ dx_bar
-        if i < len(steps) - 1:
-            maps_bar += step_bar
-        else:
-            split_bar[:, :, 0] += step_bar
-            split_bar[:, :, 3] += step_bar
-    phi_bar = _fixed_point_pullback(dphi, inv, rho_s, drho_s, x_bar, dx_bar)
-    split_bar[:, :, :, ::big_b + 1] += phi_bar[:, :, :, None]
+        # the L rows follow the 4 Phi rows; the E rows end the stack
+        target = (slice(4, 4 + half) if i == len(steps) - 1
+                  else slice(rows - half, rows))
+        maps_bar[:, :, target] += step_bar
+    maps_bar[:, :, :4] = _fixed_point_pullback(
+        maps[:, 1, :4], inv, rho_s, drho_s, x_bar, dx_bar)
     return maps_bar
 
 
@@ -418,6 +484,5 @@ def outgoing_joint_state(params: ModelParams, block: AncillaBlock,
     unitary on (S, A_i) followed by the thermal map on S, then traces out S.
     This is the state half of ``outgoing_with_derivative`` for one block.
     """
-    maps = step_maps(params, block.psi[None])
+    maps = step_maps(params, block.psi[None], n_measured)
     return outgoing_with_derivative(maps, n_measured)[0][0]
-

@@ -115,7 +115,7 @@ def qfi_values(params, psi: np.ndarray, n_measured: int) -> np.ndarray:
     as ``step_maps`` takes them."""
     psi = qmat.pure_states(psi)
     # The tape is dropped before the QFI, so no array of the pass outlives it.
-    return qfi(*outgoing_with_derivative(step_maps(params, psi),
+    return qfi(*outgoing_with_derivative(step_maps(params, psi, n_measured),
                                          n_measured)[:2])
 
 
@@ -131,7 +131,7 @@ def qfi_and_gradient(params: ModelParams, psi: np.ndarray, n_measured: int):
     chain, the fixed point and the step maps.
     """
     psi = qmat.pure_states(psi)
-    maps = step_maps(params, psi)
+    maps = step_maps(params, psi, n_measured)
     rho, drho, tape = outgoing_with_derivative(maps, n_measured)
     val, v, a, denom = _qfi_eigen(rho, drho)
     sld = v @ (2.0 * a / denom) @ v.conj().swapaxes(-1, -2)

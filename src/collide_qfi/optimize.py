@@ -249,8 +249,8 @@ def _ascend(params: ModelParams, n_measured: int, psi0: np.ndarray):
         # A rejected step shrinks to the minimizer of the quadratic through
         # f, the slope and the trial value, kept within [0.1, 0.5] of it.
         curve = np.where(ok | ~finite, 1.0, ft - f - slope * step)
-        shrunk = np.clip(-0.5 * slope * step * step / curve,
-                         0.1 * step, 0.5 * step)
+        shrunk = np.minimum(np.maximum(-0.5 * slope * step * step / curve,
+                                       0.1 * step), 0.5 * step)
         backtracks = np.where(ok, 0, backtracks + 1)
 
         s, y = trial - x, gt - g
@@ -307,24 +307,27 @@ def optimize_b2(params: ModelParams, n_measured: int, seed: int = 0,
     complex-Gaussian states from ``seed``, and they climb together: each
     round of the quasi-Newton ascent ``_ascend`` takes the QFI and its exact
     gradient for every start still searching from one stacked
-    ``qfi_and_gradient`` call. Among optima within ``TIE_TOL`` relative, the
-    one with the larger Schmidt weight r wins. It is reported in Schmidt
-    form; ``evaluations`` counts the state rows evaluated, each one value
-    and its gradient.
+    ``qfi_and_gradient`` call. The final states within ``TIE_TOL`` relative
+    of the best value tie, and among them the larger Schmidt weight r wins;
+    where their r agree within ``TIE_TOL`` too, the larger value wins. The
+    winner is reported in Schmidt form, the only form the rule needs, so
+    only the tied states are put in it. ``evaluations`` counts the state
+    rows evaluated, each one value and its gradient.
     """
     check_measured(n_measured, 2)
     check_count(seed, "seed")
     check_count(n_random_starts, "n_random_starts")
     finals, values, evaluations = _ascend(
         params, n_measured, _b2_starts(seed, n_random_starts))
-    best, best_val = None, -math.inf
-    for psi, val in zip(finals, values):
-        found = _schmidt_params(psi)
-        # Ties are relative: at nbar=10, gamma_tau=1 the QFI is ~4e-5, and
-        # the |g,g> corner, 1.8e-5 relative below the optimum, would tie
-        # with it under an absolute TIE_TOL.
-        if val > best_val * (1.0 + TIE_TOL) or (val > best_val * (1.0 - TIE_TOL)
-                                                and best is not None
-                                                and found.r > best.r):
-            best, best_val = found, float(val)
-    return Optimum(argmax=best, value_nbar=best_val, evaluations=evaluations)
+    # Ties are relative: at nbar=10, gamma_tau=1 the QFI is ~4e-5, and the
+    # |g,g> corner, 1.8e-5 relative below the optimum, would tie with it
+    # under an absolute TIE_TOL.
+    tied = np.flatnonzero(values >= np.nanmax(values) * (1.0 - TIE_TOL))
+    forms = [_schmidt_params(finals[i]) for i in tied]
+    # r ties at rounding level too: a row that stopped short can end with
+    # r = 1 exactly against 1 - 1e-15 for the rows that reached the optimum.
+    r = np.array([form.r for form in forms])
+    near = np.flatnonzero(r >= r.max() - TIE_TOL)
+    j = near[np.argmax(values[tied[near]])]
+    return Optimum(argmax=forms[j], value_nbar=float(values[tied[j]]),
+                   evaluations=evaluations)

@@ -14,10 +14,11 @@ def pure_states(amplitudes) -> np.ndarray:
     """Validate and return a stack of normalized state vectors, one per row
     of the last axis."""
     psi = np.asarray(amplitudes, dtype=complex)
-    nrm2 = np.sum(psi.real ** 2 + psi.imag ** 2, axis=-1)
-    bad = np.flatnonzero(~(np.abs(nrm2 - 1.0) <= HERM_TOL))
-    if bad.size:
-        raise ValueError(f"state norm^2 = {nrm2.flat[bad[0]]} differs from 1")
+    nrm2 = (psi.real ** 2 + psi.imag ** 2).sum(axis=-1)
+    ok = np.abs(nrm2 - 1.0) <= HERM_TOL
+    if not ok.all():
+        bad = np.flatnonzero(~ok)[0]
+        raise ValueError(f"state norm^2 = {nrm2.flat[bad]} differs from 1")
     return psi
 
 
@@ -31,7 +32,7 @@ def herm_eigen(h):
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {h.shape}")
     h_dag = h.conj().swapaxes(-1, -2)
-    if not float(np.max(np.abs(h - h_dag))) <= EIG_TOL:
+    if not float(np.abs(h - h_dag).max()) <= EIG_TOL:
         raise ValueError("input is not Hermitian within tolerance")
     return np.linalg.eigh((h + h_dag) / 2)
 

@@ -174,8 +174,10 @@ def test_collision_unitary_dispatch():
                      interaction=Interaction.ZZ)
     pe = ModelParams(nbar=1.0, gamma_tau_se=0.1, g_tau_sa=0.3,
                      interaction=Interaction.EXCHANGE)
-    assert np.allclose(collision_unitary(pz), zz_unitary(0.3))
-    assert np.allclose(collision_unitary(pe), exchange_unitary(0.3))
+    assert np.allclose(collision_unitary(pz.interaction, pz.g_tau_sa),
+                       zz_unitary(0.3))
+    assert np.allclose(collision_unitary(pe.interaction, pe.g_tau_sa),
+                       exchange_unitary(0.3))
 
 
 def kron_all(*ops):

@@ -7,10 +7,11 @@ from collide_qfi import qmat
 from collide_qfi.channels import (Interaction, ModelParams, collision_unitary,
                                   embed_op, thermal_kraus)
 from collide_qfi.collision import (AncillaBlock, FixedPointError,
-                                   _block_trace, _fixed_point_pair,
+                                   _fixed_point_pair,
                                    _projectors, _step_map_tensor,
                                    block_collision_superop, block_map_superop,
-                                   outgoing_joint_state, steady_state,
+                                   outgoing_joint_state,
+                                   outgoing_with_derivative, steady_state,
                                    step_maps)
 from collide_qfi.fisher import qfi_values
 from oracles import (KET_PLUS_Y, apply_kraus_on, apply_unitary_on,
@@ -60,7 +61,7 @@ def test_block_map_matches_direct_construction():
     s = block_map_superop(params, block)
 
     rng = np.random.default_rng(0)
-    u = collision_unitary(params)
+    u = collision_unitary(params.interaction, params.g_tau_sa)
     thermal = thermal_kraus(params.nbar, params.gamma_tau_se)
     dims = [2, 2, 2]
     for _ in range(5):
@@ -208,7 +209,7 @@ def kraus_chain_state(params, block, n):
     """Outgoing state by the direct route: rho_S* (x) Psi^(x)N/b, then per
     ancilla the embedded collision unitary and the thermal Kraus set on S."""
     dims = [2] * (1 + n)
-    u = collision_unitary(params)
+    u = collision_unitary(params.interaction, params.g_tau_sa)
     thermal = thermal_kraus(params.nbar, params.gamma_tau_se)
     joint = steady_state(block_map_superop(params, block))
     for _ in range(n // block.b):
@@ -243,7 +244,7 @@ def test_block_collision_superop_pair():
     # dS against a central difference of S; the cached pair is read-only
     def direct(params, b):
         dims = [2] * (1 + b)
-        u = collision_unitary(params)
+        u = collision_unitary(params.interaction, params.g_tau_sa)
         kraus = thermal_kraus(params.nbar, params.gamma_tau_se).operators
         s_t = sum(np.kron(k, k.conj())
                   for k in (embed_op(k, [0], dims) for k in kraus))
@@ -272,7 +273,8 @@ def test_block_collision_superop_pair():
 def test_step_maps_match_block_collision_superop():
     # E rho_S = S (rho_S (x) Psi) and dE rho_S = dS (rho_S (x) Psi), from the
     # cached tensor (shared parameters, stacked states) and from the
-    # per-ancilla builder (stacked parameters, one state)
+    # per-ancilla builder (stacked parameters, one state); the Phi and L rows
+    # are tr_A and tr_S of the same output
     rng = np.random.default_rng(11)
     worst = 0.0
     for interaction in Interaction:
@@ -283,21 +285,80 @@ def test_step_maps_match_block_collision_superop():
             d = 2 ** b
             psi = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
             psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-            over_params = step_maps(grid, psi[:1])
+            over_params = step_maps(grid, psi[:1], 2 * b)
             for i, params in enumerate(grid):
                 pair = block_collision_superop(params, b)
-                shared = step_maps(params, psi)
+                shared = step_maps(params, psi, 2 * b)
                 for maps, state in ((shared[0], psi[0]), (shared[2], psi[2]),
                                     (over_params[i], psi[0])):
+                    assert maps.shape == (2, 4 + 5 * d * d, 4)
                     for _ in range(2):
                         rho_s = random_density(rng)
                         joint = np.kron(rho_s, np.outer(state, state.conj()))
                         for k in (0, 1):
-                            want = (pair[k] @ joint.reshape(-1)).reshape(
-                                2, d, 2, d).transpose(0, 2, 1, 3).reshape(-1)
+                            out = (pair[k] @ joint.reshape(-1)).reshape(
+                                2, d, 2, d)
+                            # E rows: (iS, jS), then each ancilla's (row,
+                            # column), latest first
+                            e = out.reshape(2, *[2] * b, 2, *[2] * b)
+                            e = e.transpose(0, b + 1, *[
+                                i for a in reversed(range(b))
+                                for i in (1 + a, b + 2 + a)])
+                            want = np.concatenate([
+                                np.einsum('iaja->ij', out).reshape(-1),
+                                np.einsum('iaib->ab', out).reshape(-1),
+                                e.reshape(-1)])
                             got = maps[k] @ rho_s.reshape(-1)
                             worst = max(worst, float(np.max(np.abs(got - want))))
     assert worst <= 1e-13
+
+
+def test_step_map_builders_agree_row_for_row():
+    # the cached tensor and the per-ancilla builder give every Phi, L and E
+    # row alike, with and without the E rows
+    rng = np.random.default_rng(12)
+    worst = 0.0
+    for interaction in Interaction:
+        grid = [ModelParams(nbar=nbar, gamma_tau_se=gt, g_tau_sa=0.7,
+                            interaction=interaction)
+                for nbar, gt in ((0.05, 0.02), (1.3, 0.5), (20.0, 4.0))]
+        for b in (1, 2):
+            psi = rng.normal(size=(1, 2 ** b)) + 1j * rng.normal(size=(1, 2 ** b))
+            psi /= np.linalg.norm(psi)
+            for n in (b, 2 * b):
+                over_params = step_maps(grid, psi, n)
+                for i, params in enumerate(grid):
+                    shared = step_maps(params, psi, n)[0]
+                    d2 = 4 ** b
+                    # Phi, L and E, each map and derivative against its
+                    # largest entry; a block that is zero must read zero
+                    for rows in (slice(0, 4), slice(4, 4 + d2),
+                                 slice(4 + d2, None)):
+                        for k in (0, 1):
+                            want = shared[k, rows]
+                            if want.size:
+                                diff = np.abs(over_params[i, k, rows] - want)
+                                scale = np.abs(want).max()
+                                worst = max(worst, float(
+                                    diff.max() / (scale if scale else 1.0)))
+    assert worst <= 1e-15
+
+
+def test_one_block_chain_forms_no_e_rows():
+    # a chain of one block reads Phi and L only, so neither builder forms
+    # the 4*4^b E rows; a chain of two blocks has them, and a one-block
+    # stack cannot be run as a longer chain
+    params = ModelParams(nbar=0.8, gamma_tau_se=0.4,
+                         interaction=Interaction.EXCHANGE)
+    for b in (1, 2):
+        d2 = 4 ** b
+        psi = np.eye(2 ** b, dtype=complex)[:1]
+        for n, rows in ((b, 4 + d2), (2 * b, 4 + 5 * d2)):
+            assert step_maps(params, psi, n).shape == (1, 2, rows, 4)
+            assert step_maps([params, params], psi, n).shape == (2, 2, rows, 4)
+            assert _step_map_tensor(params, b, n > b).shape == (d2, 8 * rows)
+        with pytest.raises(ValueError, match="E rows"):
+            outgoing_with_derivative(step_maps(params, psi, b), 2 * b)
 
 
 def test_step_map_tensor_is_read_only():
@@ -306,11 +367,12 @@ def test_step_map_tensor_is_read_only():
     params = ModelParams(nbar=0.8, gamma_tau_se=0.4,
                          interaction=Interaction.EXCHANGE)
     for b in (1, 2):
-        tensor = _step_map_tensor(params, b)
-        with pytest.raises(ValueError):
-            tensor[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            tensor *= 2.0
+        for with_e in (False, True):
+            tensor = _step_map_tensor(params, b, with_e)
+            with pytest.raises(ValueError):
+                tensor[0, 0] = 0.0
+            with pytest.raises(ValueError):
+                tensor *= 2.0
 
 
 def test_step_maps_do_not_build_block_collision_superop():
@@ -331,7 +393,7 @@ def test_step_maps_do_not_build_block_collision_superop():
         assert _step_map_tensor.cache_info().misses == misses
         qfi_values(params, psi, b)
         assert _step_map_tensor.cache_info().misses == misses + 1
-        step_maps(params, psi)
+        step_maps(params, psi, b)
         assert _step_map_tensor.cache_info().misses == misses + 1
     assert block_collision_superop.cache_info().misses == before
 
@@ -345,7 +407,7 @@ def test_fixed_point_pair_stack_mixes_degenerate_rows():
                              interaction=interaction)
         for block in (plusx_block(),
                       AncillaBlock(b=2, psi=np.kron(qmat.KET_G, KET_PLUS_Y))):
-            maps.append(_block_trace(step_maps(params, block.psi[None]))[0])
+            maps.append(step_maps(params, block.psi[None], block.b)[0, :, :4])
     identity = (np.eye(4, dtype=complex), np.zeros((4, 4), dtype=complex))
     maps.insert(2, identity)
     phi = np.array([m[0] for m in maps])

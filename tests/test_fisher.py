@@ -276,7 +276,7 @@ def test_qfi_values_match_sylvester_oracle(b_n, interaction, nbar, gamma_tau,
     params = ModelParams(nbar=nbar, gamma_tau_se=gamma_tau, g_tau_sa=g_tau,
                          interaction=interaction)
     psi = random_states(np.random.default_rng(seed), 1, 2 ** b)
-    rho, drho, _ = outgoing_with_derivative(step_maps(params, psi), n)
+    rho, drho, _ = outgoing_with_derivative(step_maps(params, psi, n), n)
     ref = sld_qfi(rho[0], drho[0])
     assert abs(qfi_values(params, psi, n)[0] - ref) <= 1e-10 * ref
 
@@ -421,7 +421,7 @@ def test_qfi_gradient_matches_sylvester_sld():
 
         def state(z):
             z = z / np.linalg.norm(z)
-            return outgoing_with_derivative(step_maps(params, z[None]), n)[:2]
+            return outgoing_with_derivative(step_maps(params, z[None], n), n)[:2]
 
         rho, drho = state(psi)
         L = sld(rho[0], drho[0])
