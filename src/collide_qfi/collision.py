@@ -246,11 +246,10 @@ def step_maps(params, psi: np.ndarray, n_measured: int) -> np.ndarray:
     if isinstance(params, ModelParams):
         # Real products, not one complex one: numpy's OpenBLAS runs a complex
         # product against the tensor multithreaded, even for a one-row stack,
-        # and when a second OpenBLAS pool in the process (scipy's, which the
-        # b=1 refinement loads) wakes between two such calls and the pools
-        # want more workers than there are cores, they stall each other for
-        # a scheduler slice per call. The b=2 search loads no scipy; the
-        # real products stay, as their results are bit-identical.
+        # and it stalls a scheduler slice per call against a second OpenBLAS
+        # pool (scipy's, if a caller imports it) when the two want more
+        # workers than there are cores. The package itself loads no scipy;
+        # the real products stay, as their results are bit-identical.
         tensor = _step_map_tensor(params, b, with_e).view(float)
         p = _projectors(psi).reshape(len(psi), -1)
         maps = (p.real @ tensor).view(complex) + 1j * (p.imag @ tensor).view(complex)

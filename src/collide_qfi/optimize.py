@@ -1,12 +1,11 @@
 """Ancilla-state parameterizations and QFI maximization.
 
-b=1 states are a polar angle on the Bloch sphere (the QFI of either interaction
-is invariant under Z rotations, so the azimuth is fixed to 0); the search is an
-exhaustive angle scan refined by scipy's bounded scalar search. b=2 states
-are searched as raw vectors psi in C^4 from several seeded starts that climb
-in lockstep, a quasi-Newton ascent on the exact QFI gradient of
-``fisher.qfi_and_gradient`` with one stacked call per round for every start
-still searching; it needs no scipy. The optimum is reported in the
+Both block sizes are searched as raw vectors psi in C^(2^b) from several
+starts that climb in lockstep, a quasi-Newton ascent on the exact QFI
+gradient of ``fisher.qfi_and_gradient`` with one stacked call per round for
+every start still searching. A b=1 optimum is reported as a polar angle on
+the Bloch sphere (the QFI of either interaction is invariant under Z
+rotations, so the azimuth is fixed to 0), a b=2 optimum in the
 five-parameter Schmidt form.
 """
 
@@ -20,7 +19,7 @@ import numpy as np
 from . import qmat
 from .channels import ModelParams
 from .collision import check_count, check_measured
-from .fisher import qfi_and_gradient, qfi_values, thermal_fi_nbar
+from .fisher import qfi_and_gradient, thermal_fi_nbar
 # Bound here as well for callers that look it up through this module, such
 # as the span wrappers of perfbench/spans.py.
 from .fisher import fisher_for  # noqa: F401
@@ -71,6 +70,8 @@ class SchmidtParams:
 
 @dataclass(frozen=True)
 class Optimum:
+    """The best state, its QFI, and how many state rows the search took."""
+
     argmax: object
     value_nbar: float
     evaluations: int
@@ -131,41 +132,6 @@ def _schmidt_params(psi: np.ndarray) -> SchmidtParams:
                          theta_n=theta_n, phi_n=phi_n, alpha=alpha)
 
 
-def refine_grid_max(f, grid, values, xatol: float):
-    """Refine the maximum of f found by a scan: ``values`` are f on the
-    sorted ``grid``, and the bracket around their first argmax is searched
-    with scipy's bounded scalar search. The refined point wins only when its
-    value is strictly larger. Returns (x, f(x), refinement evaluations), or
-    (nan, nan, 0) when the scan holds a NaN: no maximum was found."""
-    i = int(np.argmax(values))
-    if math.isnan(values[i]):
-        return math.nan, math.nan, 0
-    from scipy.optimize import minimize_scalar
-    res = minimize_scalar(lambda x: -f(x), method="bounded",
-                          bounds=(grid[max(i - 1, 0)],
-                                  grid[min(i + 1, len(grid) - 1)]),
-                          options={"xatol": xatol})
-    if -res.fun > values[i]:
-        return float(res.x), float(-res.fun), res.nfev
-    return float(grid[i]), float(values[i]), res.nfev
-
-
-def optimize_b1(params: ModelParams, n_measured: int) -> Optimum:
-    """Maximize QFI over the single-ancilla polar angle: a 181-point scan
-    over [0, pi], stacked into one ``qfi_values`` call, then refinement of
-    the bracket around its maximum to 1e-6 in theta, one single-row call of
-    the same evaluator per step."""
-    def scan(thetas):
-        psi = np.array([bloch_state(BlochAngles(float(t))) for t in thetas])
-        return qfi_values(params, psi, n_measured)
-
-    thetas = np.linspace(0.0, math.pi, 181)
-    theta, value, nfev = refine_grid_max(lambda t: scan([t])[0], thetas,
-                                         scan(thetas), 1e-6)
-    return Optimum(argmax=BlochAngles(theta=theta), value_nbar=value,
-                   evaluations=len(thetas) + nfev)
-
-
 # The seeded starts: product and Bell corners.
 _G, _E, _X = qmat.KET_G, qmat.KET_E, qmat.KET_PLUS_X
 _B2_SEEDS = (
@@ -175,7 +141,7 @@ _B2_SEEDS = (
     np.kron(bloch_state(BlochAngles(math.pi / 4)), _G),
 )
 
-# The b=2 ascent: FTOL and GTOL are scipy's L-BFGS-B stopping rules at values
+# The ascent: FTOL and GTOL are scipy's L-BFGS-B stopping rules at values
 # well below its defaults, which stop ~1e-9 short of the optimum; ARMIJO is
 # the line search's sufficient-decrease constant; a search fails after
 # MAX_BACKTRACKS shrinks, and a row stops after MAX_ITERATIONS steps.
@@ -196,30 +162,31 @@ def _b2_starts(seed: int, n_random_starts: int) -> np.ndarray:
 
 
 def _ascend(params: ModelParams, n_measured: int, psi0: np.ndarray):
-    """Climb the QFI from every row of the (S, 4) stack ``psi0`` at once.
+    """Climb the QFI from every row of the (S, 2^b) stack ``psi0`` at once.
 
-    Each start is a row x in R^8, psi = x[:4] + i x[4:], on the unit sphere,
-    minimizing f = -QFI / (N F_th(nbar)) by BFGS with a dense inverse
-    Hessian, first scaled by s.y / y.y; an update with s.y <= 0 is skipped.
-    Each round makes one stacked ``qfi_and_gradient`` call on the rows still
-    searching, each at the trial point of a backtracking Armijo search. A
-    row's first trial moves x by 1 along -g; later searches start from
-    step 1, doubled after an accepted step along which f curves down, and
-    no trial moves x by more than 1. An accepted point is put back on the
-    sphere, and as f is blind to the norm, its gradient is taken there;
+    Each start is a row x in R^{2 2^b}, psi = x[:2^b] + i x[2^b:], on the
+    unit sphere, minimizing f = -QFI / (N F_th(nbar)) by BFGS with a dense
+    inverse Hessian, first scaled by s.y / y.y; an update with s.y <= 0 is
+    skipped. Each round makes one stacked ``qfi_and_gradient`` call on the
+    rows still searching, each at the trial point of a backtracking Armijo
+    search. A row's first trial moves x by 1 along -g; later searches start
+    from step 1, doubled after an accepted step along which f curves down,
+    and no trial moves x by more than 1. An accepted point is put back on
+    the sphere, and as f is blind to the norm, its gradient is taken there;
     the gradient and each secant pair (s, y) are kept tangent to the sphere
-    at the new point. A row stops on a relative reduction <= FTOL, on
-    max|g| <= GTOL, on a failed search, on the iteration cap or on a
-    non-finite value, which leaves it at its last finite point. Returns each
-    row's final state, its QFI and the number of state rows evaluated.
+    at the new point. A row stops on a relative reduction <= FTOL, on max|g|
+    <= GTOL, on a failed search, on the iteration cap or on a non-finite
+    value, which leaves it at its last finite point. Returns each row's
+    final state, its QFI and the number of state rows evaluated.
     """
     # Unscaled, the QFI at large nbar is ~1e-5 and the search meets its
     # absolute tolerances far from the optimum.
     scale = n_measured * thermal_fi_nbar(params.nbar)
+    width = psi0.shape[1]
 
     def evaluate(x):
         """f and its gradient tangent to the sphere at the unit rows of x."""
-        psi = x[:, :4] + 1j * x[:, 4:]
+        psi = x[:, :width] + 1j * x[:, width:]
         value, g = qfi_and_gradient(params, psi, n_measured)
         g_psi = (g @ psi[:, :, None])[:, :, 0]
         grad = np.concatenate([g_psi.real, g_psi.imag], axis=1)
@@ -232,7 +199,7 @@ def _ascend(params: ModelParams, n_measured: int, psi0: np.ndarray):
     # The state of the rows still searching; row j is start rows[j].
     rows = np.flatnonzero(np.isfinite(f_out) & (np.abs(g).max(axis=1) > _GTOL))
     x, f, g = x_out[rows], f_out[rows], g[rows]
-    hess = np.tile(np.eye(8), (len(rows), 1, 1))
+    hess = np.tile(np.eye(2 * width), (len(rows), 1, 1))
     scaled = np.zeros(len(rows), bool)
     iterations = np.zeros(len(rows), int)
     backtracks = np.zeros(len(rows), int)
@@ -295,7 +262,19 @@ def _ascend(params: ModelParams, n_measured: int, psi0: np.ndarray):
                 step[keep])
             hess, scaled, iterations, backtracks = (
                 hess[keep], scaled[keep], iterations[keep], backtracks[keep])
-    return x_out[:, :4] + 1j * x_out[:, 4:], -scale * f_out, evaluations
+    return x_out[:, :width] + 1j * x_out[:, width:], -scale * f_out, evaluations
+
+
+def optimize_b1(params: ModelParams, n_measured: int) -> Optimum:
+    """Maximize QFI over the single-ancilla polar angle: ``_ascend`` climbs
+    from the Bloch starts theta = 0, pi/4, ..., pi, and the best final state
+    is reported as theta = 2 atan2(|psi_1|, |psi_0|)."""
+    starts = [bloch_state(BlochAngles(t)) for t in np.linspace(0, math.pi, 5)]
+    finals, values, evaluations = _ascend(params, n_measured, np.array(starts))
+    i = int(np.nanargmax(values))
+    theta = 2.0 * math.atan2(abs(finals[i, 1]), abs(finals[i, 0]))
+    return Optimum(argmax=BlochAngles(theta=theta),
+                   value_nbar=float(values[i]), evaluations=evaluations)
 
 
 def optimize_b2(params: ModelParams, n_measured: int, seed: int = 0,

@@ -16,7 +16,7 @@ from .fisher import qfi_values, thermal_fi_nbar
 # as the span wrappers of perfbench/spans.py.
 from .fisher import fisher_for  # noqa: F401
 from .optimize import (BlochAngles, SchmidtParams, bloch_state, optimize_b1,
-                       optimize_b2, refine_grid_max, schmidt_state)
+                       optimize_b2, schmidt_state)
 from .zz_analytic import zz_delta, zz_fn
 
 QUANTITIES = ("qfi", "ratio_thermal", "ratio_per_copy", "theta_opt",
@@ -239,12 +239,29 @@ def _sweep_values(block, n: int, quantities: tuple, nbars: tuple,
 
 
 def _maximize_1d(f, lo, hi, coarse=25, tol=1e-4, log=True):
-    """Deterministic 1-D maximization: coarse grid plus bounded refinement."""
-    if log:
-        xs = np.logspace(math.log10(lo), math.log10(hi), coarse)
-    else:
-        xs = np.linspace(lo, hi, coarse)
-    return refine_grid_max(f, xs, [f(x) for x in xs], tol)[:2]
+    """Deterministic 1-D maximization: the best point of a coarse grid, then
+    the bracket of its grid neighbours halved around the best point found,
+    which moves only on a strictly larger value, until the bracket is
+    narrower than ``tol``. Returns (x, f(x)), or (nan, nan) when the grid
+    holds a NaN: no maximum was found, and f is not called again."""
+    xs = (np.logspace(math.log10(lo), math.log10(hi), coarse) if log
+          else np.linspace(lo, hi, coarse)).tolist()
+    values = [f(x) for x in xs]
+    i = int(np.argmax(values))  # the first NaN, if the grid holds one
+    x, best = xs[i], float(values[i])
+    if math.isnan(best):
+        return math.nan, math.nan
+    a, b = xs[max(i - 1, 0)], xs[min(i + 1, coarse - 1)]
+    while b - a >= tol:
+        left, right = 0.5 * (a + x), 0.5 * (x + b)
+        f_left, f_right = f(left), f(right)
+        if f_left > best and not f_right > f_left:
+            b, x, best = x, left, f_left
+        elif f_right > best:
+            a, x, best = x, right, f_right
+        else:
+            a, b = left, right
+    return x, best
 
 
 def _claims_zz_angle():
@@ -331,7 +348,7 @@ def _claims_exchange_collective():
 
     gt_star, val = _maximize_1d(lambda gt: point(gt)["ratio_per_copy"],
                                 0.1, 0.6, coarse=11, tol=1e-3, log=False)
-    # a scan without a maximum has no peak to read the thermal ratio at
+    # a grid without a maximum has no peak to read the thermal ratio at
     thermal = (point(gt_star)["ratio_thermal"] if math.isfinite(gt_star)
                else math.nan)
     return [

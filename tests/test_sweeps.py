@@ -433,6 +433,37 @@ def test_maximize_1d_interior_peak():
     # log-spaced variant
     x, _ = _maximize_1d(lambda x: -(math.log10(x) + 1.0) ** 2, 1e-3, 10.0)
     assert abs(x - 0.1) < 1e-3
+    # a maximum at a grid end: a monotone f ends within tol of hi
+    for log in (True, False):
+        x, v = _maximize_1d(lambda x: x, 0.01, 1.0, tol=1e-4, log=log)
+        assert 1.0 - 1e-4 <= x <= 1.0 and v == x
+    # the result is never below the grid's best value: not on a rippled f,
+    # and not where f is NaN off the grid
+    grid = np.linspace(0.01, 1.0, 25)
+
+    def ripple(x):
+        return math.cos(40.0 * x)
+
+    def on_grid(x):
+        return -(x - 0.3) ** 2 if np.any(grid == x) else math.nan
+
+    for f in (ripple, on_grid):
+        x, v = _maximize_1d(f, 0.01, 1.0, log=False)
+        assert v >= max(f(t) for t in grid) and v == f(x)
+
+
+def test_maximize_1d_without_a_maximum():
+    # np.argmax picks the first NaN of a grid, so a grid holding one has no
+    # maximum to refine, and f is not called after the grid
+    for values in ([math.nan] * 3, [math.nan, 0.0, -0.01]):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return values[len(calls) - 1]
+
+        x, value = _maximize_1d(f, 0.1, 0.3, coarse=3, log=False)
+        assert math.isnan(x) and math.isnan(value) and len(calls) == 3
 
 
 def test_ground_swap_ratio_matches_fisher_for():
