@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 # Tolerances of the norm check in pure_states and the Hermiticity check in
-# herm_eigen.
+# herm_eigen. A weight at or below HERM_TOL is also what the Schmidt form of
+# an optimum reads as rounding.
 HERM_TOL = 1e-12
 EIG_TOL = 1e-10
 
@@ -42,5 +43,4 @@ I2 = np.eye(2, dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 
 KET_G = np.array([1, 0], dtype=complex)
-KET_E = np.array([0, 1], dtype=complex)
 KET_PLUS_X = np.array([1, 1], dtype=complex) / np.sqrt(2)

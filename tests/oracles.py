@@ -24,6 +24,7 @@ PROB_CUTOFF = 1e-14
 # Qubit operators and states that only the tests use; basis |g> = e0, |e> = e1.
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |e> -> |g>
 SIGMA_PLUS = SIGMA_MINUS.conj().T
+KET_E = np.array([0, 1], dtype=complex)
 KET_PLUS_Y = np.array([1, 1j], dtype=complex) / np.sqrt(2)
 
 

@@ -14,7 +14,7 @@ from collide_qfi.collision import (AncillaBlock, FixedPointError,
                                    outgoing_with_derivative, steady_state,
                                    step_maps)
 from collide_qfi.fisher import qfi_values
-from oracles import (KET_PLUS_Y, apply_kraus_on, apply_unitary_on,
+from oracles import (KET_E, KET_PLUS_Y, apply_kraus_on, apply_unitary_on,
                      check_density_matrix, gibbs_state, is_hermitian,
                      partial_trace, random_density, trace_norm)
 
@@ -224,7 +224,7 @@ def test_outgoing_joint_state_matches_kraus_chain():
     blocks = [plusx_block(), ground_block(),
               AncillaBlock(b=2, psi=np.kron(qmat.KET_PLUS_X, KET_PLUS_Y)),
               AncillaBlock(b=2, psi=(np.kron(qmat.KET_G, qmat.KET_G)
-                                     + np.kron(qmat.KET_E, qmat.KET_E))
+                                     + np.kron(KET_E, KET_E))
                            / math.sqrt(2))]
     worst = 0.0
     for interaction in Interaction:

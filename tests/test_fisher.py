@@ -14,8 +14,8 @@ from collide_qfi.fisher import (RankChangeError, fisher_for, qfi,
 from collide_qfi.zz_analytic import zz_fn
 from fd_oracle import (default_step, fd_qfi, joint_state_builder,
                        psi_gradient, state_derivative, state_pair)
-from oracles import (KET_PLUS_Y, Povm, bures_qfi, cfi, dnbar_dT, gibbs_state,
-                     sld, sld_qfi)
+from oracles import (KET_E, KET_PLUS_Y, Povm, bures_qfi, cfi, dnbar_dT,
+                     gibbs_state, sld, sld_qfi)
 
 
 def test_thermal_fi_matches_binomial_oracle():
@@ -240,7 +240,7 @@ def test_qfi_values_match_fisher_for():
     named = {1: [qmat.KET_PLUS_X, qmat.KET_G, KET_PLUS_Y],
              2: [np.kron(qmat.KET_G, qmat.KET_PLUS_X),
                  (np.kron(qmat.KET_G, qmat.KET_G)
-                  + np.kron(qmat.KET_E, qmat.KET_E)) / math.sqrt(2)]}
+                  + np.kron(KET_E, KET_E)) / math.sqrt(2)]}
     worst = 0.0
     for interaction in Interaction:
         for nbar, gt in ((0.3, 0.05), (2.0, 0.6), (10.0, 0.3)):
@@ -306,7 +306,7 @@ def test_qfi_values_raise_rank_change_in_a_batch():
     # one rank-changing row fails the whole stacked call, as the one-row
     # call on that state does
     params = ModelParams(nbar=1e-6, gamma_tau_se=1.0, interaction=Interaction.ZZ)
-    psi = np.array([qmat.KET_G, qmat.KET_PLUS_X, qmat.KET_E])
+    psi = np.array([qmat.KET_G, qmat.KET_PLUS_X, KET_E])
     with pytest.raises(RankChangeError) as batch:
         qfi_values(params, psi, 4)
     with pytest.raises(RankChangeError) as single:
@@ -366,7 +366,7 @@ def test_qfi_values_validation():
     # must share the collision unitary
     row = [params, ModelParams(nbar=2.0, gamma_tau_se=0.5)]
     with pytest.raises(ValueError):
-        qfi_values(row, np.array([qmat.KET_G, qmat.KET_E]), 1)
+        qfi_values(row, np.array([qmat.KET_G, KET_E]), 1)
     mixed = [params, ModelParams(nbar=1.0, gamma_tau_se=0.5, g_tau_sa=1.0)]
     with pytest.raises(ValueError):
         qfi_values(mixed, qmat.KET_G[None], 1)

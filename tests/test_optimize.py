@@ -20,6 +20,7 @@ from collide_qfi.fisher import (RankChangeError, fisher_for, qfi_values,
 from collide_qfi.optimize import (BlochAngles, SchmidtParams, bloch_state,
                                   optimize_b1, optimize_b2, schmidt_state)
 from collide_qfi.zz_analytic import zz_fn
+from oracles import KET_E
 
 
 def test_bloch_angles_validation():
@@ -29,7 +30,7 @@ def test_bloch_angles_validation():
 
 def test_bloch_state_poles_and_equator():
     assert np.allclose(bloch_state(BlochAngles(0.0)), qmat.KET_G)
-    assert np.allclose(bloch_state(BlochAngles(math.pi)), qmat.KET_E, atol=1e-15)
+    assert np.allclose(bloch_state(BlochAngles(math.pi)), KET_E, atol=1e-15)
     assert np.allclose(bloch_state(BlochAngles(math.pi / 2)), qmat.KET_PLUS_X)
     psi = bloch_state(BlochAngles(1.2))
     assert abs(np.vdot(psi, psi) - 1.0) < 1e-12
@@ -196,23 +197,31 @@ def test_optimize_b2_seed_and_start_count_are_integers_of_at_least_zero():
 
 
 def test_optimize_b2_dominates_seeded_corners():
-    params = ModelParams(nbar=1.0, gamma_tau_se=0.5,
-                         interaction=Interaction.EXCHANGE)
-    opt = optimize_b2(params, 2, seed=0, n_random_starts=2)
-    assert 0.5 <= opt.argmax.r <= 1.0
-    assert opt.evaluations > 0
-    corners = [
-        np.kron(qmat.KET_G, qmat.KET_G),
-        np.kron(qmat.KET_G, qmat.KET_PLUS_X),
-        np.kron(qmat.KET_PLUS_X, qmat.KET_G),
-        np.kron(qmat.KET_PLUS_X, qmat.KET_PLUS_X),
-    ]
-    for psi in corners:
-        block = AncillaBlock(b=2, psi=psi)
-        assert fisher_for(params, block, 2).value_nbar <= opt.value_nbar + 1e-9
-    # re-evaluating the reported argmax reproduces the reported value
-    block = AncillaBlock(b=2, psi=schmidt_state(opt.argmax))
-    assert abs(fisher_for(params, block, 2).value_nbar - opt.value_nbar) < 1e-9
+    # the default starts reach the best final of a search that adds the
+    # |g,e>, |e,g> and Bell corners and 8 random starts. At the second
+    # point, on the default exchange grid, 2 random starts end 4.7e-4 below.
+    g, x = qmat.KET_G, qmat.KET_PLUS_X
+    corners = [np.kron(g, g), np.kron(g, x), np.kron(x, g), np.kron(x, x)]
+    dropped = [np.kron(g, KET_E), np.kron(KET_E, g),
+               (np.kron(g, g) + np.kron(KET_E, KET_E)) / math.sqrt(2)]
+    wide = np.vstack([dropped, optimize._b2_starts(0, 8)])
+    for nbar, gamma_tau in ((1.0, 0.5),
+                            (0.15848931924611134, 2.601316665886944)):
+        params = ModelParams(nbar=nbar, gamma_tau_se=gamma_tau,
+                             interaction=Interaction.EXCHANGE)
+        opt = optimize_b2(params, 2)
+        assert 0.5 <= opt.argmax.r <= 1.0
+        assert opt.evaluations > 0
+        best = optimize._ascend(params, 2, wide)[1].max()
+        assert opt.value_nbar >= best * (1 - 1e-12)
+        for psi in corners:
+            block = AncillaBlock(b=2, psi=psi)
+            value = fisher_for(params, block, 2).value_nbar
+            assert value <= opt.value_nbar + 1e-9
+        # re-evaluating the reported argmax reproduces the reported value
+        block = AncillaBlock(b=2, psi=schmidt_state(opt.argmax))
+        value = fisher_for(params, block, 2).value_nbar
+        assert abs(value - opt.value_nbar) < 1e-9
 
 
 def test_optimize_b2_deterministic_for_fixed_seed():
@@ -273,7 +282,7 @@ def test_schmidt_params_round_trip():
     rng = np.random.default_rng(4)
     z = rng.standard_normal((20, 2, 4))
     states = list(z[:, 0] + 1j * z[:, 1])
-    g, e, x = qmat.KET_G, qmat.KET_E, qmat.KET_PLUS_X
+    g, e, x = qmat.KET_G, KET_E, qmat.KET_PLUS_X
     bell = (np.kron(g, g) + np.kron(e, e)) / math.sqrt(2)
     eg, product = np.kron(e, g), np.kron(x, g)
     states += [bell, eg, product]
@@ -289,6 +298,33 @@ def test_schmidt_params_round_trip():
     before = qfi_values(params, psi, 2)
     after = qfi_values(params, np.array([schmidt_state(p) for p in found]), 2)
     assert np.all(np.abs(after - before) <= 1e-12 * before)
+
+
+def test_schmidt_params_ignore_rounding_level_components():
+    # a product state with one qubit at a pole, plus components of weight
+    # ~1e-16 along its Schmidt partner and along the pole qubit's other
+    # level, under global phases and collective Z rotations, reports the
+    # same five numbers, with alpha and phi_n exactly 0
+    rng = np.random.default_rng(9)
+    g, x = qmat.KET_G, qmat.KET_PLUS_X
+    tilted = np.array([math.cos(0.45), np.exp(0.7j) * math.sin(0.45)])
+    for a, b, pole in ((bloch_state(BlochAngles(1.1)), g, 1),
+                       (g, tilted, 0), (x, KET_E, 1), (KET_E, x, 0)):
+        a_perp = np.array([-a[1].conjugate(), a[0].conjugate()])
+        b_perp = np.array([-b[1].conjugate(), b[0].conjugate()])
+        tilt = np.kron(a, b_perp) if pole else np.kron(a_perp, b)
+        found = []
+        for k in range(8):
+            eps = rng.uniform(0.5, 2.0, 2) * 1e-8 * (k > 0)
+            phases = np.exp(2j * math.pi * rng.random(4))
+            psi = (np.kron(a, b) + eps[0] * phases[0] * np.kron(a_perp, b_perp)
+                   + eps[1] * phases[1] * tilt)
+            rz = np.array([1.0, phases[2]])
+            psi = phases[3] * np.kron(rz, rz) * psi / np.linalg.norm(psi)
+            p = optimize._schmidt_params(psi)
+            assert p.alpha == 0.0 and p.phi_n == 0.0
+            found.append([p.r, p.theta_m, p.theta_n, p.phi_n, p.alpha])
+        assert np.all(np.abs(np.array(found) - found[0]) <= 1e-9)
 
 
 def spy_on_evaluations(monkeypatch):
@@ -322,12 +358,13 @@ def test_optimize_b2_every_start_climbs(monkeypatch):
     params = ModelParams(nbar=1.0, gamma_tau_se=0.5,
                          interaction=Interaction.EXCHANGE)
     opt = optimize_b2(params, 2, n_random_starts=3)
-    assert len(calls[0]) == 8 + 3
-    assert max(len(c) for c in calls) == 8 + 3
+    seeds = len(optimize._B2_SEEDS)
+    assert len(calls[0]) == seeds + 3
+    assert max(len(c) for c in calls) == seeds + 3
     assert opt.evaluations == sum(len(c) for c in calls)
     gains = (finals[0] - calls[0]) / (2 * thermal_fi_nbar(params.nbar))
     assert min(gains) >= 0.0
-    assert min(gains[8:]) > 1e-3
+    assert min(gains[seeds:]) > 1e-3
 
 
 # (params, N, seed) of optimize_b2 runs with four random starts
@@ -377,6 +414,7 @@ def test_optimize_b2_puts_only_tied_states_in_schmidt_form(monkeypatch):
 
     monkeypatch.setattr(optimize, "_ascend", ascend)
     monkeypatch.setattr(optimize, "_schmidt_params", form)
+    untied = []
     for p, n, seed in B2_CASES + [(ModelParams(
             nbar=10.0, gamma_tau_se=1.0, interaction=Interaction.EXCHANGE),
             2, 0)]:
@@ -394,8 +432,11 @@ def test_optimize_b2_puts_only_tied_states_in_schmidt_form(monkeypatch):
         assert opt == optimize.Optimum(argmax=every[winner],
                                        value_nbar=float(values[winner]),
                                        evaluations=evaluations)
-        # len(tied) - 1 ties, and not every final state ties
-        assert len(converted) <= len(tied) < len(finals)
+        # len(tied) - 1 ties
+        assert len(converted) <= len(tied)
+        untied.append(len(finals) - len(tied))
+    # in some case not every final state ties, so the rule skips a state
+    assert max(untied) > 0
 
 
 def test_optimize_b2_r_ties_go_to_the_larger_value(monkeypatch):

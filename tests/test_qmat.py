@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from collide_qfi import qmat
 from collide_qfi.collision import _projectors
-from oracles import (KET_PLUS_Y, SIGMA_MINUS, SIGMA_PLUS, check_density_matrix,
-                     partial_trace, random_density, trace_norm)
+from oracles import (KET_E, KET_PLUS_Y, SIGMA_MINUS, SIGMA_PLUS,
+                     check_density_matrix, partial_trace, random_density,
+                     trace_norm)
 
 
 def test_partial_trace_rejects_nonsquare():
@@ -83,6 +84,10 @@ def test_herm_eigen_reconstructs():
 def test_herm_eigen_rejects_nonhermitian():
     with pytest.raises(ValueError):
         qmat.herm_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # neither a vector nor a stack of non-square matrices is an input
+    for shape in ((3,), (2, 3), (4, 2, 3)):
+        with pytest.raises(ValueError, match="expected square matrices"):
+            qmat.herm_eigen(np.zeros(shape))
 
 
 def test_herm_eigen_stack_matches_each_matrix():
@@ -120,7 +125,7 @@ def test_trace_norm():
 
 
 def test_qubit_constants():
-    assert np.allclose(SIGMA_MINUS @ qmat.KET_E, qmat.KET_G)
-    assert np.allclose(SIGMA_PLUS @ qmat.KET_G, qmat.KET_E)
+    assert np.allclose(SIGMA_MINUS @ KET_E, qmat.KET_G)
+    assert np.allclose(SIGMA_PLUS @ qmat.KET_G, KET_E)
     assert np.allclose(qmat.SIGMA_Z @ qmat.KET_G, qmat.KET_G)
-    assert np.allclose(qmat.SIGMA_Z @ qmat.KET_E, -qmat.KET_E)
+    assert np.allclose(qmat.SIGMA_Z @ KET_E, -KET_E)
