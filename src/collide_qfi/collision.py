@@ -9,10 +9,14 @@ superoperator kron(A, B.T).
 The outgoing stream is a finitely correlated state with the system as its
 memory, so one step map per block carries everything the chain needs:
 E: rho_S -> C_b...C_1(rho_S (x) Psi), with C_i the collision with ancilla i
-followed by the thermal map on S. A stack of step maps and their nbar
-derivatives is an (R, 2, rows, 4) array: ``maps[r, 0]`` holds the maps and
-``maps[r, 1]`` their derivatives for stack row r. Columns index the system
-input (iS, jS). The rows are [Phi; L; E]: the block map Phi = tr_A E on the
+followed by the thermal map on S. One parameter point reads its step maps
+off a cached tensor in the block state, and a sequence of points with one
+block state, such as a sweep row, off a cached polynomial in the thermal
+map's parameters.
+
+A stack of step maps and their nbar derivatives is an (R, 2, rows, 4)
+array: ``maps[r, 0]`` holds the maps and ``maps[r, 1]`` their derivatives
+for stack row r. Columns index the system input (iS, jS). The rows are [Phi; L; E]: the block map Phi = tr_A E on the
 system (4 rows, (iS, jS)), which the fixed point reads; the last block L =
 tr_S E (4^b rows, the block operator flattened row-major); and E itself (4*4^b
 rows: (iS, jS), then the (row, column) legs of each ancilla of the block,
@@ -29,7 +33,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import qmat
-from .channels import ModelParams, collision_unitary, thermal_superop
+from .channels import (THERMAL_BASIS, THERMAL_PAIRS, ModelParams,
+                       collision_unitary, thermal_coefficients, thermal_superop)
 # Bound here as well for callers that look them up through this module, such
 # as the span wrappers of perfbench/spans.py.
 from .channels import embed_op, thermal_kraus  # noqa: F401
@@ -91,22 +96,6 @@ def _unitary_superop(interaction, g_tau_sa: float) -> np.ndarray:
     w = np.einsum('saSA,tcTC->stacSTAC', u, u.conj()).reshape(4, 64)
     w.flags.writeable = False
     return w
-
-
-def _collision_pairs(params) -> np.ndarray:
-    """Pairs (C, dC/dnbar) of one collision on (S, A), the collision unitary
-    then the thermal map on S, for a sequence of model parameters that share
-    the unitary: an (R, 2, 16, 16) array whose rows index the output and
-    columns the input, each as (iS, jS, iA, jA). One ``thermal_superop``
-    call serves the whole sequence."""
-    first = params[0]
-    if any(p.g_tau_sa != first.g_tau_sa or p.interaction is not first.interaction
-           for p in params):
-        raise ValueError("stacked parameters must share g_tau_sa and interaction")
-    w = _unitary_superop(first.interaction, first.g_tau_sa)
-    t, dt = thermal_superop(np.array([p.nbar for p in params]),
-                            np.array([p.gamma_tau_se for p in params]))
-    return (np.stack([t, dt], axis=1).reshape(-1, 4) @ w).reshape(-1, 2, 16, 16)
 
 
 def _layout(rows: int):
@@ -185,11 +174,40 @@ def _step_map_tensor(params: ModelParams, b: int, with_e: bool) -> np.ndarray:
     """Read-only (4^b, 2*rows*4) matrix that maps a vectorized block input
     state to its flattened step maps: the step-map builder run on the
     operator basis of the block, one basis element per row."""
+    t, dt = thermal_superop(np.array([params.nbar]),
+                            np.array([params.gamma_tau_se]))
+    pairs = (np.stack([t, dt], axis=1).reshape(-1, 4)
+             @ _unitary_superop(params.interaction, params.g_tau_sa))
     basis = np.eye(4 ** b).reshape(-1, 2 ** b, 2 ** b)
-    tensor = _step_maps(_collision_pairs([params]), basis,
+    tensor = _step_maps(pairs.reshape(-1, 2, 16, 16), basis,
                         with_e).reshape(4 ** b, -1)
     tensor.flags.writeable = False
     return tensor
+
+
+@lru_cache(maxsize=128)
+def _step_map_poly(interaction, g_tau_sa: float, psi: bytes,
+                   with_e: bool) -> np.ndarray:
+    """Read-only (M, 2*rows*4) real matrix of the step maps of one block
+    state, given by its bytes, as a polynomial in the thermal map's c: row m
+    holds the maps of the m-th monomial, c_e for b=1 (M = 4) and c_e c_f,
+    e <= f, for b=2 (M = 10), viewed as reals.
+
+    The builder runs on the basis collisions C_e, the unitary then B_e. A
+    monomial with e = f is slot 0 of the pair [C_e; C_e], and one with e < f
+    is slot 1 of [C_f; C_e], where the product rule leaves E_ef + E_fe.
+    """
+    ops = _projectors(np.frombuffer(psi, dtype=complex)[None])
+    e, f = np.array(THERMAL_PAIRS if ops.shape[1] == 4 else (range(4),) * 2)
+    basis = np.zeros((4, 16))
+    basis[THERMAL_BASIS[:2]] = THERMAL_BASIS[2]
+    c = (basis.reshape(-1, 4)
+         @ _unitary_superop(interaction, g_tau_sa)).reshape(4, 16, 16)
+    maps = _step_maps(np.stack([c[f], c[e]], axis=1), ops, with_e)
+    poly = np.where((e == f)[:, None, None], maps[:, 0], maps[:, 1])
+    poly = poly.reshape(len(e), -1).view(float)
+    poly.flags.writeable = False
+    return poly
 
 
 @lru_cache(maxsize=128)
@@ -233,9 +251,10 @@ def step_maps(params, psi: np.ndarray, n_measured: int) -> np.ndarray:
     rows are formed only when the chain has more than one block.
 
     One parameter point takes two real matmuls against its cached step-map
-    tensor. A sequence is built per ancilla from the stacked one-collision
-    pairs and forms no tensor: on a 21-point b=2 row that is ~18x faster
-    than forming a tensor per point, whose cache would then never hit.
+    tensor; so does a one-point sequence with several states. A sequence
+    with one state takes one small product per point: the monomials of its
+    thermal map's c = (1, up, down, coh - 1) and their derivatives, from
+    ``thermal_coefficients``, against the state's cached polynomial.
     """
     if psi.ndim != 2 or psi.shape[1] not in (2, 4):
         raise ValueError(
@@ -243,6 +262,15 @@ def step_maps(params, psi: np.ndarray, n_measured: int) -> np.ndarray:
     b = psi.shape[1].bit_length() - 1
     check_measured(n_measured, b)
     with_e = n_measured > b
+    if not isinstance(params, ModelParams):
+        if not params:
+            raise ValueError("step_maps needs at least one parameter point, "
+                             "got an empty parameter sequence")
+        if len(psi) > 1:  # one point and several states take the tensor
+            if len(params) > 1:
+                raise ValueError(f"a sequence of {len(params)} parameter "
+                                 f"points takes one block state, got {len(psi)}")
+            params = params[0]
     if isinstance(params, ModelParams):
         # Real products, not one complex one: numpy's OpenBLAS runs a complex
         # product against the tensor multithreaded, even for a one-row stack,
@@ -254,13 +282,17 @@ def step_maps(params, psi: np.ndarray, n_measured: int) -> np.ndarray:
         p = _projectors(psi).reshape(len(psi), -1)
         maps = (p.real @ tensor).view(complex) + 1j * (p.imag @ tensor).view(complex)
         return maps.reshape(len(psi), 2, -1, 4)
-    if not params:
-        raise ValueError("step_maps needs at least one parameter point, got "
-                         "an empty parameter sequence")
-    if len(params) > 1 and len(psi) > 1:
-        raise ValueError(f"a sequence of {len(params)} parameter points takes "
-                         f"one block state, got {len(psi)}")
-    return _step_maps(_collision_pairs(params), _projectors(psi), with_e)
+    first = params[0]
+    if any(p.g_tau_sa != first.g_tau_sa or p.interaction is not first.interaction
+           for p in params):
+        raise ValueError("stacked parameters must share g_tau_sa and interaction")
+    poly = _step_map_poly(first.interaction, first.g_tau_sa,
+                          psi.astype(complex).tobytes(), with_e)
+    c = thermal_coefficients(np.array([p.nbar for p in params]),
+                             np.array([p.gamma_tau_se for p in params]), b)
+    # one product per row: one (2R, M) @ (M, cols) product peaks higher in RSS
+    maps = (c.reshape(2 * len(params), 1, -1) @ poly).view(complex)
+    return maps.reshape(len(params), 2, -1, 4)
 
 
 def step_maps_pullback(params: ModelParams,

@@ -126,7 +126,9 @@ def _schmidt_params(psi: np.ndarray) -> SchmidtParams:
     the phase of <-m,-n|psi>. A weight at or below HERM_TOL is rounding:
     alpha reads 0 when s_1^2 is, a polar angle reads 0 or pi when one of
     its qubit's weights is, and phi_n reads 0 when either qubit is at a pole,
-    so equally good states report the same angles.
+    so equally good states report the same angles. With both qubits at the
+    same pole the pair is |gg>, |ee>: the rotation is free there, and it
+    makes alpha 0.
     """
     u, s, vh = np.linalg.svd(psi.reshape(2, 2))
     theta_m, theta_n = _polar(u[:, 0]), _polar(vh[0])
@@ -138,7 +140,8 @@ def _schmidt_params(psi: np.ndarray) -> SchmidtParams:
     phi_n = (0.0 if theta_m in poles or theta_n in poles
              else _phase(v0[1] * v0[0].conjugate()))
     alpha = 0.0
-    if s[1] ** 2 > qmat.HERM_TOL * (s @ s):
+    if (s[1] ** 2 > qmat.HERM_TOL * (s @ s)
+            and not (theta_m in poles and theta_n == theta_m)):
         psi = np.kron(d, d) * psi
         plus_m, minus_m = _local_basis(theta_m, 0.0)
         plus_n, minus_n = _local_basis(theta_n, phi_n)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from collide_qfi import qmat
-from collide_qfi.channels import (Interaction, KrausChannel, ModelParams,
+from collide_qfi.channels import (THERMAL_BASIS, THERMAL_PAIRS, Interaction,
+                                  KrausChannel, ModelParams,
                                   collision_unitary, embed_op,
-                                  exchange_unitary, thermal_kraus,
-                                  thermal_superop, zz_unitary)
+                                  exchange_unitary, thermal_coefficients,
+                                  thermal_kraus, thermal_superop, zz_unitary)
 from collide_qfi.collision import _projectors
 from oracles import (apply_kraus_on, apply_unitary_on, default_rk4_steps,
                      gibbs_state, lindblad_rk4, partial_trace, random_density)
@@ -115,6 +116,27 @@ def test_thermal_superop_matches_kraus_set():
     assert np.array_equal(t, np.eye(4)) and not np.any(dt)
     with pytest.raises(ValueError):
         thermal_superop(-1.0, 0.5)
+
+
+def test_thermal_coefficients_rebuild_the_thermal_superop():
+    # T = sum_e c_e B_e and dT = sum_e dc_e B_e, with c and dc read off T
+    # and dT, so the sums give T and dT back; the degree-2 monomials are the
+    # products c_e c_f and their nbar-derivatives dc_e c_f + c_e dc_f
+    nbar = np.array([0.0, 1e-6, 0.3, 10.0, 20.0])
+    gt = np.array([0.5, 1e-12, 0.0, 3.0, 4.0])
+    t, dt = thermal_superop(nbar, gt)
+    c = thermal_coefficients(nbar, gt, 1)
+    assert c.shape == (5, 2, 4) and np.all(c[:, :, 0] == (1.0, 0.0))
+    basis = np.zeros((4, 16))
+    basis[THERMAL_BASIS[:2]] = THERMAL_BASIS[2]
+    rebuilt = (c @ basis).reshape(5, 2, 4, 4)
+    assert np.max(np.abs(rebuilt[:, 0] - t)) <= 1e-16
+    assert np.array_equal(rebuilt[:, 1], dt)
+    e, f = np.array(THERMAL_PAIRS)
+    assert np.all(e <= f) and len(set(zip(e, f))) == 10
+    c2 = thermal_coefficients(nbar, gt, 2)
+    assert np.array_equal(c2[:, 0], c[:, 0, e] * c[:, 0, f])
+    assert np.array_equal(c2[:, 1], c[:, 1, e] * c[:, 0, f] + c[:, 0, e] * c[:, 1, f])
 
 
 def test_thermal_superop_array_matches_scalar():

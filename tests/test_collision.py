@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ from collide_qfi.channels import (Interaction, ModelParams, collision_unitary,
                                   embed_op, thermal_kraus)
 from collide_qfi.collision import (AncillaBlock, FixedPointError,
                                    _fixed_point_pair,
-                                   _projectors, _step_map_tensor,
+                                   _projectors, _step_map_poly,
+                                   _step_map_tensor,
                                    block_collision_superop, block_map_superop,
                                    outgoing_joint_state,
                                    outgoing_with_derivative, steady_state,
@@ -272,8 +274,8 @@ def test_block_collision_superop_pair():
 
 def test_step_maps_match_block_collision_superop():
     # E rho_S = S (rho_S (x) Psi) and dE rho_S = dS (rho_S (x) Psi), from the
-    # cached tensor (shared parameters, stacked states) and from the
-    # per-ancilla builder (stacked parameters, one state); the Phi and L rows
+    # cached tensor (shared parameters, stacked states) and from the cached
+    # polynomial (stacked parameters, one state); the Phi and L rows
     # are tr_A and tr_S of the same output
     rng = np.random.default_rng(11)
     worst = 0.0
@@ -314,14 +316,17 @@ def test_step_maps_match_block_collision_superop():
 
 
 def test_step_map_builders_agree_row_for_row():
-    # the cached tensor and the per-ancilla builder give every Phi, L and E
-    # row alike, with and without the E rows
+    # the cached tensor and the polynomial of a parameter sequence give
+    # every Phi, L and E row alike, with and without the E rows, also with
+    # no coupling, no bath contact and at small nbar
     rng = np.random.default_rng(12)
     worst = 0.0
-    for interaction in Interaction:
-        grid = [ModelParams(nbar=nbar, gamma_tau_se=gt, g_tau_sa=0.7,
-                            interaction=interaction)
-                for nbar, gt in ((0.05, 0.02), (1.3, 0.5), (20.0, 4.0))]
+    points = {0.7: ((0.05, 0.02), (1.3, 0.5), (20.0, 4.0), (1e-6, 1e-12)),
+              0.0: ((1e-6, 0.0), (1e-6, 1e-12), (1e-6, 3.0))}
+    for interaction, (g_tau_sa, row) in itertools.product(Interaction,
+                                                          points.items()):
+        grid = [ModelParams(nbar=nbar, gamma_tau_se=gt, g_tau_sa=g_tau_sa,
+                            interaction=interaction) for nbar, gt in row]
         for b in (1, 2):
             psi = rng.normal(size=(1, 2 ** b)) + 1j * rng.normal(size=(1, 2 ** b))
             psi /= np.linalg.norm(psi)
@@ -364,22 +369,26 @@ def test_one_block_chain_forms_no_e_rows():
 def test_step_map_tensor_is_read_only():
     # lru_cache hands the same array to every caller: a write must fail
     # rather than corrupt later evaluations with the same (params, b)
+    # or (interaction, g_tau_sa, state, with_e)
     params = ModelParams(nbar=0.8, gamma_tau_se=0.4,
                          interaction=Interaction.EXCHANGE)
     for b in (1, 2):
+        psi = np.eye(2 ** b, dtype=complex)[0]
         for with_e in (False, True):
-            tensor = _step_map_tensor(params, b, with_e)
-            with pytest.raises(ValueError):
-                tensor[0, 0] = 0.0
-            with pytest.raises(ValueError):
-                tensor *= 2.0
+            for tensor in (_step_map_tensor(params, b, with_e),
+                           _step_map_poly(params.interaction, params.g_tau_sa,
+                                          psi.tobytes(), with_e)):
+                with pytest.raises(ValueError):
+                    tensor[0, 0] = 0.0
+                with pytest.raises(ValueError):
+                    tensor *= 2.0
 
 
 def test_step_maps_do_not_build_block_collision_superop():
     # the block pair is a reference layout only: new parameters fill the
     # step-map tensor cache and leave the pair's cache untouched. The input
-    # type picks the builder: a parameter sequence is built per ancilla and
-    # forms no tensor, one parameter point forms exactly one.
+    # type picks the builder: a parameter sequence reads its state's
+    # polynomial and forms no tensor, one parameter point forms exactly one.
     before = block_collision_superop.cache_info().misses
     for b in (1, 2):
         params = ModelParams(nbar=0.123457 + b, gamma_tau_se=0.345679,

@@ -327,6 +327,26 @@ def test_schmidt_params_ignore_rounding_level_components():
         assert np.all(np.abs(np.array(found) - found[0]) <= 1e-9)
 
 
+def test_schmidt_params_of_a_gg_ee_pair_read_alpha_zero():
+    # cos|gg> + e^(i beta) sin|ee> with both qubits at one pole: a collective
+    # Z rotation moves alpha freely, so it reads 0 whatever the phases of
+    # beta, of components of weight ~1e-18 on |ge> and |eg>, and globally
+    rng = np.random.default_rng(10)
+    gg, ee = np.kron(qmat.KET_G, qmat.KET_G), np.kron(KET_E, KET_E)
+    ge, eg = np.kron(qmat.KET_G, KET_E), np.kron(KET_E, qmat.KET_G)
+    for angle in (0.4, 1.2):
+        found = []
+        for _ in range(4):
+            phases = np.exp(2j * math.pi * rng.random(4))
+            psi = phases[3] * (math.cos(angle) * gg
+                               + phases[2] * math.sin(angle) * ee
+                               + 1e-9 * (phases[0] * ge + phases[1] * eg))
+            p = optimize._schmidt_params(psi / np.linalg.norm(psi))
+            assert p.alpha == 0.0
+            found.append([p.r, p.theta_m, p.theta_n, p.phi_n, p.alpha])
+        assert np.all(np.abs(np.array(found) - found[0]) <= 1e-9)
+
+
 def spy_on_evaluations(monkeypatch):
     """Record the values of each ``qfi_and_gradient`` call the optimizer
     makes, one array per call."""

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from collide_qfi import qmat, sweeps
+from collide_qfi import collision, qmat, sweeps
 from collide_qfi.channels import Interaction, ModelParams
 from collide_qfi.collision import AncillaBlock, FixedPointError
 from collide_qfi.fisher import RankChangeError, fisher_for, thermal_fi_nbar
@@ -412,18 +412,58 @@ def test_run_sweep_ratio_per_copy():
 
 def test_run_sweep_ratio_per_copy_undefined_without_coupling():
     # with no system-ancilla coupling the one-block QFI is 0, so the per-copy
-    # ratio has no value: the row says so instead of reading ok
-    config = small_config(interaction=Interaction.EXCHANGE,
-                          block=parse_block("g"), gamma_tau_grid=(0.0, 0.5),
-                          nbar_grid=(1.0,), g_tau_sa=0.0,
-                          quantities=("qfi", "ratio_per_copy"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    # ratio has no value: the row says so instead of reading ok. The
+    # derivative of the last block's rows is exactly 0, so one block reads a
+    # QFI of exactly 0; two zz |+x> blocks read ~3e-34, as the system trace
+    # of their chain rounds.
+    for interaction, block, n, bound in ((Interaction.EXCHANGE, "g", 2, 0.0),
+                                         (Interaction.EXCHANGE, "gg", 2, 0.0),
+                                         (Interaction.ZZ, "plusx", 1, 0.0),
+                                         (Interaction.ZZ, "plusx", 2, 1e-30)):
+        config = small_config(interaction=interaction, block=parse_block(block),
+                              n_measured=n, gamma_tau_grid=(0.0, 0.5),
+                              nbar_grid=(1.0,), g_tau_sa=0.0,
+                              quantities=("qfi", "ratio_per_copy"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = run_sweep(config)
+        assert [r.status for r in rows] == ["undefined", "undefined"]
+        for r in rows:
+            assert 0.0 <= r.values["qfi"] <= bound
+            assert math.isnan(r.values["ratio_per_copy"])
+        points = [ModelParams(nbar=1.0, gamma_tau_se=gt, g_tau_sa=0.0,
+                              interaction=interaction) for gt in (0.0, 0.5)]
+        d2 = 4 ** config.block.b
+        maps = collision.step_maps(points, config.block.psi[None], n)
+        assert not maps[:, 1, 4:4 + d2].any()
+
+
+def test_fixed_block_sweep_builds_each_step_map_polynomial_once(monkeypatch):
+    # the rows of a fixed-block sweep read their step maps off one cached
+    # polynomial per (state, layout): the per-ancilla builder runs once for
+    # each, not once per row or point
+    calls = []
+    real = collision._step_maps
+
+    def counted(pairs, ops, with_e):
+        calls.append((ops.shape, with_e))
+        return real(pairs, ops, with_e)
+
+    monkeypatch.setattr(collision, "_step_maps", counted)
+    nbar_grid = tuple(np.geomspace(0.1, 10.0, 5))
+    gamma_tau_grid = tuple(np.geomspace(0.01, 3.0, 7))
+    # a coupling no other test uses, so that every polynomial is new
+    for block in ("plusx", "gg"):
+        config = small_config(interaction=Interaction.EXCHANGE,
+                              block=parse_block(block), n_measured=4,
+                              nbar_grid=nbar_grid,
+                              gamma_tau_grid=gamma_tau_grid, g_tau_sa=0.8642,
+                              quantities=("qfi", "ratio_per_copy"))
         rows = run_sweep(config)
-    assert [r.status for r in rows] == ["undefined", "undefined"]
-    for r in rows:
-        assert r.values["qfi"] == 0.0
-        assert math.isnan(r.values["ratio_per_copy"])
+        assert len(rows) == 35 and all(r.status == "ok" for r in rows)
+    # N=4 and one block of b, with and without the E rows, for each state
+    assert sorted(calls) == [((1, 2, 2), False), ((1, 2, 2), True),
+                             ((1, 4, 4), False), ((1, 4, 4), True)]
 
 
 def test_maximize_1d_interior_peak():
