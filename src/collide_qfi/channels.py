@@ -39,8 +39,10 @@ class ModelParams:
     interaction: Interaction = Interaction.ZZ
 
     def __post_init__(self):
-        # a member or its value, such as "zz"; Interaction() rejects the rest
-        object.__setattr__(self, "interaction", Interaction(self.interaction))
+        # a member or its value, such as "zz"; Interaction() rejects the rest.
+        # A member skips the call, which costs more than the checks below.
+        if not isinstance(self.interaction, Interaction):
+            object.__setattr__(self, "interaction", Interaction(self.interaction))
         for name in ("nbar", "gamma_tau_se", "g_tau_sa"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -96,16 +98,10 @@ def thermal_kraus(nbar: float, gamma_tau: float) -> KrausChannel:
     return KrausChannel(tuple(k for k in ops if np.any(k)))
 
 
-def thermal_superop(nbar, gamma_tau):
-    """Superoperator T of the thermal map and its derivative dT/dnbar.
-
-    Both are 4x4 in the row-major vectorization (rho_gg, rho_ge, rho_eg,
-    rho_ee). With q = nbar/(2nbar+1), p = 1 - q and eta = 1 - e^-Gamma, the
-    map moves population q*eta from |g> to |e> and p*eta back, and scales the
-    coherences by e^-Gamma/2. The entries are smooth in nbar, with
-    dGamma/dnbar = 2 gamma_tau, so dT is exact. Array arguments broadcast
-    against each other and give stacks of shape (..., 4, 4).
-    """
+def _thermal_entries(nbar, gamma_tau):
+    """The thermal map's entries up, down and coh and their nbar-derivatives
+    dup, ddown and dcoh, as arrays broadcast from nbar and gamma_tau; the
+    closed forms ``thermal_superop`` documents."""
     nbar = np.asarray(nbar, dtype=float)
     gamma_tau = np.asarray(gamma_tau, dtype=float)
     if np.any(nbar < 0) or np.any(gamma_tau < 0):
@@ -117,10 +113,22 @@ def thermal_superop(nbar, gamma_tau):
     eta = -np.expm1(-gamma_tau * d)
     deta = 2.0 * gamma_tau * decay
     coh = np.exp(-0.5 * gamma_tau * d)
-    up, down = q * eta, (1.0 - q) * eta
-    dup, ddown = dq * eta + q * deta, -dq * eta + (1.0 - q) * deta
-    dcoh = -gamma_tau * coh
-    t = np.zeros(np.shape(eta) + (4, 4))
+    return (q * eta, (1.0 - q) * eta, coh, dq * eta + q * deta,
+            -dq * eta + (1.0 - q) * deta, -gamma_tau * coh)
+
+
+def thermal_superop(nbar, gamma_tau):
+    """Superoperator T of the thermal map and its derivative dT/dnbar.
+
+    Both are 4x4 in the row-major vectorization (rho_gg, rho_ge, rho_eg,
+    rho_ee). With q = nbar/(2nbar+1), p = 1 - q and eta = 1 - e^-Gamma, the
+    map moves population q*eta from |g> to |e> and p*eta back, and scales the
+    coherences by e^-Gamma/2. The entries are smooth in nbar, with
+    dGamma/dnbar = 2 gamma_tau, so dT is exact. Array arguments broadcast
+    against each other and give stacks of shape (..., 4, 4).
+    """
+    up, down, coh, dup, ddown, dcoh = _thermal_entries(nbar, gamma_tau)
+    t = np.zeros(np.shape(up) + (4, 4))
     dt = np.zeros_like(t)
     t[..., 0, 0], t[..., 0, 3], t[..., 3, 0], t[..., 3, 3] = (
         1.0 - up, down, up, 1.0 - down)
@@ -145,13 +153,15 @@ THERMAL_PAIRS = ((0, 0, 1, 0, 1, 2, 0, 1, 2, 3), (0, 1, 1, 2, 2, 2, 3, 3, 3, 3))
 
 def thermal_coefficients(nbar, gamma_tau, degree: int) -> np.ndarray:
     """The monomials of degree 1 (c) or 2 (``THERMAL_PAIRS``) of the
-    thermal map's c over ``THERMAL_BASIS`` and their nbar-derivatives, read
-    off ``thermal_superop`` for 1-d arrays of nbar and gamma_tau: an (R, 2,
-    M) stack, the monomials in row 0 and their derivatives in row 1."""
-    t, dt = thermal_superop(nbar, gamma_tau)
-    c = np.zeros((len(t), 2, 4))
-    c[:, :, 1:] = np.stack([t, dt], axis=1)[:, :, (3, 0, 1), (0, 3, 1)]
-    c[:, 0] += (1.0, 0.0, 0.0, -1.0)
+    thermal map's c over ``THERMAL_BASIS`` and their nbar-derivatives, from
+    the closed forms of ``thermal_superop`` for 1-d arrays of nbar and
+    gamma_tau: an (R, 2, M) stack, the monomials in row 0 and their
+    derivatives in row 1."""
+    up, down, coh, dup, ddown, dcoh = _thermal_entries(nbar, gamma_tau)
+    c = np.empty((len(up), 2, 4))
+    c[:, 0, 0], c[:, 1, 0] = 1.0, 0.0
+    c[:, 0, 1], c[:, 0, 2], c[:, 0, 3] = up, down, coh - 1.0
+    c[:, 1, 1], c[:, 1, 2], c[:, 1, 3] = dup, ddown, dcoh
     if degree == 2:
         e, f = THERMAL_PAIRS
         c = np.stack([c[:, 0, e] * c[:, 0, f],

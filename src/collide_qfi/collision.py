@@ -422,8 +422,8 @@ def outgoing_with_derivative(maps: np.ndarray, n_measured: int):
 
     The Phi rows give the fixed point and its tangent (rho_S*, drho_S*).
     Each block before the last takes matmuls over the system legs of its E
-    rows: [E; dE] x and E dx, the product rule without dE dx. The last block
-    takes the same with its L rows, which ends the chain. The ancilla legs
+    rows: E x, and E dx + dE x, the product rule without dE dx. The last
+    block takes the same with its L rows, which ends the chain. The ancilla legs
     pile up latest first and, when there is more than one block, are put in
     arrival order once, at the end.
     """
@@ -444,12 +444,14 @@ def outgoing_with_derivative(maps: np.ndarray, n_measured: int):
     for i in range(blocks):
         step = e if i < blocks - 1 else last
         steps.append((step, x, dx))
-        z = step @ x[:, None]
-        x, dx = z[:, 0], step[:, 0] @ dx + z[:, 1]
+        # M dx + dM x summed in place, then M x, so a block holds at most
+        # two arrays of its output's size
+        dx = step[:, 0] @ dx
+        dx += step[:, 1] @ x
+        x = step[:, 0] @ x
         if i < blocks - 1:
             x, dx = x.reshape(r, 4, -1), dx.reshape(r, 4, -1)
     dim = big_b ** blocks
-    rho, drho = x.reshape(r, dim, dim), dx.reshape(r, dim, dim)
     perm = None
     if blocks > 1:
         # x's columns are legs (0 for a row, 1 for a column, ancilla): the
@@ -461,8 +463,10 @@ def outgoing_with_derivative(maps: np.ndarray, n_measured: int):
                     for k in (0, 1)]
         perm = [0] + [1 + columns.index(leg) for leg in sorted(columns)]
         legs = (r, *[2] * (2 * n_measured))
-        rho, drho = (y.reshape(legs).transpose(perm).reshape(r, dim, dim)
-                     for y in (x, dx))
+        # rho's copy is made, and x dropped, before drho's copy
+        x = x.reshape(legs).transpose(perm).reshape(r, dim, dim)
+        dx = dx.reshape(legs).transpose(perm).reshape(r, dim, dim)
+    rho, drho = x.reshape(r, dim, dim), dx.reshape(r, dim, dim)
     return rho, drho, (maps, inv, rho_s, drho_s, steps, perm)
 
 
@@ -473,8 +477,8 @@ def outgoing_pullback(tape, rho_bar: np.ndarray,
     step-map stack, as an array shaped like ``maps``. A cotangent pairs with
     a variation as Re tr(bar^dag delta).
 
-    Each block is linear in its rows (M, dM), E or L: the forward z = [M;
-    dM] x and dx' = z_1 + M dx pull back as z_bar = [x'_bar; dx'_bar], [M;
+    Each block is linear in its rows (M, dM), E or L: the forward x' = M x
+    and dx' = M dx + dM x pull back as z_bar = [x'_bar; dx'_bar], [M;
     dM]_bar = z_bar x^dag, M_bar += dx'_bar dx^dag, x_bar = [M; dM]^dag
     z_bar and dx_bar = M^dag dx'_bar. The L cotangent fills the L rows, the
     E cotangents of the blocks before the last add up in the E rows, and the

@@ -310,9 +310,9 @@ def optimize_b2(params: ModelParams, n_measured: int, seed: int = 0,
     ``qfi_and_gradient`` call. The final states within ``TIE_TOL`` relative
     of the best value tie, and among them the larger Schmidt weight r wins;
     where their r agree within ``TIE_TOL`` too, the larger value wins. The
-    winner is reported in Schmidt form, the only form the rule needs, so
-    only the tied states are put in it. ``evaluations`` counts the state
-    rows evaluated, each one value and its gradient.
+    rule reads r off one stacked SVD of the tied states, and only the
+    winner is put in Schmidt form, in which it is reported. ``evaluations``
+    counts the state rows evaluated, each one value and its gradient.
     """
     check_measured(n_measured, 2)
     check_count(seed, "seed")
@@ -323,11 +323,12 @@ def optimize_b2(params: ModelParams, n_measured: int, seed: int = 0,
     # |g,g> corner, 1.8e-5 relative below the optimum, would tie with it
     # under an absolute TIE_TOL.
     tied = np.flatnonzero(values >= np.nanmax(values) * (1.0 - TIE_TOL))
-    forms = [_schmidt_params(finals[i]) for i in tied]
+    # r = s_0^2 / |s|^2 of each tied state, as _schmidt_params reads it
+    s = np.linalg.svd(finals[tied].reshape(-1, 2, 2), compute_uv=False)
+    r = s[:, 0] ** 2 / (s * s).sum(axis=1)
     # r ties at rounding level too: a row that stopped short can end with
     # r = 1 exactly against 1 - 1e-15 for the rows that reached the optimum.
-    r = np.array([form.r for form in forms])
     near = np.flatnonzero(r >= r.max() - TIE_TOL)
-    j = near[np.argmax(values[tied[near]])]
-    return Optimum(argmax=forms[j], value_nbar=float(values[tied[j]]),
-                   evaluations=evaluations)
+    j = tied[near[np.argmax(values[tied[near]])]]
+    return Optimum(argmax=_schmidt_params(finals[j]),
+                   value_nbar=float(values[j]), evaluations=evaluations)

@@ -175,9 +175,12 @@ def _rows(config: SweepConfig, nbar: float, seed: int) -> list:
     if "delta_zz" in config.quantities:
         columns["delta_zz"] = np.array(
             each(lambda gt: zz_delta(nbar, gt), gamma_taus)) / f_th
+    # one tolist() per column gives each cell as a Python float
+    cells = {q: np.asarray(columns[q], dtype=float).tolist()
+             for q in config.quantities}
     rows = []
     for i, gt in enumerate(gamma_taus):
-        values = {q: float(columns[q][i]) if status[i] == "ok" else math.nan
+        values = {q: cells[q][i] if status[i] == "ok" else math.nan
                   for q in config.quantities}
         # A one-block QFI of 0 (e.g. no system-ancilla coupling) leaves the
         # per-copy ratio without a value.

@@ -10,7 +10,7 @@ from collide_qfi.channels import (THERMAL_BASIS, THERMAL_PAIRS, Interaction,
                                   collision_unitary, embed_op,
                                   exchange_unitary, thermal_coefficients,
                                   thermal_kraus, thermal_superop, zz_unitary)
-from collide_qfi.collision import _projectors
+from collide_qfi.collision import _projectors, _step_map_tensor
 from oracles import (apply_kraus_on, apply_unitary_on, default_rk4_steps,
                      gibbs_state, lindblad_rk4, partial_trace, random_density)
 
@@ -31,6 +31,22 @@ def test_model_params_validation():
             kwargs[field] = bad
             with pytest.raises(ValueError, match="finite"):
                 ModelParams(**kwargs)
+
+
+def test_model_params_interaction_takes_a_member_or_its_value():
+    # a value becomes its member, so a string and a member give one key of
+    # every cache keyed by ModelParams; anything else is rejected
+    for member in Interaction:
+        by_value = ModelParams(nbar=1.0, gamma_tau_se=0.5,
+                               interaction=member.value)
+        by_member = ModelParams(nbar=1.0, gamma_tau_se=0.5, interaction=member)
+        assert by_value.interaction is member
+        assert by_value == by_member and hash(by_value) == hash(by_member)
+        assert _step_map_tensor(by_value, 1, False) is _step_map_tensor(
+            by_member, 1, False)
+    for bad in ("swap", "ZZ", 0, None):
+        with pytest.raises(ValueError):
+            ModelParams(nbar=1.0, gamma_tau_se=0.5, interaction=bad)
 
 
 def test_kraus_channel_rejects_incomplete():
@@ -137,6 +153,26 @@ def test_thermal_coefficients_rebuild_the_thermal_superop():
     c2 = thermal_coefficients(nbar, gt, 2)
     assert np.array_equal(c2[:, 0], c[:, 0, e] * c[:, 0, f])
     assert np.array_equal(c2[:, 1], c[:, 1, e] * c[:, 0, f] + c[:, 0, e] * c[:, 1, f])
+
+
+def test_thermal_coefficients_are_the_thermal_superops_entries():
+    # c = (1, up, down, coh - 1) and its derivative, bit for bit the entries
+    # of T and dT, from 0 to extreme nbar and gamma_tau
+    nbar, gt = (a.ravel() for a in np.meshgrid([0.0, 1e-300, 1.0, 1e6],
+                                               [0.0, 1e-12, 1.0, 700.0]))
+    t, dt = thermal_superop(nbar, gt)
+    c = thermal_coefficients(nbar, gt, 1)
+    assert np.array_equal(c[:, 0], np.stack(
+        [np.ones(16), t[:, 3, 0], t[:, 0, 3], t[:, 1, 1] - 1.0], axis=1))
+    assert np.array_equal(c[:, 1], np.stack(
+        [np.zeros(16), dt[:, 3, 0], dt[:, 0, 3], dt[:, 1, 1]], axis=1))
+    for bad in ((np.array([-1.0]), np.array([0.5])),
+                (np.array([1.0]), np.array([-0.5]))):
+        with pytest.raises(ValueError, match="nonnegative"):
+            thermal_superop(*bad)
+        for degree in (1, 2):
+            with pytest.raises(ValueError, match="nonnegative"):
+                thermal_coefficients(*bad, degree)
 
 
 def test_thermal_superop_array_matches_scalar():

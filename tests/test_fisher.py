@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +262,25 @@ def test_qfi_values_match_fisher_for():
                         else:
                             worst = max(worst, abs(value - ref) / ref)
     assert worst <= 1e-12
+
+
+def test_qfi_values_of_a_sweep_row_peak_below_the_maps_and_four_rows():
+    # a 21-point exchange |gg> N=4 row: past the step-map stack, the chain
+    # and the QFI hold at most four arrays of the outgoing state's size
+    points = [ModelParams(nbar=1.3, gamma_tau_se=gt,
+                          interaction=Interaction.EXCHANGE)
+              for gt in np.geomspace(0.01, 3.0, 21)]
+    psi = np.kron(qmat.KET_G, qmat.KET_G)[None]
+    qfi_values(points, psi, 4)  # fills the cached polynomial
+    bound = step_maps(points, psi, 4).nbytes + 4 * 21 * 16 * 16 * 16
+    assert bound == 569_856
+    tracemalloc.start()
+    try:
+        qfi_values(points, psi, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
