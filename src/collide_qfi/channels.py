@@ -12,6 +12,8 @@ import enum
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -142,17 +144,23 @@ def thermal_superop(nbar, gamma_tau):
 # The thermal map is affine in c = (1, up, down, coh - 1): T = sum_e c_e B_e
 # and dT = sum_e dc_e B_e over the basis I, E30 - E00, E03 - E33 and E11 +
 # E22. THERMAL_BASIS holds its nonzero entries as (e, row-major (i, j),
-# value), and THERMAL_PAIRS the (e, f), e <= f, of the degree-2 monomials
-# c_e c_f. They are tuples: numpy arrays made at import raise the peak RSS
-# of every process that imports the package, by ~0.15 MB as measured.
+# value). It is a tuple: numpy arrays made at import raise the peak RSS of
+# every process that imports the package, by ~0.15 MB as measured.
 THERMAL_BASIS = ((0, 0, 0, 0, 1, 1, 2, 2, 3, 3),
                  (0, 5, 10, 15, 12, 0, 3, 15, 5, 10),
                  (1, 1, 1, 1, 1, -1, 1, -1, 1, 1))
-THERMAL_PAIRS = ((0, 0, 1, 0, 1, 2, 0, 1, 2, 3), (0, 1, 1, 2, 2, 2, 3, 3, 3, 3))
+
+
+@lru_cache(maxsize=None)
+def thermal_monomials(degree: int) -> tuple:
+    """The monomials c_e1...c_ed, e1 <= ... <= ed, of degree d, last index
+    slowest, as d tuples of indices: tuple j holds each monomial's e_j."""
+    return tuple(zip(*sorted(combinations_with_replacement(range(4), degree),
+                             key=lambda m: m[::-1])))
 
 
 def thermal_coefficients(nbar, gamma_tau, degree: int) -> np.ndarray:
-    """The monomials of degree 1 (c) or 2 (``THERMAL_PAIRS``) of the
+    """The monomials of the given degree (``thermal_monomials``) of the
     thermal map's c over ``THERMAL_BASIS`` and their nbar-derivatives, from
     the closed forms of ``thermal_superop`` for 1-d arrays of nbar and
     gamma_tau: an (R, 2, M) stack, the monomials in row 0 and their
@@ -162,11 +170,13 @@ def thermal_coefficients(nbar, gamma_tau, degree: int) -> np.ndarray:
     c[:, 0, 0], c[:, 1, 0] = 1.0, 0.0
     c[:, 0, 1], c[:, 0, 2], c[:, 0, 3] = up, down, coh - 1.0
     c[:, 1, 1], c[:, 1, 2], c[:, 1, 3] = dup, ddown, dcoh
-    if degree == 2:
-        e, f = THERMAL_PAIRS
-        c = np.stack([c[:, 0, e] * c[:, 0, f],
-                      c[:, 1, e] * c[:, 0, f] + c[:, 0, e] * c[:, 1, f]], axis=1)
-    return c
+    i, *rest = thermal_monomials(degree)
+    m = c
+    for f in rest:  # the product rule, one factor at a time
+        m = np.stack([m[:, 0, i] * c[:, 0, f],
+                      m[:, 1, i] * c[:, 0, f] + m[:, 0, i] * c[:, 1, f]], axis=1)
+        i = slice(None)  # from here on m is indexed by monomial
+    return m
 
 
 def zz_unitary(g_tau: float) -> np.ndarray:

@@ -33,8 +33,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import qmat
-from .channels import (THERMAL_BASIS, THERMAL_PAIRS, ModelParams,
-                       collision_unitary, thermal_coefficients, thermal_superop)
+from .channels import (THERMAL_BASIS, ModelParams, collision_unitary,
+                       thermal_coefficients, thermal_monomials, thermal_superop)
 # Bound here as well for callers that look them up through this module, such
 # as the span wrappers of perfbench/spans.py.
 from .channels import embed_op, thermal_kraus  # noqa: F401
@@ -72,6 +72,14 @@ def check_measured(n_measured, b: int) -> None:
                          f"size {b}")
 
 
+def block_size(shape) -> int:
+    """The block size b of a (Q, 2^b) stack of block states. b is 1 or 2, as
+    ``_step_map_poly``'s slot pairing is exact only up to degree 2."""
+    if len(shape) != 2 or shape[1] not in (2, 4):
+        raise ValueError(f"block size must be 1 or 2: psi stack shape {shape}")
+    return shape[1].bit_length() - 1
+
+
 @dataclass(frozen=True)
 class AncillaBlock:
     """Block size b and the pure input state of one block of ancillas."""
@@ -80,10 +88,8 @@ class AncillaBlock:
     psi: np.ndarray
 
     def __post_init__(self):
-        if self.b not in (1, 2):
-            raise ValueError(f"block size must be 1 or 2, got {self.b}")
         psi = qmat.pure_states(np.ravel(self.psi))
-        if psi.shape[0] != 2 ** self.b:
+        if block_size(psi[None].shape) != self.b:
             raise ValueError(f"psi dim {psi.shape[0]} does not match b={self.b}")
         object.__setattr__(self, "psi", psi)
 
@@ -112,45 +118,35 @@ def _step_maps(pairs: np.ndarray, ops: np.ndarray, with_e: bool) -> np.ndarray:
     to 1: an (max(P, Q), 2, rows, 4) stack [Phi; L; E], with the E rows only
     when ``with_e``.
 
-    The first ancilla's collision contracts its input legs with Psi. The
-    second collides on (S, A_2) with A_1 and the system input as spectators;
-    its derivative is C dY + dC Y, so dC dY is never formed. Its product
-    leaves the ancilla legs latest first, the order of the E rows. Phi and
-    L are read off E; without the E rows, E is a temporary.
+    Collision i acts on (S, A_i), with the earlier ancillas' outputs, the
+    later ones' inputs and the system input as spectators. The first takes
+    Psi on A_1; each later one takes [C; dC] Y_0 + [0; C Y_1], never dC dY,
+    and leaves the ancilla legs latest first, as the E rows have them.
     """
     b = ops.shape[1].bit_length() - 1
-    m = 2 ** (b - 1)  # dimension of the ancillas after the first
     d2 = 4 ** b
-    # rows (a1, c1), columns (a2, c2) of each input operator
-    psi = ops.reshape(-1, 2, m, 2, m).transpose(0, 1, 3, 2, 4).reshape(-1, 4, m * m)
+    # psi[q, (a_1, c_1), (a_2, c_2, ..., a_b, c_b)]
+    psi = ops.reshape(-1, *[2] * (2 * b)).transpose(
+        0, *[1 + i + j for i in range(b) for j in (0, b)]).reshape(-1, 4, d2 // 4)
     r = max(len(pairs), len(psi))
-    rows = 4 + d2 * (5 if with_e else 1)
-    if b == 1:
-        out = np.empty((r, 2, rows, 4), dtype=complex)
-        e = out[:, :, 8:] if with_e else np.empty((r, 2, 16, 4), dtype=complex)
-        # E[r, k, (s, t, a, c), (S, T)]
-        np.matmul(pairs.reshape(-1, 2, 64, 4), psi[:, None],
-                  out=e.reshape(r, 2, 64, 1))
-    else:
-        # yt[r, k, (s, t, a2, c2), (a1, c1, S, T)]: the rows on which the
-        # second collision acts. It is allocated before y, so y's buffer is
-        # the heap top when freed and the stack takes its place, and E is
-        # formed in the stack: the call's heap peaks lower, and glibc trims
-        # less of it for the next call to fault back in.
-        yt = np.empty((r, 2, 16, 16), dtype=complex)
-        # y[r, k, s, t, a1, c1, S, T, (a2, c2)]
-        y = pairs.reshape(-1, 128, 4) @ psi
-        yt.reshape(r, 2, 2, 2, 2, 2, 2, 2, 2, 2)[...] = y.reshape(
-            r, 2, 2, 2, 2, 2, 2, 2, 2, 2).transpose(0, 1, 2, 3, 8, 9, 4, 5, 6, 7)
-        del y
-        out = np.empty((r, 2, rows, 4), dtype=complex)
-        e = (out[:, :, 4 + d2:] if with_e
-             else np.empty((r, 2, 64, 4), dtype=complex))
-        # E[r, k, (s, t, a2, c2), (a1, c1, S, T)] = [C; dC] Y_0 + [0; C Y_1]
-        np.matmul(pairs.reshape(-1, 2, 16, 16), yt[:, None, 0],
-                  out=e.reshape(r, 2, 16, 16))
+    # Each partial product has 16 * 4^b entries per slot: two buffers, yt
+    # and y, serve any b, and the last y is E. yt goes before the stack is
+    # made, so a fill (one per cache miss) holds two arrays at a time.
+    yt = np.empty((r, 2, 16, d2), dtype=complex)
+    # y[r, k, (s, t), outputs of A_i..A_1, (S, T), inputs of A_i+1..A_b]
+    y = (pairs.reshape(-1, 2, 64, 4) @ psi[:, None]).reshape(r, 2, 16, d2)
+    for i in range(1, b):
+        # y with (a_{i+1}, c_{i+1}) next to (s, t): collision i + 1's rows
+        yt.reshape(r, 2, 4, 4, 4 ** (i + 1), -1)[...] = y.reshape(
+            r, 2, 4, 4 ** (i + 1), 4, -1).transpose(0, 1, 2, 4, 3, 5)
+        np.matmul(pairs.reshape(-1, 2, 16, 16), yt[:, None, 0], out=y)
         np.matmul(pairs[:, 0], yt[:, 1], out=yt[:, 0])
-        e[:, 1] += yt[:, 0].reshape(r, 64, 4)
+        y[:, 1] += yt[:, 0]
+    del yt
+    out = np.empty((r, 2, 4 + d2 * (5 if with_e else 1), 4), dtype=complex)
+    e = y.reshape(r, 2, 4 * d2, 4)
+    if with_e:
+        out[:, :, 4 + d2:] = e
     # e_legs[r, k, s, t, a_b, c_b, ..., a_1, c_1, (S, T)]. Phi sums the
     # block diagonal, a_i = c_i, in row-major order of (a_1..a_b), and L
     # adds the system diagonal, its rows (a_1..a_b, c_1..c_b).
@@ -190,15 +186,17 @@ def _step_map_poly(interaction, g_tau_sa: float, psi: bytes,
                    with_e: bool) -> np.ndarray:
     """Read-only (M, 2*rows*4) real matrix of the step maps of one block
     state, given by its bytes, as a polynomial in the thermal map's c: row m
-    holds the maps of the m-th monomial, c_e for b=1 (M = 4) and c_e c_f,
-    e <= f, for b=2 (M = 10), viewed as reals.
+    holds the maps of the m-th monomial of degree b in ``thermal_monomials``
+    (M = 4 for b=1, 10 for b=2), viewed as reals.
 
     The builder runs on the basis collisions C_e, the unitary then B_e. A
-    monomial with e = f is slot 0 of the pair [C_e; C_e], and one with e < f
-    is slot 1 of [C_f; C_e], where the product rule leaves E_ef + E_fe.
+    monomial's first and last indices e <= f pick its slot: e = f is slot 0
+    of the pair [C_e; C_e], and e < f is slot 1 of [C_f; C_e], where the
+    product rule leaves E_ef + E_fe. This pairing is exact for degree <= 2
+    only, which is why ``block_size`` stops at 2.
     """
     ops = _projectors(np.frombuffer(psi, dtype=complex)[None])
-    e, f = np.array(THERMAL_PAIRS if ops.shape[1] == 4 else (range(4),) * 2)
+    e, f = np.array(thermal_monomials(ops.shape[1].bit_length() - 1))[[0, -1]]
     basis = np.zeros((4, 16))
     basis[THERMAL_BASIS[:2]] = THERMAL_BASIS[2]
     c = (basis.reshape(-1, 4)
@@ -251,26 +249,13 @@ def step_maps(params, psi: np.ndarray, n_measured: int) -> np.ndarray:
     rows are formed only when the chain has more than one block.
 
     One parameter point takes two real matmuls against its cached step-map
-    tensor; so does a one-point sequence with several states. A sequence
-    with one state takes one small product per point: the monomials of its
-    thermal map's c = (1, up, down, coh - 1) and their derivatives, from
+    tensor. A sequence takes one small product per point: the monomials of
+    its thermal map's c = (1, up, down, coh - 1) and their derivatives, from
     ``thermal_coefficients``, against the state's cached polynomial.
     """
-    if psi.ndim != 2 or psi.shape[1] not in (2, 4):
-        raise ValueError(
-            f"block size must be 1 or 2: psi stack shape {psi.shape}")
-    b = psi.shape[1].bit_length() - 1
+    b = block_size(psi.shape)
     check_measured(n_measured, b)
     with_e = n_measured > b
-    if not isinstance(params, ModelParams):
-        if not params:
-            raise ValueError("step_maps needs at least one parameter point, "
-                             "got an empty parameter sequence")
-        if len(psi) > 1:  # one point and several states take the tensor
-            if len(params) > 1:
-                raise ValueError(f"a sequence of {len(params)} parameter "
-                                 f"points takes one block state, got {len(psi)}")
-            params = params[0]
     if isinstance(params, ModelParams):
         # Real products, not one complex one: numpy's OpenBLAS runs a complex
         # product against the tensor multithreaded, even for a one-row stack,
@@ -282,6 +267,11 @@ def step_maps(params, psi: np.ndarray, n_measured: int) -> np.ndarray:
         p = _projectors(psi).reshape(len(psi), -1)
         maps = (p.real @ tensor).view(complex) + 1j * (p.imag @ tensor).view(complex)
         return maps.reshape(len(psi), 2, -1, 4)
+    if not params:
+        raise ValueError("step_maps got an empty parameter sequence")
+    if len(psi) != 1:
+        raise ValueError(f"a sequence of {len(params)} parameter points takes "
+                         f"one block state, got {len(psi)}")
     first = params[0]
     if any(p.g_tau_sa != first.g_tau_sa or p.interaction is not first.interaction
            for p in params):

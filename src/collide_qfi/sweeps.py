@@ -10,7 +10,7 @@ import numpy as np
 
 from . import qmat
 from .channels import Interaction, ModelParams
-from .collision import AncillaBlock, check_count, check_measured
+from .collision import AncillaBlock, block_size, check_count, check_measured
 from .fisher import qfi_values, thermal_fi_nbar
 # Bound here as well for callers that look it up through this module, such
 # as the span wrappers of perfbench/spans.py.
@@ -34,7 +34,7 @@ def parse_block(spec: str) -> AncillaBlock:
     }
     if spec in named:
         psi = named[spec]
-        return AncillaBlock(b=1 if psi.shape[0] == 2 else 2, psi=psi)
+        return AncillaBlock(b=block_size(psi[None].shape), psi=psi)
     if spec.startswith("theta:"):
         theta = float(spec.split(":", 1)[1])
         return AncillaBlock(b=1, psi=bloch_state(BlochAngles(theta=theta)))

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from collide_qfi import qmat
-from collide_qfi.channels import (THERMAL_BASIS, THERMAL_PAIRS, Interaction,
-                                  KrausChannel, ModelParams,
-                                  collision_unitary, embed_op,
+from collide_qfi.channels import (THERMAL_BASIS, Interaction, KrausChannel,
+                                  ModelParams, collision_unitary, embed_op,
                                   exchange_unitary, thermal_coefficients,
-                                  thermal_kraus, thermal_superop, zz_unitary)
+                                  thermal_kraus, thermal_monomials,
+                                  thermal_superop, zz_unitary)
 from collide_qfi.collision import _projectors, _step_map_tensor
 from oracles import (apply_kraus_on, apply_unitary_on, default_rk4_steps,
                      gibbs_state, lindblad_rk4, partial_trace, random_density)
@@ -148,11 +148,22 @@ def test_thermal_coefficients_rebuild_the_thermal_superop():
     rebuilt = (c @ basis).reshape(5, 2, 4, 4)
     assert np.max(np.abs(rebuilt[:, 0] - t)) <= 1e-16
     assert np.array_equal(rebuilt[:, 1], dt)
-    e, f = np.array(THERMAL_PAIRS)
-    assert np.all(e <= f) and len(set(zip(e, f))) == 10
+    assert list(zip(*thermal_monomials(1))) == [(0,), (1,), (2,), (3,)]
+    # the degree-2 monomials in the order the b=2 polynomial's rows take
+    assert thermal_monomials(2) == ((0, 0, 1, 0, 1, 2, 0, 1, 2, 3),
+                                    (0, 1, 1, 2, 2, 2, 3, 3, 3, 3))
+    e, f = np.array(thermal_monomials(2))
     c2 = thermal_coefficients(nbar, gt, 2)
     assert np.array_equal(c2[:, 0], c[:, 0, e] * c[:, 0, f])
     assert np.array_equal(c2[:, 1], c[:, 1, e] * c[:, 0, f] + c[:, 0, e] * c[:, 1, f])
+    # degree 3, which no chain reads yet, takes one more factor the same way
+    e1, e2, e3 = np.array(thermal_monomials(3))
+    assert np.all((e1 <= e2) & (e2 <= e3)) and len(set(zip(e1, e2, e3))) == 20
+    c3 = thermal_coefficients(nbar, gt, 3)
+    p = c[:, 0, e1] * c[:, 0, e2]
+    dp = c[:, 1, e1] * c[:, 0, e2] + c[:, 0, e1] * c[:, 1, e2]
+    assert np.array_equal(c3[:, 0], p * c[:, 0, e3])
+    assert np.array_equal(c3[:, 1], dp * c[:, 0, e3] + p * c[:, 1, e3])
 
 
 def test_thermal_coefficients_are_the_thermal_superops_entries():

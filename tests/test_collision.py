@@ -258,7 +258,7 @@ def test_block_collision_superop_pair():
 
     h = 1e-5
     for interaction in Interaction:
-        for b in (1, 2):
+        for b in (1, 2, 3):
             params = ModelParams(nbar=0.8, gamma_tau_se=0.4, g_tau_sa=1.1,
                                  interaction=interaction)
             s, ds = block_collision_superop(params, b)

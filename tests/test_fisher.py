@@ -382,11 +382,13 @@ def test_qfi_values_validation():
         qfi_values(params, np.array([gg]), 3)
     with pytest.raises(ValueError, match="block size"):
         qfi_values(params, np.eye(8)[:1], 3)
-    # a sequence of parameter points takes one block state, and its points
-    # must share the collision unitary
+    # a sequence of parameter points, one point included, takes one block
+    # state, and its points must share the collision unitary
     row = [params, ModelParams(nbar=2.0, gamma_tau_se=0.5)]
     with pytest.raises(ValueError):
         qfi_values(row, np.array([qmat.KET_G, KET_E]), 1)
+    with pytest.raises(ValueError, match="takes one block state, got 2"):
+        step_maps([params], np.array([qmat.KET_G, KET_E]), 1)
     mixed = [params, ModelParams(nbar=1.0, gamma_tau_se=0.5, g_tau_sa=1.0)]
     with pytest.raises(ValueError):
         qfi_values(mixed, qmat.KET_G[None], 1)
