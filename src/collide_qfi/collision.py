@@ -248,10 +248,11 @@ def step_maps(params, psi: np.ndarray, n_measured: int) -> np.ndarray:
     ``n_measured`` ancillas; b is read from the width of ``psi``, and the E
     rows are formed only when the chain has more than one block.
 
-    One parameter point takes two real matmuls against its cached step-map
-    tensor. A sequence takes one small product per point: the monomials of
-    its thermal map's c = (1, up, down, coh - 1) and their derivatives, from
-    ``thermal_coefficients``, against the state's cached polynomial.
+    One parameter point takes one real matmul of the projectors' real and
+    imaginary parts against its cached step-map tensor. A sequence takes
+    one small product per point: the monomials of its thermal map's c = (1,
+    up, down, coh - 1) and their derivatives, from ``thermal_coefficients``,
+    against the state's cached polynomial.
     """
     b = block_size(psi.shape)
     check_measured(n_measured, b)
@@ -262,11 +263,15 @@ def step_maps(params, psi: np.ndarray, n_measured: int) -> np.ndarray:
         # and it stalls a scheduler slice per call against a second OpenBLAS
         # pool (scipy's, if a caller imports it) when the two want more
         # workers than there are cores. The package itself loads no scipy;
-        # the real products stay, as their results are bit-identical.
+        # the real products stay, as their results are bit-identical. One
+        # call makes both, on P's (real, imaginary) parts stacked as a view
+        # with the strides of P.real and P.imag, so each is the product it
+        # would be alone.
         tensor = _step_map_tensor(params, b, with_e).view(float)
         p = _projectors(psi).reshape(len(psi), -1)
-        maps = (p.real @ tensor).view(complex) + 1j * (p.imag @ tensor).view(complex)
-        return maps.reshape(len(psi), 2, -1, 4)
+        parts = p.view(float).reshape(*p.shape, 2).transpose(2, 0, 1)
+        re, im = (parts @ tensor).view(complex)
+        return (re + 1j * im).reshape(len(psi), 2, -1, 4)
     if not params:
         raise ValueError("step_maps got an empty parameter sequence")
     if len(psi) != 1:
@@ -304,7 +309,9 @@ def step_maps_pullback(params: ModelParams,
     # the real and imaginary parts of maps_bar T^dag are [Re m, Im m] and
     # [Im m, -Re m] against [Re T, Im T].
     parts = np.concatenate([m, -1j * m]).view(float) @ tensor.T
-    g = (parts[:r] + 1j * parts[r:]).reshape(r, big_b, big_b)
+    g = np.empty((r, big_b * big_b), dtype=complex)
+    g.real, g.imag = parts[:r], parts[r:]
+    g = g.reshape(r, big_b, big_b)
     return (g + g.conj().transpose(0, 2, 1)) / 2.0
 
 
@@ -315,7 +322,7 @@ def block_map_superop(params: ModelParams, block: AncillaBlock) -> np.ndarray:
 
 _I4 = np.eye(4)
 _TRACE_ROW = np.array([1.0, 0.0, 0.0, 1.0])
-_E3 = np.array([0.0, 0.0, 0.0, 1.0])
+_E3 = np.array([[0.0], [0.0], [0.0], [1.0]])
 
 
 def _inverse_or_nan(a: np.ndarray) -> np.ndarray:
@@ -339,8 +346,10 @@ def _fixed_point_pair(superop: np.ndarray, dsuperop: np.ndarray):
     inverse. A map that does not preserve trace raises FixedPointError. A
     trace-preserving map has a unit eigenvalue, so a row whose inverse fails
     the residual check has a degenerate fixed space, and the pseudo-inverse
-    of its system gives the minimum-norm solutions instead. The inverse of
-    the bordered system is returned third, for ``_fixed_point_pullback``.
+    of its system gives the minimum-norm solutions instead; one overall max
+    of the residuals tells whether any row failed, and only then are the
+    rows told apart. The inverse of the bordered system is returned third,
+    for ``_fixed_point_pullback``.
     """
     a = superop - _I4
     # Trace preservation: rows 0 and 3 of Phi sum to the trace functional
@@ -355,9 +364,11 @@ def _fixed_point_pair(superop: np.ndarray, dsuperop: np.ndarray):
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         inv = np.array([_inverse_or_nan(m) for m in a])
-    # NaN or inf in the inverse fails the comparison too
-    ok = np.abs((a @ inv[:, :, 3:])[:, :, 0] - _E3).max(axis=1) <= 1e-9
-    if not ok.all():
+    # NaN or inf in the inverse fails the comparison too, and one overall
+    # max tells whether any row failed it
+    residual = np.abs(a @ inv[:, :, 3:] - _E3)
+    if not residual.max() <= 1e-9:
+        ok = residual.max(axis=(1, 2)) <= 1e-9
         inv[~ok] = np.linalg.pinv(a[~ok])
     rho = inv[:, :, 3].reshape(-1, 2, 2)
     rho = (rho + rho.conj().transpose(0, 2, 1)) / 2.0
@@ -368,10 +379,11 @@ def _fixed_point_pair(superop: np.ndarray, dsuperop: np.ndarray):
     return rho, (drho + drho.conj().transpose(0, 2, 1)) / 2.0, inv
 
 
-def _fixed_point_pullback(dsuperop, inv, rho, drho, rho_bar, drho_bar):
+def _fixed_point_pullback(dsuperop, inv, rho_h, drho_h, rho_bar, drho_bar):
     """Reverse of ``_fixed_point_pair``: the cotangents (rho_bar, drho_bar)
     of its outputs, each (B, 4, 1), pulled back to its maps as a (B, 2, 4,
-    4) stack (Phi_bar, dPhi_bar).
+    4) stack (Phi_bar, dPhi_bar). rho_h and drho_h are the outputs as (B, 1,
+    4) rows, conjugated.
 
     Each solve x = A^-1 y pulls back as y_bar = A^-H x_bar and A_bar =
     -y_bar x^dag, with the inverse the forward pass formed. Row 3 of A is
@@ -380,17 +392,15 @@ def _fixed_point_pullback(dsuperop, inv, rho, drho, rho_bar, drho_bar):
     back as the identity.
     """
     inv_h = inv.conj().transpose(0, 2, 1)
-    rho, drho = rho.reshape(-1, 4, 1), drho.reshape(-1, 4, 1)
     # drho = A^-1 r with r = -(dPhi rho) outside the trace row
     r_bar = inv_h @ drho_bar
-    a_bar = -r_bar @ drho.conj().transpose(0, 2, 1)
+    a_bar = -r_bar @ drho_h
     r_bar[:, 3] = 0.0
-    rho_h = rho.conj().transpose(0, 2, 1)
     out = np.empty((len(inv), 2, 4, 4), dtype=complex)
-    out[:, 1] = -r_bar @ rho_h
+    np.matmul(-r_bar, rho_h, out=out[:, 1])
     # rho = A^-1 e_3, read by both the state and the right-hand side r
     s_bar = inv_h @ (rho_bar - dsuperop.conj().transpose(0, 2, 1) @ r_bar)
-    out[:, 0] = a_bar - s_bar @ rho_h
+    np.subtract(a_bar, s_bar @ rho_h, out=out[:, 0])
     out[:, 0, 3] = 0.0
     return out
 
@@ -457,7 +467,7 @@ def outgoing_with_derivative(maps: np.ndarray, n_measured: int):
         x = x.reshape(legs).transpose(perm).reshape(r, dim, dim)
         dx = dx.reshape(legs).transpose(perm).reshape(r, dim, dim)
     rho, drho = x.reshape(r, dim, dim), dx.reshape(r, dim, dim)
-    return rho, drho, (maps, inv, rho_s, drho_s, steps, perm)
+    return rho, drho, (maps, inv, steps, perm)
 
 
 def outgoing_pullback(tape, rho_bar: np.ndarray,
@@ -472,9 +482,11 @@ def outgoing_pullback(tape, rho_bar: np.ndarray,
     dM]_bar = z_bar x^dag, M_bar += dx'_bar dx^dag, x_bar = [M; dM]^dag
     z_bar and dx_bar = M^dag dx'_bar. The L cotangent fills the L rows, the
     E cotangents of the blocks before the last add up in the E rows, and the
-    fixed point pulls back to the Phi rows.
+    fixed point pulls back to the Phi rows. Each block conjugates its rows
+    and its x and dx once; the first block's x and dx are the fixed point
+    and its tangent, so their conjugates serve the fixed point's pullback.
     """
-    maps, inv, rho_s, drho_s, steps, perm = tape
+    maps, inv, steps, perm = tape
     r, _, rows, _ = maps.shape
     x_bar, dx_bar = rho_bar, drho_bar
     if perm is not None:
@@ -486,18 +498,21 @@ def outgoing_pullback(tape, rho_bar: np.ndarray,
     for i in reversed(range(len(steps))):
         step, x, dx = steps[i]
         half = step.shape[2]
+        x_h, dx_h = x.conj().transpose(0, 2, 1), dx.conj().transpose(0, 2, 1)
         x_bar, dx_bar = x_bar.reshape(r, half, -1), dx_bar.reshape(r, half, -1)
         z_bar = np.concatenate([x_bar, dx_bar], axis=1)
-        step_bar = (z_bar @ x.conj().transpose(0, 2, 1)).reshape(r, 2, half, 4)
-        step_bar[:, 0] += dx_bar @ dx.conj().transpose(0, 2, 1)
-        x_bar = step.conj().reshape(r, -1, 4).transpose(0, 2, 1) @ z_bar
-        dx_bar = step[:, 0].conj().transpose(0, 2, 1) @ dx_bar
+        step_bar = (z_bar @ x_h).reshape(r, 2, half, 4)
+        step_bar[:, 0] += dx_bar @ dx_h
+        step_h = step.conj().reshape(r, -1, 4).transpose(0, 2, 1)
+        x_bar = step_h @ z_bar
+        dx_bar = step_h[:, :, :half] @ dx_bar
         # the L rows follow the 4 Phi rows; the E rows end the stack
         target = (slice(4, 4 + half) if i == len(steps) - 1
                   else slice(rows - half, rows))
         maps_bar[:, :, target] += step_bar
+    # the first block's x and dx are the fixed point and its tangent
     maps_bar[:, :, :4] = _fixed_point_pullback(
-        maps[:, 1, :4], inv, rho_s, drho_s, x_bar, dx_bar)
+        maps[:, 1, :4], inv, x_h, dx_h, x_bar, dx_bar)
     return maps_bar
 
 

@@ -94,7 +94,7 @@ def _qfi_eigen(rho: np.ndarray, drho: np.ndarray):
     # eigh sorts ascending, so the last eigenvalue is the largest
     mask = denom > KERNEL_REL_CUTOFF * lam[..., -1, None, None]
     leaking = None
-    if not mask.all():
+    if np.count_nonzero(mask) < mask.size:
         leak = np.where(mask, 0.0, np.abs(a)).max(axis=(-2, -1))
         leaking = leak > KERNEL_LEAK_TOL
         denom = np.where(mask, denom, np.inf)

@@ -194,8 +194,11 @@ def _ascend(params: ModelParams, n_measured: int, psi0: np.ndarray):
     the gradient and each secant pair (s, y) are kept tangent to the sphere
     at the new point. A row stops on a relative reduction <= FTOL, on max|g|
     <= GTOL, on a failed search, on the iteration cap or on a non-finite
-    value, which leaves it at its last finite point. Returns each row's
-    final state, its QFI and the number of state rows evaluated.
+    value, which leaves it at its last finite point. A round in which every
+    row's trial passes skips the bookkeeping of the backtracking search,
+    which only rejected rows read; each row's arithmetic is the same in
+    either kind of round. Returns each row's final state, its QFI and the
+    number of state rows evaluated.
     """
     # Unscaled, the QFI at large nbar is ~1e-5 and the search meets its
     # absolute tolerances far from the optimum.
@@ -231,28 +234,25 @@ def _ascend(params: ModelParams, n_measured: int, psi0: np.ndarray):
         evaluations += len(rows)
         finite = np.isfinite(ft)
         ok = finite & (ft <= f + _ARMIJO * step * slope)
-        # A rejected step shrinks to the minimizer of the quadratic through
-        # f, the slope and the trial value, kept within [0.1, 0.5] of it.
-        curve = np.where(ok | ~finite, 1.0, ft - f - slope * step)
-        shrunk = np.minimum(np.maximum(-0.5 * slope * step * step / curve,
-                                       0.1 * step), 0.5 * step)
-        backtracks = np.where(ok, 0, backtracks + 1)
+        # Most rounds accept every row, and they skip the line search's
+        # bookkeeping: no row shrinks its step or keeps its old point.
+        accepted = np.count_nonzero(ok) == len(ok)
 
         s, y = trial - x, gt - g
         s -= (s * trial).sum(axis=1, keepdims=True) * trial
         y -= (y * trial).sum(axis=1, keepdims=True) * trial
         sy = (s * y).sum(axis=1)
-        update = ok & (sy > 0.0)
-        # Where f curves down along an accepted step, as off a saddle, the
-        # update is skipped and H stays as it was, so without the doubling
-        # the row would crawl with the same short steps.
-        step = np.where(ok, np.where(update, 1.0, 2.0 * step), shrunk)
+        update = sy > 0.0
+        if not accepted:
+            update &= ok
+        # Only a row's first update scales H, so most rounds skip this.
         first = update & ~scaled
-        yy = np.where(first, (y * y).sum(axis=1), 1.0)
-        hess *= np.where(first, sy / yy, 1.0)[:, None, None]
-        scaled |= update
+        if np.count_nonzero(first):
+            yy = np.where(first, (y * y).sum(axis=1), 1.0)
+            hess *= np.where(first, sy / yy, 1.0)[:, None, None]
+            scaled |= first
         # H += s v^T + v s^T is the BFGS update of the inverse Hessian.
-        rho = np.where(update, 1.0 / np.where(update, sy, 1.0), 0.0)
+        rho = 1.0 / np.where(update, sy, np.inf)
         hy = (hess @ y[:, :, None])[:, :, 0]
         v = (0.5 * rho * (1.0 + rho * (y * hy).sum(axis=1)))[:, None] * s \
             - rho[:, None] * hy
@@ -261,18 +261,37 @@ def _ascend(params: ModelParams, n_measured: int, psi0: np.ndarray):
 
         reduction = (f - ft) / np.maximum(np.maximum(np.abs(f), np.abs(ft)),
                                           1.0)
-        x = np.where(ok[:, None], trial, x)
-        f = np.where(ok, ft, f)
-        g = np.where(ok[:, None], gt, g)
-        iterations += ok
-        d = np.where(ok[:, None], -(hess @ g[:, :, None])[:, :, 0], d)
+        # Where f curves down along an accepted step, as off a saddle, the
+        # update is skipped and H stays as it was, so without the doubling
+        # the row would crawl with the same short steps.
+        grown = np.where(update, 1.0, 2.0 * step)
+        if accepted:
+            x, f, g, step = trial, ft, gt, grown
+            backtracks[:] = 0
+            iterations += 1
+            d = -(hess @ g[:, :, None])[:, :, 0]
+        else:
+            # A rejected step shrinks to the minimizer of the quadratic
+            # through f, the slope and the trial value, kept within [0.1,
+            # 0.5] of it.
+            curve = np.where(ok | ~finite, 1.0, ft - f - slope * step)
+            shrunk = np.minimum(np.maximum(-0.5 * slope * step * step / curve,
+                                           0.1 * step), 0.5 * step)
+            backtracks = np.where(ok, 0, backtracks + 1)
+            step = np.where(ok, grown, shrunk)
+            x = np.where(ok[:, None], trial, x)
+            f = np.where(ok, ft, f)
+            g = np.where(ok[:, None], gt, g)
+            d = np.where(ok[:, None], -(hess @ g[:, :, None])[:, :, 0], d)
+            iterations += ok
         slope = (g * d).sum(axis=1)
         # On the unit sphere a longer move than 1 only wraps around.
         step /= np.maximum(1.0, step * np.sqrt((d * d).sum(axis=1)))
-        stop = ~finite | (backtracks > _MAX_BACKTRACKS) | ok & (
-            (reduction <= _FTOL) | (np.abs(g).max(axis=1) <= _GTOL)
-            | (iterations >= _MAX_ITERATIONS) | (slope >= 0.0))
-        if stop.any():
+        stop = ((reduction <= _FTOL) | (np.abs(g).max(axis=1) <= _GTOL)
+                | (iterations >= _MAX_ITERATIONS) | (slope >= 0.0))
+        if not accepted:
+            stop = ~finite | (backtracks > _MAX_BACKTRACKS) | ok & stop
+        if np.count_nonzero(stop):
             x_out[rows[stop]], f_out[rows[stop]] = x[stop], f[stop]
             keep = ~stop
             rows, x, f, g, d, slope, step = (

@@ -17,7 +17,7 @@ def pure_states(amplitudes) -> np.ndarray:
     psi = np.asarray(amplitudes, dtype=complex)
     nrm2 = (psi.real ** 2 + psi.imag ** 2).sum(axis=-1)
     ok = np.abs(nrm2 - 1.0) <= HERM_TOL
-    if not ok.all():
+    if np.count_nonzero(ok) < ok.size:
         bad = np.flatnonzero(~ok)[0]
         raise ValueError(f"state norm^2 = {nrm2.flat[bad]} differs from 1")
     return psi

@@ -399,7 +399,14 @@ B2_CASES = [(ModelParams(nbar=nbar, gamma_tau_se=gamma_tau,
 
 def test_optimize_b2_stacking_does_not_change_the_answer(monkeypatch):
     # the same ascent run one start at a time, through the same tie rule,
-    # finds the same optimum
+    # finds the same optimum. Not bit for bit: for b=2 the step maps of a
+    # one-row stack read other last bits than the same row in a taller
+    # stack (3-row slices of a 6-row stack match it exactly), most likely
+    # because numpy's matmul sends a one-row product to BLAS gemv and a
+    # taller one to gemm, which round a 16-long inner sum differently. So a
+    # b=2 start's path depends on how many other starts are still
+    # searching, hence the 1e-12 relative tolerance; b=1 stacks agree bit
+    # for bit (test_ascend_b1_stack_matches_each_start_alone).
     stacked = [optimize_b2(p, n, seed=seed, n_random_starts=4)
                for p, n, seed in B2_CASES]
     real = optimize._ascend
@@ -415,6 +422,46 @@ def test_optimize_b2_stacking_does_not_change_the_answer(monkeypatch):
         single = optimize_b2(p, n, seed=seed, n_random_starts=4)
         assert abs(single.value_nbar - opt.value_nbar) <= 1e-12 * opt.value_nbar
         assert abs(single.argmax.r - opt.argmax.r) <= 1e-6
+
+
+def test_ascend_b1_stack_matches_each_start_alone():
+    # Stacking the five Bloch starts changes no row's arithmetic: each final
+    # state and value, and the evaluation count, equal those of the starts
+    # run one at a time, bit for bit. A tracer reads each stacked round's
+    # acceptance mask ``ok``, so the cases are known to reach both kinds of
+    # round: one that accepts every row and one that accepts some rows and
+    # rejects others.
+    starts = np.array([bloch_state(BlochAngles(t))
+                       for t in np.linspace(0, math.pi, 5)])
+    rounds = []
+
+    def trace(frame, event, arg):
+        if frame.f_code is optimize._ascend.__code__:
+            return read_ok
+        return None
+
+    def read_ok(frame, event, arg):
+        ok = frame.f_locals.get("ok")
+        if ok is not None and (not rounds or rounds[-1][0] is not ok):
+            rounds.append((ok, np.count_nonzero(ok)))
+        return read_ok
+
+    for nbar in (0.3, 10.0):
+        params = ModelParams(nbar=nbar, gamma_tau_se=0.26,
+                             interaction=Interaction.EXCHANGE)
+        for n in (1, 2, 4):
+            sys.settrace(trace)
+            try:
+                psi, values, evaluations = optimize._ascend(params, n, starts)
+            finally:
+                sys.settrace(None)
+            alone = [optimize._ascend(params, n, start[None]) for start in starts]
+            assert psi.tobytes() == np.concatenate([a[0] for a in alone]).tobytes()
+            assert values.tobytes() == np.concatenate([a[1] for a in alone]).tobytes()
+            assert evaluations == sum(a[2] for a in alone)
+    sizes = [(len(ok), accepted) for ok, accepted in rounds]
+    assert any(0 < accepted < rows for rows, accepted in sizes)
+    assert any(accepted == rows > 1 for rows, accepted in sizes)
 
 
 def test_optimize_b2_puts_only_tied_states_in_schmidt_form(monkeypatch):
