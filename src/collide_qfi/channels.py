@@ -1,9 +1,9 @@
-"""Thermal map and its superoperator, collision unitaries, and operator embedding.
+"""Thermal map, collision unitaries, and operator embedding.
 
 The bath contact of the system qubit is a generalized-amplitude-damping
 channel with decay probability eta = 1 - exp(-Gamma), Gamma = gamma*tau*(2nbar+1),
-and ground-branch weight p = (nbar+1)/(2nbar+1). Its superoperator has a
-closed form, and so does the superoperator's derivative in nbar.
+and ground-branch weight p = (nbar+1)/(2nbar+1). Its superoperator is affine
+in four coefficients, which have closed forms, as do their nbar-derivatives.
 """
 
 from __future__ import annotations
@@ -100,47 +100,6 @@ def thermal_kraus(nbar: float, gamma_tau: float) -> KrausChannel:
     return KrausChannel(tuple(k for k in ops if np.any(k)))
 
 
-def _thermal_entries(nbar, gamma_tau):
-    """The thermal map's entries up, down and coh and their nbar-derivatives
-    dup, ddown and dcoh, as arrays broadcast from nbar and gamma_tau; the
-    closed forms ``thermal_superop`` documents."""
-    nbar = np.asarray(nbar, dtype=float)
-    gamma_tau = np.asarray(gamma_tau, dtype=float)
-    if np.any(nbar < 0) or np.any(gamma_tau < 0):
-        raise ValueError("nbar and gamma_tau must be nonnegative")
-    d = 2.0 * nbar + 1.0
-    q = nbar / d
-    dq = 1.0 / (d * d)
-    decay = np.exp(-gamma_tau * d)
-    eta = -np.expm1(-gamma_tau * d)
-    deta = 2.0 * gamma_tau * decay
-    coh = np.exp(-0.5 * gamma_tau * d)
-    return (q * eta, (1.0 - q) * eta, coh, dq * eta + q * deta,
-            -dq * eta + (1.0 - q) * deta, -gamma_tau * coh)
-
-
-def thermal_superop(nbar, gamma_tau):
-    """Superoperator T of the thermal map and its derivative dT/dnbar.
-
-    Both are 4x4 in the row-major vectorization (rho_gg, rho_ge, rho_eg,
-    rho_ee). With q = nbar/(2nbar+1), p = 1 - q and eta = 1 - e^-Gamma, the
-    map moves population q*eta from |g> to |e> and p*eta back, and scales the
-    coherences by e^-Gamma/2. The entries are smooth in nbar, with
-    dGamma/dnbar = 2 gamma_tau, so dT is exact. Array arguments broadcast
-    against each other and give stacks of shape (..., 4, 4).
-    """
-    up, down, coh, dup, ddown, dcoh = _thermal_entries(nbar, gamma_tau)
-    t = np.zeros(np.shape(up) + (4, 4))
-    dt = np.zeros_like(t)
-    t[..., 0, 0], t[..., 0, 3], t[..., 3, 0], t[..., 3, 3] = (
-        1.0 - up, down, up, 1.0 - down)
-    t[..., 1, 1] = t[..., 2, 2] = coh
-    dt[..., 0, 0], dt[..., 0, 3], dt[..., 3, 0], dt[..., 3, 3] = (
-        -dup, ddown, dup, -ddown)
-    dt[..., 1, 1] = dt[..., 2, 2] = dcoh
-    return t, dt
-
-
 # The thermal map is affine in c = (1, up, down, coh - 1): T = sum_e c_e B_e
 # and dT = sum_e dc_e B_e over the basis I, E30 - E00, E03 - E33 and E11 +
 # E22. THERMAL_BASIS holds its nonzero entries as (e, row-major (i, j),
@@ -161,15 +120,29 @@ def thermal_monomials(degree: int) -> tuple:
 
 def thermal_coefficients(nbar, gamma_tau, degree: int) -> np.ndarray:
     """The monomials of the given degree (``thermal_monomials``) of the
-    thermal map's c over ``THERMAL_BASIS`` and their nbar-derivatives, from
-    the closed forms of ``thermal_superop`` for 1-d arrays of nbar and
-    gamma_tau: an (R, 2, M) stack, the monomials in row 0 and their
-    derivatives in row 1."""
-    up, down, coh, dup, ddown, dcoh = _thermal_entries(nbar, gamma_tau)
-    c = np.empty((len(up), 2, 4))
+    thermal map's c over ``THERMAL_BASIS`` and their nbar-derivatives, for
+    1-d arrays of nbar and gamma_tau, which broadcast against each other: an
+    (R, 2, M) stack, the monomials in row 0 and their derivatives in row 1.
+
+    With q = nbar/(2nbar+1) and eta = 1 - e^-Gamma, the map moves population
+    up = q*eta from |g> to |e> and down = (1 - q)*eta back, and scales the
+    coherences by coh = e^-Gamma/2; dGamma/dnbar = 2 gamma_tau makes dc exact.
+    """
+    nbar, gamma_tau = np.asarray(nbar, float), np.asarray(gamma_tau, float)
+    if np.any(nbar < 0) or np.any(gamma_tau < 0):
+        raise ValueError("nbar and gamma_tau must be nonnegative")
+    d = 2.0 * nbar + 1.0
+    q = nbar / d
+    dq = 1.0 / (d * d)
+    eta = -np.expm1(-gamma_tau * d)
+    deta = 2.0 * gamma_tau * np.exp(-gamma_tau * d)
+    coh = np.exp(-0.5 * gamma_tau * d)
+    c = np.empty((len(eta), 2, 4))
     c[:, 0, 0], c[:, 1, 0] = 1.0, 0.0
-    c[:, 0, 1], c[:, 0, 2], c[:, 0, 3] = up, down, coh - 1.0
-    c[:, 1, 1], c[:, 1, 2], c[:, 1, 3] = dup, ddown, dcoh
+    c[:, 0, 1], c[:, 0, 2], c[:, 0, 3] = q * eta, (1.0 - q) * eta, coh - 1.0
+    c[:, 1, 1], c[:, 1, 2], c[:, 1, 3] = (dq * eta + q * deta,
+                                          -dq * eta + (1.0 - q) * deta,
+                                          -gamma_tau * coh)
     i, *rest = thermal_monomials(degree)
     m = c
     for f in rest:  # the product rule, one factor at a time

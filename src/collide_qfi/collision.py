@@ -9,10 +9,11 @@ superoperator kron(A, B.T).
 The outgoing stream is a finitely correlated state with the system as its
 memory, so one step map per block carries everything the chain needs:
 E: rho_S -> C_b...C_1(rho_S (x) Psi), with C_i the collision with ancilla i
-followed by the thermal map on S. One parameter point reads its step maps
-off a cached tensor in the block state, and a sequence of points with one
-block state, such as a sweep row, off a cached polynomial in the thermal
-map's parameters.
+followed by the thermal map on S. The thermal map is affine in its
+coefficients, so both step-map caches are built from one cached set of
+basis collisions: one parameter point reads its step maps off a tensor in
+the block state, and a sequence of points with one block state, such as a
+sweep row, off a polynomial in the thermal coefficients.
 
 A stack of step maps and their nbar derivatives is an (R, 2, rows, 4)
 array: ``maps[r, 0]`` holds the maps and ``maps[r, 1]`` their derivatives
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import qmat
 from .channels import (THERMAL_BASIS, ModelParams, collision_unitary,
-                       thermal_coefficients, thermal_monomials, thermal_superop)
+                       thermal_coefficients, thermal_monomials)
 # Bound here as well for callers that look them up through this module, such
 # as the span wrappers of perfbench/spans.py.
 from .channels import embed_op, thermal_kraus  # noqa: F401
@@ -95,13 +96,19 @@ class AncillaBlock:
 
 
 @lru_cache(maxsize=128)
-def _unitary_superop(interaction, g_tau_sa: float) -> np.ndarray:
-    """Read-only (4, 64) matrix of kron(u, u*) for the collision unitary u,
-    with system legs first: rows (s, t), columns (a, c, S, T, A, C)."""
+def _basis_collisions(interaction, g_tau_sa: float) -> np.ndarray:
+    """Read-only (4, 16, 16) stack of the basis collisions C_e = B_e W: the
+    collision unitary u's superoperator W = kron(u, u*), then the thermal
+    map's basis element B_e (``THERMAL_BASIS``) on the system. Rows are the
+    output legs (s, t, a, c), system first, and columns the inputs (S, T, A,
+    C); thermal coefficients c give the pair (sum c_e C_e, sum dc_e C_e)."""
     u = collision_unitary(interaction, g_tau_sa).reshape(2, 2, 2, 2)
     w = np.einsum('saSA,tcTC->stacSTAC', u, u.conj()).reshape(4, 64)
-    w.flags.writeable = False
-    return w
+    basis = np.zeros((4, 16))
+    basis[THERMAL_BASIS[:2]] = THERMAL_BASIS[2]
+    big_c = (basis.reshape(-1, 4) @ w).reshape(4, 16, 16)
+    big_c.flags.writeable = False
+    return big_c
 
 
 def _layout(rows: int):
@@ -169,11 +176,11 @@ def _step_maps(pairs: np.ndarray, ops: np.ndarray, with_e: bool) -> np.ndarray:
 def _step_map_tensor(params: ModelParams, b: int, with_e: bool) -> np.ndarray:
     """Read-only (4^b, 2*rows*4) matrix that maps a vectorized block input
     state to its flattened step maps: the step-map builder run on the
-    operator basis of the block, one basis element per row."""
-    t, dt = thermal_superop(np.array([params.nbar]),
-                            np.array([params.gamma_tau_se]))
-    pairs = (np.stack([t, dt], axis=1).reshape(-1, 4)
-             @ _unitary_superop(params.interaction, params.g_tau_sa))
+    operator basis of the block, one basis element per row, with the
+    point's thermal coefficients over the basis collisions as its pair."""
+    big_c = _basis_collisions(params.interaction, params.g_tau_sa).reshape(4, -1)
+    pairs = thermal_coefficients(np.array([params.nbar]),
+                                 np.array([params.gamma_tau_se]), 1) @ big_c
     basis = np.eye(4 ** b).reshape(-1, 2 ** b, 2 ** b)
     tensor = _step_maps(pairs.reshape(-1, 2, 16, 16), basis,
                         with_e).reshape(4 ** b, -1)
@@ -189,19 +196,16 @@ def _step_map_poly(interaction, g_tau_sa: float, psi: bytes,
     holds the maps of the m-th monomial of degree b in ``thermal_monomials``
     (M = 4 for b=1, 10 for b=2), viewed as reals.
 
-    The builder runs on the basis collisions C_e, the unitary then B_e. A
-    monomial's first and last indices e <= f pick its slot: e = f is slot 0
-    of the pair [C_e; C_e], and e < f is slot 1 of [C_f; C_e], where the
-    product rule leaves E_ef + E_fe. This pairing is exact for degree <= 2
-    only, which is why ``block_size`` stops at 2.
+    The builder runs on the cached basis collisions C_e. A monomial's first
+    and last indices e <= f pick its slot: e = f is slot 0 of the pair
+    [C_e; C_e], and e < f is slot 1 of [C_f; C_e], where the product rule
+    leaves E_ef + E_fe. This pairing is exact for degree <= 2 only, which is
+    why ``block_size`` stops at 2.
     """
     ops = _projectors(np.frombuffer(psi, dtype=complex)[None])
     e, f = np.array(thermal_monomials(ops.shape[1].bit_length() - 1))[[0, -1]]
-    basis = np.zeros((4, 16))
-    basis[THERMAL_BASIS[:2]] = THERMAL_BASIS[2]
-    c = (basis.reshape(-1, 4)
-         @ _unitary_superop(interaction, g_tau_sa)).reshape(4, 16, 16)
-    maps = _step_maps(np.stack([c[f], c[e]], axis=1), ops, with_e)
+    big_c = _basis_collisions(interaction, g_tau_sa)
+    maps = _step_maps(np.stack([big_c[f], big_c[e]], axis=1), ops, with_e)
     poly = np.where((e == f)[:, None, None], maps[:, 0], maps[:, 1])
     poly = poly.reshape(len(e), -1).view(float)
     poly.flags.writeable = False
@@ -248,29 +252,28 @@ def step_maps(params, psi: np.ndarray, n_measured: int) -> np.ndarray:
     ``n_measured`` ancillas; b is read from the width of ``psi``, and the E
     rows are formed only when the chain has more than one block.
 
-    One parameter point takes one real matmul of the projectors' real and
-    imaginary parts against its cached step-map tensor. A sequence takes
-    one small product per point: the monomials of its thermal map's c = (1,
-    up, down, coh - 1) and their derivatives, from ``thermal_coefficients``,
-    against the state's cached polynomial.
+    One parameter point takes one batched real matmul, a row at a time, of
+    the projectors' real and imaginary parts against its cached tensor. A
+    sequence takes one small product per point: the monomials of its thermal
+    map's c = (1, up, down, coh - 1) and their derivatives, from
+    ``thermal_coefficients``, against the state's cached polynomial.
     """
     b = block_size(psi.shape)
     check_measured(n_measured, b)
     with_e = n_measured > b
     if isinstance(params, ModelParams):
         # Real products, not one complex one: numpy's OpenBLAS runs a complex
-        # product against the tensor multithreaded, even for a one-row stack,
-        # and it stalls a scheduler slice per call against a second OpenBLAS
-        # pool (scipy's, if a caller imports it) when the two want more
-        # workers than there are cores. The package itself loads no scipy;
-        # the real products stay, as their results are bit-identical. One
-        # call makes both, on P's (real, imaginary) parts stacked as a view
-        # with the strides of P.real and P.imag, so each is the product it
-        # would be alone.
+        # product against the tensor multithreaded, even for one row, and it
+        # stalls a scheduler slice per call against a second OpenBLAS pool
+        # (scipy's, if a caller imports it) when the two want more workers
+        # than there are cores. And one gemv per row of [Re P; Im P]: numpy
+        # sends a one-row product to BLAS gemv and a taller one to gemm,
+        # which round differently, so a row reads the same bits alone as in
+        # any stack. (One gemm of all rows does too, but raised sweep RSS.)
         tensor = _step_map_tensor(params, b, with_e).view(float)
         p = _projectors(psi).reshape(len(psi), -1)
-        parts = p.view(float).reshape(*p.shape, 2).transpose(2, 0, 1)
-        re, im = (parts @ tensor).view(complex)
+        parts = np.concatenate([p.real, p.imag])[:, None] @ tensor
+        re, im = parts.view(complex).reshape(2, len(psi), -1)
         return (re + 1j * im).reshape(len(psi), 2, -1, 4)
     if not params:
         raise ValueError("step_maps got an empty parameter sequence")

@@ -206,20 +206,23 @@ def _ascend(params: ModelParams, n_measured: int, psi0: np.ndarray):
     width = psi0.shape[1]
 
     def evaluate(x):
-        """f and its gradient tangent to the sphere at the unit rows of x."""
+        """The QFI and f's sphere-tangent gradient at the unit rows of x."""
         psi = x[:, :width] + 1j * x[:, width:]
         value, g = qfi_and_gradient(params, psi, n_measured)
         g_psi = (g @ psi[:, :, None])[:, :, 0]
         grad = np.concatenate([g_psi.real, g_psi.imag], axis=1)
         grad -= (grad * x).sum(axis=1, keepdims=True) * x
-        return -value / scale, (-2.0 / scale) * grad
+        return value, (-2.0 / scale) * grad
 
     x_out = np.concatenate([psi0.real, psi0.imag], axis=1)
-    f_out, g = evaluate(x_out)
+    # Rows carry their QFI q and derive f = -q / scale from it, as -scale * f
+    # can differ from q in the last bit; q_out is written, so it is a copy.
+    q_out, g = evaluate(x_out)
+    q_out = q_out.copy()
     evaluations = len(x_out)
     # The state of the rows still searching; row j is start rows[j].
-    rows = np.flatnonzero(np.isfinite(f_out) & (np.abs(g).max(axis=1) > _GTOL))
-    x, f, g = x_out[rows], f_out[rows], g[rows]
+    rows = np.flatnonzero(np.isfinite(q_out) & (np.abs(g).max(axis=1) > _GTOL))
+    x, q, g = x_out[rows], q_out[rows], g[rows]
     hess = np.tile(np.eye(2 * width), (len(rows), 1, 1))
     scaled = np.zeros(len(rows), bool)
     iterations = np.zeros(len(rows), int)
@@ -230,7 +233,8 @@ def _ascend(params: ModelParams, n_measured: int, psi0: np.ndarray):
     while len(rows):
         trial = x + step[:, None] * d
         trial /= np.sqrt((trial * trial).sum(axis=1, keepdims=True))
-        ft, gt = evaluate(trial)
+        qt, gt = evaluate(trial)
+        f, ft = -q / scale, -qt / scale
         evaluations += len(rows)
         finite = np.isfinite(ft)
         ok = finite & (ft <= f + _ARMIJO * step * slope)
@@ -266,7 +270,7 @@ def _ascend(params: ModelParams, n_measured: int, psi0: np.ndarray):
         # the row would crawl with the same short steps.
         grown = np.where(update, 1.0, 2.0 * step)
         if accepted:
-            x, f, g, step = trial, ft, gt, grown
+            x, q, g, step = trial, qt, gt, grown
             backtracks[:] = 0
             iterations += 1
             d = -(hess @ g[:, :, None])[:, :, 0]
@@ -280,7 +284,7 @@ def _ascend(params: ModelParams, n_measured: int, psi0: np.ndarray):
             backtracks = np.where(ok, 0, backtracks + 1)
             step = np.where(ok, grown, shrunk)
             x = np.where(ok[:, None], trial, x)
-            f = np.where(ok, ft, f)
+            q = np.where(ok, qt, q)
             g = np.where(ok[:, None], gt, g)
             d = np.where(ok[:, None], -(hess @ g[:, :, None])[:, :, 0], d)
             iterations += ok
@@ -292,14 +296,14 @@ def _ascend(params: ModelParams, n_measured: int, psi0: np.ndarray):
         if not accepted:
             stop = ~finite | (backtracks > _MAX_BACKTRACKS) | ok & stop
         if np.count_nonzero(stop):
-            x_out[rows[stop]], f_out[rows[stop]] = x[stop], f[stop]
+            x_out[rows[stop]], q_out[rows[stop]] = x[stop], q[stop]
             keep = ~stop
-            rows, x, f, g, d, slope, step = (
-                rows[keep], x[keep], f[keep], g[keep], d[keep], slope[keep],
+            rows, x, q, g, d, slope, step = (
+                rows[keep], x[keep], q[keep], g[keep], d[keep], slope[keep],
                 step[keep])
             hess, scaled, iterations, backtracks = (
                 hess[keep], scaled[keep], iterations[keep], backtracks[keep])
-    return x_out[:, :width] + 1j * x_out[:, width:], -scale * f_out, evaluations
+    return x_out[:, :width] + 1j * x_out[:, width:], q_out, evaluations
 
 
 def optimize_b1(params: ModelParams, n_measured: int) -> Optimum:

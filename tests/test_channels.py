@@ -9,7 +9,7 @@ from collide_qfi.channels import (THERMAL_BASIS, Interaction, KrausChannel,
                                   ModelParams, collision_unitary, embed_op,
                                   exchange_unitary, thermal_coefficients,
                                   thermal_kraus, thermal_monomials,
-                                  thermal_superop, zz_unitary)
+                                  zz_unitary)
 from collide_qfi.collision import _projectors, _step_map_tensor
 from oracles import (apply_kraus_on, apply_unitary_on, default_rk4_steps,
                      gibbs_state, lindblad_rk4, partial_trace, random_density)
@@ -112,14 +112,25 @@ def _kraus_superop(nbar, gt):
     return sum(np.kron(k, k.conj()) for k in thermal_kraus(nbar, gt).operators)
 
 
+def _thermal_superop(nbar, gt):
+    """T = sum_e c_e B_e and dT = sum_e dc_e B_e, each (R, 4, 4), with c
+    from thermal_coefficients for 1-d arrays of nbar and gamma_tau."""
+    basis = np.zeros((4, 16))
+    basis[THERMAL_BASIS[:2]] = THERMAL_BASIS[2]
+    t = (thermal_coefficients(nbar, gt, 1) @ basis).reshape(-1, 2, 4, 4)
+    return t[:, 0], t[:, 1]
+
+
 def test_thermal_superop_matches_kraus_set():
-    # T is the sum of K (x) K* over the Kraus set; dT is its nbar-derivative.
-    # The Kraus set forms sqrt(1 - eta) by cancellation, so the coherences
-    # agree to 1e-13 at large Gamma, not to rounding.
+    # T = sum_e c_e B_e is the sum of K (x) K* over the Kraus set, and dT =
+    # sum_e dc_e B_e its nbar-derivative. The Kraus set forms sqrt(1 - eta)
+    # by cancellation, so the coherences agree to 1e-13 at large Gamma, not
+    # to rounding.
     h = 1e-6
     for nbar in (0.0, 0.3, 1.0, 10.0):
         for gt in (0.0, 0.01, 0.5, 3.0):
-            t, dt = thermal_superop(nbar, gt)
+            t, dt = (a[0] for a in _thermal_superop(np.array([nbar]),
+                                                    np.array([gt])))
             assert np.max(np.abs(t - _kraus_superop(nbar, gt))) < 1e-13
             if nbar > 0:
                 fd = (_kraus_superop(nbar + h, gt)
@@ -128,26 +139,18 @@ def test_thermal_superop_matches_kraus_set():
                 fd = (-3 * _kraus_superop(0.0, gt) + 4 * _kraus_superop(h, gt)
                       - _kraus_superop(2 * h, gt)) / (2 * h)
             assert np.max(np.abs(dt - fd)) < 1e-8
-    t, dt = thermal_superop(2.0, 0.0)
-    assert np.array_equal(t, np.eye(4)) and not np.any(dt)
-    with pytest.raises(ValueError):
-        thermal_superop(-1.0, 0.5)
+    t, dt = _thermal_superop(np.array([2.0]), np.array([0.0]))
+    assert np.array_equal(t[0], np.eye(4)) and not np.any(dt)
 
 
 def test_thermal_coefficients_rebuild_the_thermal_superop():
-    # T = sum_e c_e B_e and dT = sum_e dc_e B_e, with c and dc read off T
-    # and dT, so the sums give T and dT back; the degree-2 monomials are the
-    # products c_e c_f and their nbar-derivatives dc_e c_f + c_e dc_f
+    # c = (1, up, down, coh - 1) with derivative (0, ...), so c @ basis is T
+    # and dT; the degree-2 monomials are the products c_e c_f and their
+    # nbar-derivatives dc_e c_f + c_e dc_f
     nbar = np.array([0.0, 1e-6, 0.3, 10.0, 20.0])
     gt = np.array([0.5, 1e-12, 0.0, 3.0, 4.0])
-    t, dt = thermal_superop(nbar, gt)
     c = thermal_coefficients(nbar, gt, 1)
     assert c.shape == (5, 2, 4) and np.all(c[:, :, 0] == (1.0, 0.0))
-    basis = np.zeros((4, 16))
-    basis[THERMAL_BASIS[:2]] = THERMAL_BASIS[2]
-    rebuilt = (c @ basis).reshape(5, 2, 4, 4)
-    assert np.max(np.abs(rebuilt[:, 0] - t)) <= 1e-16
-    assert np.array_equal(rebuilt[:, 1], dt)
     assert list(zip(*thermal_monomials(1))) == [(0,), (1,), (2,), (3,)]
     # the degree-2 monomials in the order the b=2 polynomial's rows take
     assert thermal_monomials(2) == ((0, 0, 1, 0, 1, 2, 0, 1, 2, 3),
@@ -166,44 +169,36 @@ def test_thermal_coefficients_rebuild_the_thermal_superop():
     assert np.array_equal(c3[:, 1], dp * c[:, 0, e3] + p * c[:, 1, e3])
 
 
-def test_thermal_coefficients_are_the_thermal_superops_entries():
-    # c = (1, up, down, coh - 1) and its derivative, bit for bit the entries
-    # of T and dT, from 0 to extreme nbar and gamma_tau
-    nbar, gt = (a.ravel() for a in np.meshgrid([0.0, 1e-300, 1.0, 1e6],
-                                               [0.0, 1e-12, 1.0, 700.0]))
-    t, dt = thermal_superop(nbar, gt)
-    c = thermal_coefficients(nbar, gt, 1)
-    assert np.array_equal(c[:, 0], np.stack(
-        [np.ones(16), t[:, 3, 0], t[:, 0, 3], t[:, 1, 1] - 1.0], axis=1))
-    assert np.array_equal(c[:, 1], np.stack(
-        [np.zeros(16), dt[:, 3, 0], dt[:, 0, 3], dt[:, 1, 1]], axis=1))
-    for bad in ((np.array([-1.0]), np.array([0.5])),
-                (np.array([1.0]), np.array([-0.5]))):
-        with pytest.raises(ValueError, match="nonnegative"):
-            thermal_superop(*bad)
-        for degree in (1, 2):
-            with pytest.raises(ValueError, match="nonnegative"):
-                thermal_coefficients(*bad, degree)
-
-
-def test_thermal_superop_array_matches_scalar():
-    # np.exp and math.exp may differ in the last bit, so compare to 1e-15
-    # absolute rather than bit for bit
+def test_thermal_coefficients_array_matches_scalar():
+    # np.exp on an array and on one element may differ in the last bit, so
+    # compare to 1e-15 absolute rather than bit for bit
     rng = np.random.default_rng(5)
     nbar = np.concatenate([[0.0, 1e-6], 10.0 ** rng.uniform(-2, 1, 40)])
     gt = np.concatenate([[0.5, 0.0], 10.0 ** rng.uniform(-3, 0.5, 40)])
-    t, dt = thermal_superop(nbar, gt)
-    assert t.shape == dt.shape == (42, 4, 4)
+    c = thermal_coefficients(nbar, gt, 1)
+    assert c.shape == (42, 2, 4)
     for i in range(len(nbar)):
-        t1, dt1 = thermal_superop(float(nbar[i]), float(gt[i]))
-        assert np.max(np.abs(t[i] - t1)) <= 1e-15
-        assert np.max(np.abs(dt[i] - dt1)) <= 1e-15
+        c1 = thermal_coefficients(nbar[i:i + 1], gt[i:i + 1], 1)
+        assert np.max(np.abs(c[i] - c1[0])) <= 1e-15
     # a scalar nbar broadcasts against a gamma_tau row
-    t, dt = thermal_superop(2.0, gt[:5])
-    assert t.shape == (5, 4, 4)
-    assert np.max(np.abs(t[3] - thermal_superop(2.0, float(gt[3]))[0])) <= 1e-15
-    with pytest.raises(ValueError):
-        thermal_superop(np.array([1.0, 2.0]), np.array([0.5, -0.1]))
+    c = thermal_coefficients(2.0, gt[:5], 1)
+    assert c.shape == (5, 2, 4)
+    assert np.max(np.abs(
+        c[3] - thermal_coefficients(2.0, gt[3:4], 1)[0])) <= 1e-15
+
+
+def test_thermal_coefficients_reject_negative_inputs():
+    # finite from 0 to extreme nbar and gamma_tau, and a negative entry of
+    # either array is rejected
+    nbar, gt = (a.ravel() for a in np.meshgrid([0.0, 1e-300, 1.0, 1e6],
+                                               [0.0, 1e-12, 1.0, 700.0]))
+    assert np.all(np.isfinite(thermal_coefficients(nbar, gt, 2)))
+    for bad in ((np.array([-1.0]), np.array([0.5])),
+                (np.array([1.0]), np.array([-0.5])),
+                (np.array([1.0, 2.0]), np.array([0.5, -0.1]))):
+        for degree in (1, 2):
+            with pytest.raises(ValueError, match="nonnegative"):
+                thermal_coefficients(*bad, degree)
 
 
 def test_lindblad_rk4_validates_steps():

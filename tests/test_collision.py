@@ -8,7 +8,7 @@ from collide_qfi import qmat
 from collide_qfi.channels import (Interaction, ModelParams, collision_unitary,
                                   embed_op, thermal_kraus)
 from collide_qfi.collision import (AncillaBlock, FixedPointError,
-                                   _fixed_point_pair,
+                                   _basis_collisions, _fixed_point_pair,
                                    _projectors, _step_map_poly,
                                    _step_map_tensor,
                                    block_collision_superop, block_map_superop,
@@ -368,20 +368,23 @@ def test_one_block_chain_forms_no_e_rows():
 
 def test_step_map_tensor_is_read_only():
     # lru_cache hands the same array to every caller: a write must fail
-    # rather than corrupt later evaluations with the same (params, b)
-    # or (interaction, g_tau_sa, state, with_e)
+    # rather than corrupt later evaluations with the same (params, b),
+    # (interaction, g_tau_sa, state, with_e) or (interaction, g_tau_sa); the
+    # basis collisions feed both step-map caches
     params = ModelParams(nbar=0.8, gamma_tau_se=0.4,
                          interaction=Interaction.EXCHANGE)
+    cached = [_basis_collisions(params.interaction, params.g_tau_sa)]
     for b in (1, 2):
         psi = np.eye(2 ** b, dtype=complex)[0]
         for with_e in (False, True):
-            for tensor in (_step_map_tensor(params, b, with_e),
-                           _step_map_poly(params.interaction, params.g_tau_sa,
-                                          psi.tobytes(), with_e)):
-                with pytest.raises(ValueError):
-                    tensor[0, 0] = 0.0
-                with pytest.raises(ValueError):
-                    tensor *= 2.0
+            cached += [_step_map_tensor(params, b, with_e),
+                       _step_map_poly(params.interaction, params.g_tau_sa,
+                                      psi.tobytes(), with_e)]
+    for tensor in cached:
+        with pytest.raises(ValueError):
+            tensor[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            tensor *= 2.0
 
 
 def test_step_maps_do_not_build_block_collision_superop():

@@ -460,6 +460,27 @@ def test_qfi_gradient_matches_sylvester_sld():
                     1e-6 * np.max(np.abs(grad))), (b, n, interaction, k, unit)
 
 
+def test_stacked_rows_match_each_row_alone():
+    # each row of a 6-row stack reads the same step maps, QFI and gradient as
+    # that row run alone, bit for bit, so the starts of an ascent never move
+    # each other's paths
+    rng = np.random.default_rng(23)
+    for b, n in ((1, 1), (1, 2), (1, 4), (2, 2), (2, 4)):
+        for interaction in Interaction:
+            params = ModelParams(nbar=1.3, gamma_tau_se=0.4, g_tau_sa=1.1,
+                                 interaction=interaction)
+            psi = random_states(rng, 6, 2 ** b)
+            maps = step_maps(params, psi, n)
+            values, g = qfi_and_gradient(params, psi, n)
+            for k in range(6):
+                row = psi[k:k + 1]
+                assert (step_maps(params, row, n).tobytes()
+                        == maps[k:k + 1].tobytes()), (b, n, interaction, k)
+                value, gk = qfi_and_gradient(params, row, n)
+                assert value.tobytes() == values[k:k + 1].tobytes()
+                assert gk.tobytes() == g[k:k + 1].tobytes()
+
+
 # Z (x) I + I (x) Z: the generator of a collective Z rotation of the block
 Z_COLL = np.diag([2.0, 0.0, 0.0, -2.0])
 
