@@ -172,12 +172,14 @@ def _step_maps(pairs: np.ndarray, ops: np.ndarray, with_e: bool) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=1)
 def _step_map_tensor(params: ModelParams, b: int, with_e: bool) -> np.ndarray:
     """Read-only (4^b, 2*rows*4) matrix that maps a vectorized block input
     state to its flattened step maps: the step-map builder run on the
     operator basis of the block, one basis element per row, with the
-    point's thermal coefficients over the basis collisions as its pair."""
+    point's thermal coefficients over the basis collisions as its pair. The
+    cache keeps one point: the rounds of an optimizer call reread their
+    point's tensor, and a sweep's later points never do."""
     big_c = _basis_collisions(params.interaction, params.g_tau_sa).reshape(4, -1)
     pairs = thermal_coefficients(np.array([params.nbar]),
                                  np.array([params.gamma_tau_se]), 1) @ big_c

@@ -309,12 +309,12 @@ def _ascend(params: ModelParams, n_measured: int, psi0: np.ndarray):
 def optimize_b1(params: ModelParams, n_measured: int) -> Optimum:
     """Maximize QFI over the single-ancilla polar angle: ``_ascend`` climbs
     from the Bloch starts theta = 0, pi/4, ..., pi, and the best final state
-    is reported as theta = 2 atan2(|psi_1|, |psi_0|)."""
+    is reported by its polar angle ``_polar``, which reads a rounding-level
+    weight of |e> or |g> as theta = 0 or pi."""
     starts = [bloch_state(BlochAngles(t)) for t in np.linspace(0, math.pi, 5)]
     finals, values, evaluations = _ascend(params, n_measured, np.array(starts))
     i = int(np.nanargmax(values))
-    theta = 2.0 * math.atan2(abs(finals[i, 1]), abs(finals[i, 0]))
-    return Optimum(argmax=BlochAngles(theta=theta),
+    return Optimum(argmax=BlochAngles(theta=_polar(finals[i])),
                    value_nbar=float(values[i]), evaluations=evaluations)
 
 

@@ -241,29 +241,31 @@ def _sweep_values(block, n: int, quantities: tuple, nbars: tuple,
     return [row.values for row in run_sweep(config)]
 
 
-def _maximize_1d(f, lo, hi, coarse=25, tol=1e-4, log=True):
-    """Deterministic 1-D maximization: the best point of a coarse grid, then
-    the bracket of its grid neighbours halved around the best point found,
-    which moves only on a strictly larger value, until the bracket is
-    narrower than ``tol``. Returns (x, f(x)), or (nan, nan) when the grid
-    holds a NaN: no maximum was found, and f is not called again."""
-    xs = (np.logspace(math.log10(lo), math.log10(hi), coarse) if log
-          else np.linspace(lo, hi, coarse)).tolist()
-    values = [f(x) for x in xs]
-    i = int(np.argmax(values))  # the first NaN, if the grid holds one
-    x, best = xs[i], float(values[i])
-    if math.isnan(best):
-        return math.nan, math.nan
-    a, b = xs[max(i - 1, 0)], xs[min(i + 1, coarse - 1)]
+def _maximize_1d(rows, quantity: str, xs, tol: float):
+    """Deterministic 1-D maximization of one quantity of sweep rows, where
+    ``rows(points)`` returns the rows' values at a tuple of points: the best
+    point of the grid ``xs``, all read in one call, and its grid neighbours
+    bracket the peak; each later call reads one point, a golden section
+    (Kiefer 1953) into the wider side of the bracket. The best point moves
+    only on a strictly larger value, and the search stops when the bracket
+    is narrower than ``tol``. Returns (x, row at x), or (nan, the grid's
+    first NaN row) when the grid holds a NaN: no maximum was found, and
+    ``rows`` is not called again."""
+    xs = tuple(float(x) for x in xs)
+    grid = rows(xs)
+    i = int(np.argmax([v[quantity] for v in grid]))  # the first NaN, if any
+    x, best = xs[i], grid[i]
+    if math.isnan(best[quantity]):
+        return math.nan, best
+    a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
     while b - a >= tol:
-        left, right = 0.5 * (a + x), 0.5 * (x + b)
-        f_left, f_right = f(left), f(right)
-        if f_left > best and not f_right > f_left:
-            b, x, best = x, left, f_left
-        elif f_right > best:
-            a, x, best = x, right, f_right
+        right = b - x > x - a
+        t = x + (3.0 - math.sqrt(5.0)) / 2.0 * ((b if right else a) - x)
+        [row] = rows((t,))
+        if row[quantity] > best[quantity]:
+            a, b, x, best = (x, b, t, row) if right else (a, x, t, row)
         else:
-            a, b = left, right
+            a, b = (a, t) if right else (t, b)
     return x, best
 
 
@@ -295,26 +297,24 @@ def _claims_zz_progression():
 
 
 def _claims_zz_delta_max():
-    def delta(gt):
-        return _sweep_values("plusx", 1, ("delta_zz",), (10.0,), (gt,),
-                             Interaction.ZZ)[0]["delta_zz"]
-
-    _, val = _maximize_1d(delta, 1e-3, 5.0)
+    _, row = _maximize_1d(
+        lambda gts: _sweep_values("plusx", 1, ("delta_zz",), (10.0,), gts,
+                                  Interaction.ZZ),
+        "delta_zz", np.logspace(-3, math.log10(5.0), 25), 1e-4)
     return [ClaimResult("zz-delta-max",
                         "max over gamma_tau of Delta/F_th at nbar=10",
-                        71.8, val, 0.01, "rel")]
+                        71.8, row["delta_zz"], 0.01, "rel")]
 
 
 def _claims_exchange_opt11():
-    def ratio(gt):
-        return _sweep_values("optimize-b1", 1, ("ratio_thermal",),
-                             (10.0,), (gt,))[0]["ratio_thermal"]
-
-    _, val = _maximize_1d(ratio, 0.01, 3.0, coarse=21, tol=1e-3)
+    _, row = _maximize_1d(
+        lambda gts: _sweep_values("optimize-b1", 1, ("ratio_thermal",),
+                                  (10.0,), gts),
+        "ratio_thermal", np.logspace(-2, math.log10(3.0), 21), 1e-3)
     return [ClaimResult("exchange-opt-1-1",
                         "max over gamma_tau of single-ancilla optimal QFI "
                         "ratio at nbar=10",
-                        77.3, val, 0.01, "rel")]
+                        77.3, row["ratio_thermal"], 0.01, "rel")]
 
 
 def _ground_swap_ratio(nbar: float, gamma_tau: float) -> float:
@@ -344,20 +344,17 @@ def _claims_ground_small_gt():
 
 
 def _claims_exchange_collective():
-    @functools.cache
-    def point(gt):
-        return _sweep_values("optimize-b1", 2,
-                             ("ratio_per_copy", "ratio_thermal"), (10.0,), (gt,))[0]
-
-    gt_star, val = _maximize_1d(lambda gt: point(gt)["ratio_per_copy"],
-                                0.1, 0.6, coarse=11, tol=1e-3, log=False)
+    gt_star, row = _maximize_1d(
+        lambda gts: _sweep_values("optimize-b1", 2,
+                                  ("ratio_per_copy", "ratio_thermal"),
+                                  (10.0,), gts),
+        "ratio_per_copy", np.linspace(0.1, 0.6, 11), 1e-3)
     # a grid without a maximum has no peak to read the thermal ratio at
-    thermal = (point(gt_star)["ratio_thermal"] if math.isfinite(gt_star)
-               else math.nan)
+    thermal = row["ratio_thermal"] if math.isfinite(gt_star) else math.nan
     return [
         ClaimResult("exchange-collective-ratio",
                     "max over gamma_tau of F_opt(2,1)/2F_opt(1,1) at nbar=10",
-                    1.65, val, 0.02, "rel"),
+                    1.65, row["ratio_per_copy"], 0.02, "rel"),
         ClaimResult("exchange-collective-location",
                     "gamma_tau at which the N=2 collective advantage peaks",
                     0.26, gt_star, 0.05),

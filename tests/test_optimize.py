@@ -141,6 +141,11 @@ def test_optimize_b1_beats_grid_and_reproduces_argmax(monkeypatch):
         block = AncillaBlock(b=1, psi=bloch_state(opt.argmax))
         value = fisher_for(params, block, n).value_nbar
         assert abs(value - opt.value_nbar) <= 1e-10 * opt.value_nbar
+    # a rounding-level weight of |e> (theta ~ 1.8e-10 here) reads as
+    # theta = 0 exactly, the rule of the Schmidt form
+    params = ModelParams(nbar=0.1, gamma_tau_se=0.26,
+                         interaction=Interaction.EXCHANGE)
+    assert optimize_b1(params, 2).argmax.theta == 0.0
 
 
 def test_optimize_b1_ties_are_relative():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -466,16 +467,38 @@ def test_fixed_block_sweep_builds_each_step_map_polynomial_once(monkeypatch):
                              ((1, 4, 4), False), ((1, 4, 4), True)]
 
 
+def _rows_of(f, calls):
+    """A ``rows`` callable for ``_maximize_1d``: one {"f": f(x)} row per
+    point, each call's points and rows appended to ``calls``."""
+    def rows(points):
+        out = [{"f": f(x)} for x in points]
+        calls.append((points, out))
+        return out
+    return rows
+
+
 def test_maximize_1d_interior_peak():
-    x, v = _maximize_1d(lambda x: -(x - 0.3) ** 2, 0.01, 1.0, log=False)
+    def check(f, xs, tol):
+        # the grid is one call, each later call one point, and the returned
+        # row is the very row evaluated at x
+        calls = []
+        x, row = _maximize_1d(_rows_of(f, calls), "f", xs, tol)
+        assert len(calls[0][0]) == len(xs)
+        assert all(len(points) == 1 for points, _ in calls[1:])
+        assert any(row is r for points, out in calls
+                   for t, r in zip(points, out) if t == x)
+        return x, row["f"]
+
+    x, v = check(lambda x: -(x - 0.3) ** 2, np.linspace(0.01, 1.0, 25), 1e-4)
     assert abs(x - 0.3) < 1e-3
     assert v <= 0.0
     # log-spaced variant
-    x, _ = _maximize_1d(lambda x: -(math.log10(x) + 1.0) ** 2, 1e-3, 10.0)
+    x, _ = check(lambda x: -(math.log10(x) + 1.0) ** 2,
+                 np.logspace(-3, 1, 25), 1e-4)
     assert abs(x - 0.1) < 1e-3
-    # a maximum at a grid end: a monotone f ends within tol of hi
-    for log in (True, False):
-        x, v = _maximize_1d(lambda x: x, 0.01, 1.0, tol=1e-4, log=log)
+    # a maximum at a grid end: a monotone f ends within tol of its last point
+    for xs in (np.logspace(-2, 0, 25), np.linspace(0.01, 1.0, 25)):
+        x, v = check(lambda x: x, xs, 1e-4)
         assert 1.0 - 1e-4 <= x <= 1.0 and v == x
     # the result is never below the grid's best value: not on a rippled f,
     # and not where f is NaN off the grid
@@ -488,22 +511,22 @@ def test_maximize_1d_interior_peak():
         return -(x - 0.3) ** 2 if np.any(grid == x) else math.nan
 
     for f in (ripple, on_grid):
-        x, v = _maximize_1d(f, 0.01, 1.0, log=False)
+        x, v = check(f, grid, 1e-4)
         assert v >= max(f(t) for t in grid) and v == f(x)
 
 
 def test_maximize_1d_without_a_maximum():
     # np.argmax picks the first NaN of a grid, so a grid holding one has no
-    # maximum to refine, and f is not called after the grid
-    for values in ([math.nan] * 3, [math.nan, 0.0, -0.01]):
+    # maximum to refine: the search returns that point's row, and rows is
+    # not called after the grid
+    for values in ([math.nan] * 3, [math.nan, 0.0, -0.01],
+                   [0.0, math.nan, math.nan]):
         calls = []
-
-        def f(x):
-            calls.append(x)
-            return values[len(calls) - 1]
-
-        x, value = _maximize_1d(f, 0.1, 0.3, coarse=3, log=False)
-        assert math.isnan(x) and math.isnan(value) and len(calls) == 3
+        x, row = _maximize_1d(_rows_of(lambda x: values[int(x)], calls), "f",
+                              (0.0, 1.0, 2.0), 1e-4)
+        first_nan = [math.isnan(v) for v in values].index(True)
+        assert math.isnan(x) and len(calls) == 1
+        assert row is calls[0][1][first_nan]
 
 
 def test_ground_swap_ratio_matches_fisher_for():
@@ -517,8 +540,59 @@ def test_ground_swap_ratio_matches_fisher_for():
             assert abs(numeric - closed) <= 1e-6 * closed, (nbar, gt)
     # The |g> peak over gamma_tau at nbar=10 is the single-ancilla optimum
     # of acceptance-04 (77.3), so no |g> ratio there can reach 95.
-    _, peak = _maximize_1d(lambda gt: _ground_swap_ratio(10.0, gt), 1e-3, 3.0)
-    assert abs(peak - 77.3) <= 0.01 * 77.3
+    _, row = _maximize_1d(
+        _rows_of(lambda gt: _ground_swap_ratio(10.0, gt), []), "f",
+        np.logspace(-3, math.log10(3.0), 25), 1e-4)
+    assert abs(row["f"] - 77.3) <= 0.01 * 77.3
+
+
+def test_searching_claims_cost_at_most_their_calls(monkeypatch):
+    # each peak search reads its grid as one sweep and then one point per
+    # step; the bounds are that search's counts, so a change that reads the
+    # grid point by point or spends two points per step fails here
+    counts = {"sweeps": 0, "optimize_b1": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(sweeps, "_sweep_values",
+                        counted("sweeps", sweeps._sweep_values))
+    monkeypatch.setattr(sweeps, "optimize_b1",
+                        counted("optimize_b1", sweeps.optimize_b1))
+    bounds = ((sweeps._claims_zz_delta_max, 13, 0),
+              (sweeps._claims_exchange_opt11, 8, 28),
+              (sweeps._claims_exchange_collective, 11, 42))
+    for claim, max_sweeps, max_b1 in bounds:
+        counts.update(sweeps=0, optimize_b1=0)
+        assert all(r.passed for r in claim())
+        assert counts["sweeps"] <= max_sweeps, (claim.__name__, counts)
+        assert counts["optimize_b1"] <= max_b1, (claim.__name__, counts)
+
+
+def test_an_optimizer_row_leaves_at_most_one_step_map_tensor():
+    # the step-map tensor cache keeps one point: an optimizer reads its
+    # point's tensor in every round, and no later point reads it again, so
+    # a finished 6-point b=2 N=4 row leaves less than two tensors behind
+    gamma_taus = tuple(np.geomspace(0.07, 2.2, 6))
+    first = ModelParams(nbar=1.0, gamma_tau_se=gamma_taus[0],
+                        interaction=Interaction.EXCHANGE)
+    optimize_b2(first, 4)  # loads what any optimizer call loads on first use
+    bound = 2 * collision._step_map_tensor(first, 2, True).nbytes
+    assert bound == 344_064
+    config = small_config(interaction=Interaction.EXCHANGE,
+                          block="optimize-b2", n_measured=4, nbar_grid=(1.0,),
+                          gamma_tau_grid=gamma_taus, quantities=("qfi",))
+    tracemalloc.start()
+    try:
+        rows = run_sweep(config)
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 6 and all(r.status == "ok" for r in rows)
+    assert left < bound
 
 
 def test_claims_fail_where_an_optimizer_point_fails(monkeypatch):
