@@ -11,9 +11,9 @@ memory, so one step map per block carries everything the chain needs:
 E: rho_S -> C_b...C_1(rho_S (x) Psi), with C_i the collision with ancilla i
 followed by the thermal map on S. The thermal map is affine in its
 coefficients, so both step-map caches are built from one cached set of
-basis collisions: one parameter point reads its step maps off a tensor in
-the block state, and a sequence of points with one block state, such as a
-sweep row, off a polynomial in the thermal coefficients.
+basis collisions: a stack of block states at one point reads its step maps
+off a tensor in the block state, and one block state, at one point or the
+many of a sweep row, off a polynomial in the thermal coefficients.
 
 A stack of step maps and their nbar derivatives is an (R, 2, rows, 4)
 array: ``maps[r, 0]`` holds the maps and ``maps[r, 1]`` their derivatives
@@ -21,8 +21,7 @@ for stack row r. Columns index the system input (iS, jS). The rows are [Phi; L; 
 system (4 rows, (iS, jS)), which the fixed point reads; the last block L =
 tr_S E (4^b rows, the block operator flattened row-major); and E itself (4*4^b
 rows: (iS, jS), then the (row, column) legs of each ancilla of the block,
-latest first), present only when the chain has more than one block, as only
-the blocks before the last read it.
+latest first); a one-block chain reads only the [Phi; L] prefix.
 """
 
 from __future__ import annotations
@@ -119,11 +118,10 @@ def _layout(rows: int):
     return math.isqrt((rows - 4) // 5 if with_e else rows - 4), with_e
 
 
-def _step_maps(pairs: np.ndarray, ops: np.ndarray, with_e: bool) -> np.ndarray:
+def _step_maps(pairs: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """Step maps of one block from one-collision pairs ``pairs`` (P, 2, 16,
     16) and block input operators ``ops`` (Q, 2^b, 2^b), with P or Q equal
-    to 1: an (max(P, Q), 2, rows, 4) stack [Phi; L; E], with the E rows only
-    when ``with_e``.
+    to 1: an (max(P, Q), 2, 4 + 5*4^b, 4) stack [Phi; L; E].
 
     Collision i acts on (S, A_i), with the earlier ancillas' outputs, the
     later ones' inputs and the system input as spectators. The first takes
@@ -150,10 +148,8 @@ def _step_maps(pairs: np.ndarray, ops: np.ndarray, with_e: bool) -> np.ndarray:
         np.matmul(pairs[:, 0], yt[:, 1], out=yt[:, 0])
         y[:, 1] += yt[:, 0]
     del yt
-    out = np.empty((r, 2, 4 + d2 * (5 if with_e else 1), 4), dtype=complex)
-    e = y.reshape(r, 2, 4 * d2, 4)
-    if with_e:
-        out[:, :, 4 + d2:] = e
+    out = np.empty((r, 2, 4 + 5 * d2, 4), dtype=complex)
+    out[:, :, 4 + d2:] = e = y.reshape(r, 2, 4 * d2, 4)
     # e_legs[r, k, s, t, a_b, c_b, ..., a_1, c_1, (S, T)]. Phi sums the
     # block diagonal, a_i = c_i, in row-major order of (a_1..a_b), and L
     # adds the system diagonal, its rows (a_1..a_b, c_1..c_b).
@@ -177,26 +173,28 @@ def _step_map_tensor(params: ModelParams, b: int, with_e: bool) -> np.ndarray:
     """Read-only (4^b, 2*rows*4) matrix that maps a vectorized block input
     state to its flattened step maps: the step-map builder run on the
     operator basis of the block, one basis element per row, with the
-    point's thermal coefficients over the basis collisions as its pair. The
-    cache keeps one point: the rounds of an optimizer call reread their
-    point's tensor, and a sweep's later points never do."""
+    point's thermal coefficients over the basis collisions as its pair,
+    kept to [Phi; L] unless ``with_e``. Only stacks of block states at one
+    point, the optimizers' rounds, read it. The cache keeps one point: the
+    rounds of an optimizer call reread their point's tensor, and a sweep's
+    later points never do."""
     big_c = _basis_collisions(params.interaction, params.g_tau_sa).reshape(4, -1)
     pairs = thermal_coefficients(np.array([params.nbar]),
                                  np.array([params.gamma_tau_se]), 1) @ big_c
     basis = np.eye(4 ** b).reshape(-1, 2 ** b, 2 ** b)
-    tensor = _step_maps(pairs.reshape(-1, 2, 16, 16), basis,
-                        with_e).reshape(4 ** b, -1)
+    tensor = _step_maps(pairs.reshape(-1, 2, 16, 16), basis)[
+        :, :, :4 + 4 ** b * (5 if with_e else 1)].reshape(4 ** b, -1)
     tensor.flags.writeable = False
     return tensor
 
 
 @lru_cache(maxsize=128)
-def _step_map_poly(interaction, g_tau_sa: float, psi: bytes,
-                   with_e: bool) -> np.ndarray:
-    """Read-only (M, 2*rows*4) real matrix of the step maps of one block
-    state, given by its bytes, as a polynomial in the thermal map's c: row m
-    holds the maps of the m-th monomial of degree b in ``thermal_monomials``
-    (M = 4 for b=1, 10 for b=2), viewed as reals.
+def _step_map_poly(interaction, g_tau_sa: float, psi: bytes) -> np.ndarray:
+    """Read-only (M, 2*rows*4) real matrix of the step maps [Phi; L; E] of
+    one block state, given by its bytes, as a polynomial in the thermal
+    map's c: row m holds the maps of the m-th monomial of degree b in
+    ``thermal_monomials`` (M = 4 for b=1, 10 for b=2), viewed as reals; its
+    first (4 + 4^b)*8 columns are the [Phi; L] prefix.
 
     The builder runs on the cached basis collisions C_e. A monomial's first
     and last indices e <= f pick its slot: e = f is slot 0 of the pair
@@ -207,7 +205,7 @@ def _step_map_poly(interaction, g_tau_sa: float, psi: bytes,
     ops = _projectors(np.frombuffer(psi, dtype=complex)[None])
     e, f = np.array(thermal_monomials(ops.shape[1].bit_length() - 1))[[0, -1]]
     big_c = _basis_collisions(interaction, g_tau_sa)
-    maps = _step_maps(np.stack([big_c[f], big_c[e]], axis=1), ops, with_e)
+    maps = _step_maps(np.stack([big_c[f], big_c[e]], axis=1), ops)
     poly = np.where((e == f)[:, None, None], maps[:, 0], maps[:, 1])
     poly = poly.reshape(len(e), -1).view(float)
     poly.flags.writeable = False
@@ -246,19 +244,19 @@ def _projectors(psi: np.ndarray) -> np.ndarray:
 
 
 def step_maps(params, psi: np.ndarray, n_measured: int) -> np.ndarray:
-    """Step maps of one block for a stacked evaluation: either one
-    ``ModelParams`` and each row of a (Q, 2^b) stack of block states, or each
-    point of a sequence of model parameters that share g_tau_sa and the
-    interaction, such as one row of a sweep grid, and a one-state stack.
-    Returns an (R, 2, rows, 4) stack [Phi; L; E] for a chain of
-    ``n_measured`` ancillas; b is read from the width of ``psi``, and the E
-    rows are formed only when the chain has more than one block.
+    """Step maps of one block for a stacked evaluation: one ``ModelParams``
+    and each row of a (Q, 2^b) stack of block states, or each point of a
+    sequence of model parameters that share g_tau_sa and the interaction (a
+    sweep row, or one point) and a one-state stack. Returns an (R, 2, rows,
+    4) stack [Phi; L; E] for a chain of ``n_measured`` ancillas, with the E
+    rows only when the chain has more than one block.
 
     One parameter point takes one batched real matmul, a row at a time, of
     the projectors' real and imaginary parts against its cached tensor. A
     sequence takes one small product per point: the monomials of its thermal
     map's c = (1, up, down, coh - 1) and their derivatives, from
-    ``thermal_coefficients``, against the state's cached polynomial.
+    ``thermal_coefficients``, against the state's cached polynomial, or its
+    [Phi; L] prefix for one block: every one-state evaluation reads it.
     """
     b = block_size(psi.shape)
     check_measured(n_measured, b)
@@ -287,7 +285,8 @@ def step_maps(params, psi: np.ndarray, n_measured: int) -> np.ndarray:
            for p in params):
         raise ValueError("stacked parameters must share g_tau_sa and interaction")
     poly = _step_map_poly(first.interaction, first.g_tau_sa,
-                          psi.astype(complex).tobytes(), with_e)
+                          psi.astype(complex).tobytes())
+    poly = poly if with_e else poly[:, :(4 + 4 ** b) * 8]
     c = thermal_coefficients(np.array([p.nbar for p in params]),
                              np.array([p.gamma_tau_se for p in params]), b)
     # one product per row: one (2R, M) @ (M, cols) product peaks higher in RSS
@@ -322,7 +321,7 @@ def step_maps_pullback(params: ModelParams,
 
 def block_map_superop(params: ModelParams, block: AncillaBlock) -> np.ndarray:
     """4x4 superoperator of Phi: rho_S -> tr_A{C[rho_S (x) Psi]}."""
-    return step_maps(params, block.psi[None], block.b)[0, 0, :4]
+    return step_maps([params], block.psi[None], block.b)[0, 0, :4]
 
 
 _I4 = np.eye(4)
@@ -357,13 +356,14 @@ def _fixed_point_pair(superop: np.ndarray, dsuperop: np.ndarray):
     for ``_fixed_point_pullback``.
     """
     a = superop - _I4
-    # Trace preservation: rows 0 and 3 of Phi sum to the trace functional
-    # (1, 0, 0, 1), so those rows of Phi - I cancel.
+    # Trace preservation: rows 0 and 3 of Phi sum to (1, 0, 0, 1), so those
+    # rows of Phi - I cancel, and Phi[0, 0] - 1 is -Phi[3, 0], unrounded.
     defect = np.abs((a[:, 0] + a[:, 3]).view(float))
     if not defect.max() <= 1e-9:
         row = int(np.argmax(defect.max(axis=1)))
         raise FixedPointError(f"block map does not preserve trace (row {row}: "
                               f"defect {defect[row].max():.3e})")
+    a[:, 0, 0] = -superop[:, 3, 0]
     a[:, 3, :] = _TRACE_ROW
     try:
         inv = np.linalg.inv(a)
@@ -529,5 +529,5 @@ def outgoing_joint_state(params: ModelParams, block: AncillaBlock,
     unitary on (S, A_i) followed by the thermal map on S, then traces out S.
     This is the state half of ``outgoing_with_derivative`` for one block.
     """
-    maps = step_maps(params, block.psi[None], n_measured)
+    maps = step_maps([params], block.psi[None], n_measured)
     return outgoing_with_derivative(maps, n_measured)[0][0]

@@ -144,8 +144,8 @@ def fisher_for(params: ModelParams, block: AncillaBlock,
     """QFI of the N-ancilla outgoing state, in nbar units, plus the thermal ratio.
 
     The state and its exact nbar-derivative come from one pass through the
-    collision chain: the one-row case of ``qfi_values``.
+    collision chain: the one-point case of a sweep row, to the bit.
     """
-    value = float(qfi_values(params, block.psi[None], n_measured)[0])
+    value = float(qfi_values([params], block.psi[None], n_measured)[0])
     ratio = value / (n_measured * thermal_fi_nbar(params.nbar))
     return FisherResult(value_nbar=value, ratio_thermal=ratio)

@@ -129,6 +129,17 @@ def test_steady_state_of_identity_is_minimum_norm():
     s = block_map_superop(params, ground_block())
     assert np.allclose(s, np.eye(4))
     assert np.allclose(steady_state(s), np.eye(2) / 2.0, atol=1e-12)
+    # a |+x> block's map rounds Phi[0, 0] to 1 - 2^-52, as (1/sqrt 2)^2
+    # rounds below 1/2; Phi - I takes that corner from trace preservation,
+    # so the fixed space stays degenerate and the fixed point exactly I/2.
+    # With no bath a zz collision only dephases, so gtau = pi/2 is the same.
+    for interaction, g_tau_sa in ((Interaction.ZZ, 0.0),
+                                  (Interaction.ZZ, math.pi / 2),
+                                  (Interaction.EXCHANGE, 0.0)):
+        params = ModelParams(nbar=1.0, gamma_tau_se=0.0, g_tau_sa=g_tau_sa,
+                             interaction=interaction)
+        s = block_map_superop(params, plusx_block())
+        assert np.array_equal(steady_state(s), np.eye(2) / 2.0)
 
 
 def test_steady_state_rejects_contraction():
@@ -350,9 +361,10 @@ def test_step_map_builders_agree_row_for_row():
 
 
 def test_one_block_chain_forms_no_e_rows():
-    # a chain of one block reads Phi and L only, so neither builder forms
-    # the 4*4^b E rows; a chain of two blocks has them, and a one-block
-    # stack cannot be run as a longer chain
+    # a chain of one block reads Phi and L only, so neither path hands it
+    # the 4*4^b E rows (the polynomial's prefix, a tensor kept to [Phi; L]);
+    # a chain of two blocks has them, and a one-block stack cannot be run
+    # as a longer chain
     params = ModelParams(nbar=0.8, gamma_tau_se=0.4,
                          interaction=Interaction.EXCHANGE)
     for b in (1, 2):
@@ -368,18 +380,18 @@ def test_one_block_chain_forms_no_e_rows():
 
 def test_step_map_tensor_is_read_only():
     # lru_cache hands the same array to every caller: a write must fail
-    # rather than corrupt later evaluations with the same (params, b),
-    # (interaction, g_tau_sa, state, with_e) or (interaction, g_tau_sa); the
-    # basis collisions feed both step-map caches
+    # rather than corrupt later evaluations with the same (params, b,
+    # with_e), (interaction, g_tau_sa, state) or (interaction, g_tau_sa);
+    # the basis collisions feed both step-map caches
     params = ModelParams(nbar=0.8, gamma_tau_se=0.4,
                          interaction=Interaction.EXCHANGE)
     cached = [_basis_collisions(params.interaction, params.g_tau_sa)]
     for b in (1, 2):
         psi = np.eye(2 ** b, dtype=complex)[0]
+        cached.append(_step_map_poly(params.interaction, params.g_tau_sa,
+                                     psi.tobytes()))
         for with_e in (False, True):
-            cached += [_step_map_tensor(params, b, with_e),
-                       _step_map_poly(params.interaction, params.g_tau_sa,
-                                      psi.tobytes(), with_e)]
+            cached.append(_step_map_tensor(params, b, with_e))
     for tensor in cached:
         with pytest.raises(ValueError):
             tensor[0, 0] = 0.0

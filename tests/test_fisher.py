@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -170,6 +171,26 @@ def test_exact_derivative_matches_zz_closed_form():
     assert worst <= 1e-10
 
 
+def test_fixed_point_keeps_its_digits_at_small_gamma_tau():
+    # the block map's Phi[0, 0] = 1 - up rounds at small gamma_tau, so the
+    # fixed point takes Phi - I's corner from trace preservation. N=1 then
+    # meets the closed form to rounding; for N <= 4 the Sylvester solve on
+    # the chain's (rho, drho) does too (the eigen path's error at N >= 2 is
+    # the eigensolver's, on two nearly equal eigenvalues)
+    block = AncillaBlock(b=1, psi=qmat.KET_PLUS_X)
+    for nbar, gt in itertools.product((0.1, 1.0, 10.0), (1e-4, 1e-8, 1e-12)):
+        params = ModelParams(nbar=nbar, gamma_tau_se=gt,
+                             interaction=Interaction.ZZ)
+        closed = zz_fn(nbar, gt, 1)
+        value = fisher_for(params, block, 1).value_nbar
+        assert abs(value - closed) <= 1e-13 * closed
+        for n in range(1, 5):
+            rho, drho, _ = outgoing_with_derivative(
+                step_maps([params], block.psi[None], n), n)
+            closed = zz_fn(nbar, gt, n)
+            assert abs(sld_qfi(rho[0], drho[0]) - closed) <= 2e-13 * closed
+
+
 def five_point_qfi(params, block, n, h):
     """QFI with a fourth-order central difference of the state in nbar."""
     build = joint_state_builder(params, block, n)
@@ -262,6 +283,20 @@ def test_qfi_values_match_fisher_for():
                         else:
                             worst = max(worst, abs(value - ref) / ref)
     assert worst <= 1e-12
+
+
+def test_one_block_fisher_for_reads_zero_without_coupling():
+    # at g_tau_sa=0 no collision touches the system, so nothing of nbar
+    # reaches the ancillas: the block state's polynomial gives derivative L
+    # rows of exact zeros, and a b=2 one-block QFI reads exactly 0
+    rng = np.random.default_rng(29)
+    for interaction in Interaction:
+        for nbar in (0.05, 1.3, 1e-6):
+            params = ModelParams(nbar=nbar, gamma_tau_se=0.5, g_tau_sa=0.0,
+                                 interaction=interaction)
+            for psi in random_states(rng, 3, 4):
+                block = AncillaBlock(b=2, psi=psi)
+                assert fisher_for(params, block, 2).value_nbar == 0.0
 
 
 def test_qfi_values_of_a_sweep_row_peak_below_the_maps_and_four_rows():

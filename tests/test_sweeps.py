@@ -415,9 +415,9 @@ def test_run_sweep_ratio_per_copy_undefined_without_coupling():
     # with no system-ancilla coupling the one-block QFI is 0, so the per-copy
     # ratio has no value: the row says so instead of reading ok. The
     # derivative of the last block's rows is exactly 0, so one block reads a
-    # QFI of exactly 0; two zz |+x> blocks read ~3e-34, as the system trace
-    # of their chain rounds.
-    for interaction, block, n, bound in ((Interaction.EXCHANGE, "g", 2, 0.0),
+    # QFI of exactly 0; two blocks read ~2e-34 to 3e-34 (exchange |g>, zz
+    # |+x>), as the system trace of their chain rounds.
+    for interaction, block, n, bound in ((Interaction.EXCHANGE, "g", 2, 1e-30),
                                          (Interaction.EXCHANGE, "gg", 2, 0.0),
                                          (Interaction.ZZ, "plusx", 1, 0.0),
                                          (Interaction.ZZ, "plusx", 2, 1e-30)):
@@ -441,14 +441,15 @@ def test_run_sweep_ratio_per_copy_undefined_without_coupling():
 
 def test_fixed_block_sweep_builds_each_step_map_polynomial_once(monkeypatch):
     # the rows of a fixed-block sweep read their step maps off one cached
-    # polynomial per (state, layout): the per-ancilla builder runs once for
-    # each, not once per row or point
+    # polynomial per state: the per-ancilla builder runs once for each, not
+    # once per row or point, and the one-block chain of ratio_per_copy reads
+    # the same polynomial as the N=4 chain
     calls = []
     real = collision._step_maps
 
-    def counted(pairs, ops, with_e):
-        calls.append((ops.shape, with_e))
-        return real(pairs, ops, with_e)
+    def counted(pairs, ops):
+        calls.append(ops.shape)
+        return real(pairs, ops)
 
     monkeypatch.setattr(collision, "_step_maps", counted)
     nbar_grid = tuple(np.geomspace(0.1, 10.0, 5))
@@ -462,9 +463,51 @@ def test_fixed_block_sweep_builds_each_step_map_polynomial_once(monkeypatch):
                               quantities=("qfi", "ratio_per_copy"))
         rows = run_sweep(config)
         assert len(rows) == 35 and all(r.status == "ok" for r in rows)
-    # N=4 and one block of b, with and without the E rows, for each state
-    assert sorted(calls) == [((1, 2, 2), False), ((1, 2, 2), True),
-                             ((1, 4, 4), False), ((1, 4, 4), True)]
+    assert sorted(calls) == [(1, 2, 2), (1, 4, 4)]
+
+
+def test_fisher_for_equals_the_sweep_row_bit_for_bit():
+    # fisher_for is the one-point case of a sweep row: both read the block
+    # state's cached step-map polynomial, so every point gives the same bits
+    mismatches = []
+    for interaction in Interaction:
+        for spec, n in (("g", 1), ("plusx", 2), ("gg", 2), ("plusx-g", 4),
+                        ("theta:1.1", 3)):
+            block = parse_block(spec)
+            for g_tau_sa, nbar in itertools.product((0.0, 0.7, math.pi / 2),
+                                                    (0.05, 1.3, 10.0)):
+                config = small_config(interaction=interaction, block=block,
+                                      n_measured=n, nbar_grid=(nbar,),
+                                      gamma_tau_grid=(0.01, 0.3, 2.0),
+                                      g_tau_sa=g_tau_sa, quantities=("qfi",))
+                for row in run_sweep(config):
+                    params = ModelParams(nbar=nbar, gamma_tau_se=row.gamma_tau,
+                                         g_tau_sa=g_tau_sa,
+                                         interaction=interaction)
+                    value = fisher_for(params, block, n).value_nbar
+                    if value != row.values["qfi"]:
+                        mismatches.append((interaction.value, spec, g_tau_sa,
+                                           nbar, row.gamma_tau))
+    assert mismatches == []
+
+
+def test_one_state_evaluations_fill_no_step_map_tensor():
+    # one block state at any number of points reads its polynomial: only
+    # stacks of many states at one point, the optimizers' rounds, fill the
+    # tensor cache. A coupling no other test uses keeps every point new.
+    misses = collision._step_map_tensor.cache_info().misses
+    for spec in ("plusx", "g-plusx"):
+        block = parse_block(spec)
+        params = ModelParams(nbar=0.7, gamma_tau_se=0.4, g_tau_sa=0.7531,
+                             interaction=Interaction.EXCHANGE)
+        fisher_for(params, block, 2 * block.b)
+        collision.block_map_superop(params, block)
+        collision.outgoing_joint_state(params, block, 2 * block.b)
+        config = small_config(interaction=Interaction.EXCHANGE, block=block,
+                              n_measured=2 * block.b, g_tau_sa=0.7531,
+                              quantities=("qfi", "ratio_per_copy"))
+        assert all(r.status == "ok" for r in run_sweep(config))
+    assert collision._step_map_tensor.cache_info().misses == misses
 
 
 def _rows_of(f, calls):
