@@ -10,18 +10,19 @@ The outgoing stream is a finitely correlated state with the system as its
 memory, so one step map per block carries everything the chain needs:
 E: rho_S -> C_b...C_1(rho_S (x) Psi), with C_i the collision with ancilla i
 followed by the thermal map on S. The thermal map is affine in its
-coefficients, so both step-map caches are built from one cached set of
-basis collisions: a stack of block states at one point reads its step maps
+coefficients, so both step-map caches sum collision orders over one cached
+set of basis collisions: states stacked at one point read their step maps
 off a tensor in the block state, and one block state, at one point or the
 many of a sweep row, off a polynomial in the thermal coefficients.
 
 A stack of step maps and their nbar derivatives is an (R, 2, rows, 4)
 array: ``maps[r, 0]`` holds the maps and ``maps[r, 1]`` their derivatives
-for stack row r. Columns index the system input (iS, jS). The rows are [Phi; L; E]: the block map Phi = tr_A E on the
-system (4 rows, (iS, jS)), which the fixed point reads; the last block L =
-tr_S E (4^b rows, the block operator flattened row-major); and E itself (4*4^b
-rows: (iS, jS), then the (row, column) legs of each ancilla of the block,
-latest first); a one-block chain reads only the [Phi; L] prefix.
+for stack row r. Columns index the system input (iS, jS). The rows are
+[Phi; L; E]: the block map Phi = tr_A E on the system (4 rows, (iS, jS)),
+which the fixed point reads; the last block L = tr_S E (4^b rows, the block
+operator flattened row-major); and E itself (4*4^b rows: (iS, jS), then the
+(row, column) legs of each ancilla of the block, latest first); a one-block
+chain reads only the [Phi; L] prefix.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
@@ -73,8 +75,8 @@ def check_measured(n_measured, b: int) -> None:
 
 
 def block_size(shape) -> int:
-    """The block size b of a (Q, 2^b) stack of block states. b is 1 or 2, as
-    ``_step_map_poly``'s slot pairing is exact only up to degree 2."""
+    """The block size b of a (Q, 2^b) stack of block states. b is 1 or 2:
+    the package has no b=3 block spec or chain length yet."""
     if len(shape) != 2 or shape[1] not in (2, 4):
         raise ValueError(f"block size must be 1 or 2: psi stack shape {shape}")
     return shape[1].bit_length() - 1
@@ -118,72 +120,69 @@ def _layout(rows: int):
     return math.isqrt((rows - 4) // 5 if with_e else rows - 4), with_e
 
 
-def _step_maps(pairs: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Step maps of one block from one-collision pairs ``pairs`` (P, 2, 16,
-    16) and block input operators ``ops`` (Q, 2^b, 2^b), with P or Q equal
-    to 1: an (max(P, Q), 2, 4 + 5*4^b, 4) stack [Phi; L; E].
-
-    Collision i acts on (S, A_i), with the earlier ancillas' outputs, the
-    later ones' inputs and the system input as spectators. The first takes
-    Psi on A_1; each later one takes [C; dC] Y_0 + [0; C Y_1], never dC dY,
-    and leaves the ancilla legs latest first, as the E rows have them.
+def _step_maps(mats: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Step maps of one block as a sum of collision orders: from K orders
+    ``mats`` (K, b, 16, 16) of b collisions each and block input operators
+    ``ops`` (Q, 2^b, 2^b), E = sum_k C_kb...C_k1(rho_S (x) Psi) in a (Q, 4 +
+    5*4^b, 4) stack [Phi; L; E]. Collision i acts on (S, A_i), with the
+    earlier ancillas' outputs, the later ones' inputs and the system input
+    as spectators, and leaves the ancilla legs latest first, as the E rows
+    have them.
     """
     b = ops.shape[1].bit_length() - 1
     d2 = 4 ** b
     # psi[q, (a_1, c_1), (a_2, c_2, ..., a_b, c_b)]
     psi = ops.reshape(-1, *[2] * (2 * b)).transpose(
         0, *[1 + i + j for i in range(b) for j in (0, b)]).reshape(-1, 4, d2 // 4)
-    r = max(len(pairs), len(psi))
-    # Each partial product has 16 * 4^b entries per slot: two buffers, yt
-    # and y, serve any b, and the last y is E. yt goes before the stack is
-    # made, so a fill (one per cache miss) holds two arrays at a time.
-    yt = np.empty((r, 2, 16, d2), dtype=complex)
-    # y[r, k, (s, t), outputs of A_i..A_1, (S, T), inputs of A_i+1..A_b]
-    y = (pairs.reshape(-1, 2, 64, 4) @ psi[:, None]).reshape(r, 2, 16, d2)
-    for i in range(1, b):
-        # y with (a_{i+1}, c_{i+1}) next to (s, t): collision i + 1's rows
-        yt.reshape(r, 2, 4, 4, 4 ** (i + 1), -1)[...] = y.reshape(
-            r, 2, 4, 4 ** (i + 1), 4, -1).transpose(0, 1, 2, 4, 3, 5)
-        np.matmul(pairs.reshape(-1, 2, 16, 16), yt[:, None, 0], out=y)
-        np.matmul(pairs[:, 0], yt[:, 1], out=yt[:, 0])
-        y[:, 1] += yt[:, 0]
-    del yt
-    out = np.empty((r, 2, 4 + 5 * d2, 4), dtype=complex)
-    out[:, :, 4 + d2:] = e = y.reshape(r, 2, 4 * d2, 4)
-    # e_legs[r, k, s, t, a_b, c_b, ..., a_1, c_1, (S, T)]. Phi sums the
-    # block diagonal, a_i = c_i, in row-major order of (a_1..a_b), and L
-    # adds the system diagonal, its rows (a_1..a_b, c_1..c_b).
-    e_legs = e.reshape(r, 2, 2, 2, *[2] * (2 * b), 4)
+    r = len(psi)
+    out = np.empty((r, 4 + 5 * d2, 4), dtype=complex)
+    e = out[:, 4 + d2:].reshape(r, 16, d2)
+    for k, order in enumerate(mats):
+        # y[r, (s, t), outputs of A_i..A_1, (S, T), inputs of A_i+1..A_b]
+        y = (order[0].reshape(64, 4) @ psi).reshape(r, 16, d2)
+        for i in range(1, b):
+            # y with (a_{i+1}, c_{i+1}) next to (s, t): collision i + 1's rows
+            y = order[i] @ y.reshape(r, 4, 4 ** (i + 1), 4, -1).transpose(
+                0, 1, 3, 2, 4).reshape(r, 16, d2)
+        e[...] = e + y if k else y
+    # e_legs[r, s, t, a_b, c_b, ..., a_1, c_1, (S, T)]. Phi sums the block
+    # diagonal, a_i = c_i, in row-major order of (a_1..a_b), and L adds the
+    # system diagonal, its rows (a_1..a_b, c_1..c_b).
+    e_legs = e.reshape(r, 2, 2, *[2] * (2 * b), 4)
     terms = [e_legs[(..., *[i for k in reversed(a) for i in (k, k)], slice(None))]
              for a in np.ndindex(*[2] * b)]
-    phi = out[:, :, :4].reshape(r, 2, 2, 2, 4)
+    phi = out[:, :4].reshape(r, 2, 2, 4)
     np.add(terms[0], terms[1], out=phi)
     for term in terms[2:]:
         phi += term
-    last = out[:, :, 4:4 + d2].reshape(r, 2, *[2] * (2 * b), 4)
+    last = out[:, 4:4 + d2].reshape(r, *[2] * (2 * b), 4)
     # L's legs taken latest first, as E has them
-    latest_first = [2 + i for k in reversed(range(b)) for i in (k, b + k)]
-    np.add(e_legs[:, :, 0, 0], e_legs[:, :, 1, 1],
-           out=last.transpose(0, 1, *latest_first, 2 + 2 * b))
+    latest_first = [1 + i for k in reversed(range(b)) for i in (k, b + k)]
+    np.add(e_legs[:, 0, 0], e_legs[:, 1, 1],
+           out=last.transpose(0, *latest_first, 1 + 2 * b))
     return out
 
 
 @lru_cache(maxsize=1)
 def _step_map_tensor(params: ModelParams, b: int, with_e: bool) -> np.ndarray:
     """Read-only (4^b, 2*rows*4) matrix that maps a vectorized block input
-    state to its flattened step maps: the step-map builder run on the
-    operator basis of the block, one basis element per row, with the
-    point's thermal coefficients over the basis collisions as its pair,
-    kept to [Phi; L] unless ``with_e``. Only stacks of block states at one
-    point, the optimizers' rounds, read it. The cache keeps one point: the
-    rounds of an optimizer call reread their point's tensor, and a sweep's
-    later points never do."""
+    state to its flattened step maps: the builder run on the operator basis
+    of the block, one basis element per row, kept to [Phi; L] unless
+    ``with_e``. With the point's C = sum c_e C_e and dC = sum dc_e C_e, the
+    maps put C on every ancilla, and their derivative sums the b orders with
+    dC on one. Only stacks of block states at one point, the optimizers'
+    rounds, read it. The cache keeps one point: the rounds of an optimizer
+    call reread their point's tensor, and a sweep's later points never do."""
     big_c = _basis_collisions(params.interaction, params.g_tau_sa).reshape(4, -1)
-    pairs = thermal_coefficients(np.array([params.nbar]),
-                                 np.array([params.gamma_tau_se]), 1) @ big_c
+    pair = (thermal_coefficients(np.array([params.nbar]),
+                                 np.array([params.gamma_tau_se]), 1)
+            @ big_c).reshape(2, 16, 16)
     basis = np.eye(4 ** b).reshape(-1, 2 ** b, 2 ** b)
-    tensor = _step_maps(pairs.reshape(-1, 2, 16, 16), basis)[
-        :, :, :4 + 4 ** b * (5 if with_e else 1)].reshape(4 ** b, -1)
+    rows = 4 + 4 ** b * (5 if with_e else 1)
+    # order k of the derivative takes pair[1], dC, on ancilla k
+    maps = [_step_maps(pair[orders], basis)[:, :rows]
+            for orders in (np.zeros((1, b), int), np.eye(b, dtype=int))]
+    tensor = np.stack(maps, axis=1).reshape(4 ** b, -1)
     tensor.flags.writeable = False
     return tensor
 
@@ -196,18 +195,16 @@ def _step_map_poly(interaction, g_tau_sa: float, psi: bytes) -> np.ndarray:
     ``thermal_monomials`` (M = 4 for b=1, 10 for b=2), viewed as reals; its
     first (4 + 4^b)*8 columns are the [Phi; L] prefix.
 
-    The builder runs on the cached basis collisions C_e. A monomial's first
-    and last indices e <= f pick its slot: e = f is slot 0 of the pair
-    [C_e; C_e], and e < f is slot 1 of [C_f; C_e], where the product rule
-    leaves E_ef + E_fe. This pairing is exact for degree <= 2 only, which is
-    why ``block_size`` stops at 2.
+    Expanding the product over the ancillas of sum_e c_e C_e, with C_e the
+    cached basis collisions, makes the row of c_e1...c_eb the sum of the
+    orders over the distinct orderings of (C_e1, ..., C_eb), at any degree.
     """
     ops = _projectors(np.frombuffer(psi, dtype=complex)[None])
-    e, f = np.array(thermal_monomials(ops.shape[1].bit_length() - 1))[[0, -1]]
     big_c = _basis_collisions(interaction, g_tau_sa)
-    maps = _step_maps(np.stack([big_c[f], big_c[e]], axis=1), ops)
-    poly = np.where((e == f)[:, None, None], maps[:, 0], maps[:, 1])
-    poly = poly.reshape(len(e), -1).view(float)
+    poly = np.stack([
+        _step_maps(big_c[np.array(sorted(set(permutations(m))))], ops)[0]
+        for m in zip(*thermal_monomials(ops.shape[1].bit_length() - 1))])
+    poly = poly.reshape(len(poly), -1).view(float)
     poly.flags.writeable = False
     return poly
 

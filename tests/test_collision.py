@@ -1,12 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from collide_qfi import qmat
 from collide_qfi.channels import (Interaction, ModelParams, collision_unitary,
-                                  embed_op, thermal_kraus)
+                                  embed_op, thermal_coefficients, thermal_kraus)
 from collide_qfi.collision import (AncillaBlock, FixedPointError,
                                    _basis_collisions, _fixed_point_pair,
                                    _projectors, _step_map_poly,
@@ -326,10 +327,27 @@ def test_step_maps_match_block_collision_superop():
     assert worst <= 1e-13
 
 
+def _worst_block_error(got, want, b):
+    """The largest error of the Phi, L and E rows of a (2, rows, 4) pair of
+    maps and derivatives, each against its largest entry; a block that is
+    zero must read zero."""
+    worst = 0.0
+    d2 = 4 ** b
+    for rows in (slice(0, 4), slice(4, 4 + d2), slice(4 + d2, None)):
+        for k in (0, 1):
+            if want[k, rows].size:
+                diff = np.abs(got[k, rows] - want[k, rows])
+                scale = np.abs(want[k, rows]).max()
+                worst = max(worst, float(diff.max() / (scale if scale else 1.0)))
+    return worst
+
+
 def test_step_map_builders_agree_row_for_row():
     # the cached tensor and the polynomial of a parameter sequence give
     # every Phi, L and E row alike, with and without the E rows, also with
-    # no coupling, no bath contact and at small nbar
+    # no coupling, no bath contact and at small nbar; at b=3, which
+    # block_size does not take yet, the polynomial's monomials of degree 3
+    # sum to the tensor's maps too
     rng = np.random.default_rng(12)
     worst = 0.0
     points = {0.7: ((0.05, 0.02), (1.3, 0.5), (20.0, 4.0), (1e-6, 1e-12)),
@@ -344,19 +362,20 @@ def test_step_map_builders_agree_row_for_row():
             for n in (b, 2 * b):
                 over_params = step_maps(grid, psi, n)
                 for i, params in enumerate(grid):
-                    shared = step_maps(params, psi, n)[0]
-                    d2 = 4 ** b
-                    # Phi, L and E, each map and derivative against its
-                    # largest entry; a block that is zero must read zero
-                    for rows in (slice(0, 4), slice(4, 4 + d2),
-                                 slice(4 + d2, None)):
-                        for k in (0, 1):
-                            want = shared[k, rows]
-                            if want.size:
-                                diff = np.abs(over_params[i, k, rows] - want)
-                                scale = np.abs(want).max()
-                                worst = max(worst, float(
-                                    diff.max() / (scale if scale else 1.0)))
+                    worst = max(worst, _worst_block_error(
+                        over_params[i], step_maps(params, psi, n)[0], b))
+    for interaction, (nbar, gt, g_tau_sa) in itertools.product(
+            Interaction, ((0.4, 0.3, 0.9), (2.0, 1.1, math.pi / 2))):
+        params = ModelParams(nbar=nbar, gamma_tau_se=gt, g_tau_sa=g_tau_sa,
+                             interaction=interaction)
+        psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+        psi /= np.linalg.norm(psi)
+        c = thermal_coefficients(np.array([nbar]), np.array([gt]), 3)[0]
+        poly = _step_map_poly(interaction, g_tau_sa, psi.tobytes())
+        over_poly = (c @ poly).view(complex).reshape(2, -1, 4)
+        tensor = _step_map_tensor(params, 3, True)
+        shared = (_projectors(psi[None]).reshape(-1) @ tensor).reshape(2, -1, 4)
+        worst = max(worst, _worst_block_error(over_poly, shared, 3))
     assert worst <= 1e-15
 
 
@@ -376,6 +395,31 @@ def test_one_block_chain_forms_no_e_rows():
             assert _step_map_tensor(params, b, n > b).shape == (d2, 8 * rows)
         with pytest.raises(ValueError, match="E rows"):
             outgoing_with_derivative(step_maps(params, psi, b), 2 * b)
+
+
+def test_fresh_b2_step_map_fills_keep_their_traced_peak():
+    # a fill composes one collision order at a time: the tensor takes one
+    # builder call for its maps and one for their derivative, the
+    # polynomial one per monomial, so no fill holds the partial products
+    # of all its orders at once. Fresh b=2 fills, the tensor with its E
+    # rows and the polynomial, keep their traced peaks under these bounds.
+    params = ModelParams(nbar=10.0, gamma_tau_se=0.3,
+                         interaction=Interaction.EXCHANGE)
+    _basis_collisions(params.interaction, params.g_tau_sa)
+    psi = np.array([1.0, 1j]) @ np.random.default_rng(37).normal(size=(2, 4))
+    psi /= np.linalg.norm(psi)
+    fills = ((lambda: _step_map_tensor(params, 2, True), 450_000),
+             (lambda: _step_map_poly(params.interaction, params.g_tau_sa,
+                                     psi.tobytes()), 200_000))
+    for fill, bound in fills:
+        _step_map_tensor.cache_clear()
+        tracemalloc.start()
+        try:
+            fill()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 def test_step_map_tensor_is_read_only():

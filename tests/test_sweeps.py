@@ -439,19 +439,11 @@ def test_run_sweep_ratio_per_copy_undefined_without_coupling():
         assert not maps[:, 1, 4:4 + d2].any()
 
 
-def test_fixed_block_sweep_builds_each_step_map_polynomial_once(monkeypatch):
+def test_fixed_block_sweep_builds_each_step_map_polynomial_once():
     # the rows of a fixed-block sweep read their step maps off one cached
-    # polynomial per state: the per-ancilla builder runs once for each, not
-    # once per row or point, and the one-block chain of ratio_per_copy reads
-    # the same polynomial as the N=4 chain
-    calls = []
-    real = collision._step_maps
-
-    def counted(pairs, ops):
-        calls.append(ops.shape)
-        return real(pairs, ops)
-
-    monkeypatch.setattr(collision, "_step_maps", counted)
+    # polynomial per state: it is filled once for each, not once per row or
+    # point, and the one-block chain of ratio_per_copy reads the same
+    # polynomial as the N=4 chain
     nbar_grid = tuple(np.geomspace(0.1, 10.0, 5))
     gamma_tau_grid = tuple(np.geomspace(0.01, 3.0, 7))
     # a coupling no other test uses, so that every polynomial is new
@@ -461,9 +453,10 @@ def test_fixed_block_sweep_builds_each_step_map_polynomial_once(monkeypatch):
                               nbar_grid=nbar_grid,
                               gamma_tau_grid=gamma_tau_grid, g_tau_sa=0.8642,
                               quantities=("qfi", "ratio_per_copy"))
+        misses = collision._step_map_poly.cache_info().misses
         rows = run_sweep(config)
         assert len(rows) == 35 and all(r.status == "ok" for r in rows)
-    assert sorted(calls) == [(1, 2, 2), (1, 4, 4)]
+        assert collision._step_map_poly.cache_info().misses == misses + 1
 
 
 def test_fisher_for_equals_the_sweep_row_bit_for_bit():
