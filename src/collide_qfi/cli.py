@@ -97,7 +97,7 @@ def _seed(text: str) -> int:
 def _add_point_args(p):
     p.add_argument("--nbar", type=float, required=True)
     p.add_argument("--gamma-tau", type=float, required=True)
-    p.add_argument("--g-tau-sa", type=float, default=math.pi / 2)
+    p.add_argument("--g-tau-sa", type=float, default=ModelParams.g_tau_sa)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of columns; delta_zz is the zz closed "
                         "form Delta/F_th at g_tau_sa = pi/2, whatever "
                         "--interaction, --block and --g-tau-sa say")
-    p.add_argument("--g-tau-sa", type=float, default=math.pi / 2)
+    p.add_argument("--g-tau-sa", type=float, default=ModelParams.g_tau_sa)
     p.add_argument("--output", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--seed", type=_seed, default=0)

@@ -11,9 +11,10 @@ memory, so one step map per block carries everything the chain needs:
 E: rho_S -> C_b...C_1(rho_S (x) Psi), with C_i the collision with ancilla i
 followed by the thermal map on S. The thermal map is affine in its
 coefficients, so both step-map caches sum collision orders over one cached
-set of basis collisions: states stacked at one point read their step maps
-off a tensor in the block state, and one block state, at one point or the
-many of a sweep row, off a polynomial in the thermal coefficients.
+set of basis collisions, and each is a real matrix read by one real product
+per row: states stacked at one point read a tensor in the block state's real
+coordinates Re P + Im P, and one block state, at one point or the many of a
+sweep row, a polynomial in the thermal coefficients.
 
 A stack of step maps and their nbar derivatives is an (R, 2, rows, 4)
 array: ``maps[r, 0]`` holds the maps and ``maps[r, 1]`` their derivatives
@@ -163,37 +164,44 @@ def _step_maps(mats: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return out
 
 
+def _hermitian(x: np.ndarray) -> np.ndarray:
+    """The Hermitian stack sum_ij x_ij K_ij, K_ij = ((1+i)E_ij + (1-i)E_ji)/2,
+    of a real stack x: real part (x + x^T)/2 and imaginary part (x - x^T)/2,
+    so x = Re P + Im P gives a Hermitian P back."""
+    return ((1 + 1j) * x + (1 - 1j) * x.swapaxes(-1, -2)) / 2
+
+
 @lru_cache(maxsize=1)
 def _step_map_tensor(params: ModelParams, b: int, with_e: bool) -> np.ndarray:
-    """Read-only (4^b, 2*rows*4) matrix that maps a vectorized block input
-    state to its flattened step maps: the builder run on the operator basis
-    of the block, one basis element per row, kept to [Phi; L] unless
-    ``with_e``. With the point's C = sum c_e C_e and dC = sum dc_e C_e, the
-    maps put C on every ancilla, and their derivative sums the b orders with
-    dC on one. Only stacks of block states at one point, the optimizers'
-    rounds, read it. The cache keeps one point: the rounds of an optimizer
-    call reread their point's tensor, and a sweep's later points never do."""
+    """Read-only (4^b, 2*rows*8) real matrix that maps the real coordinates
+    x = Re P + Im P of a block input state P to its flattened step maps: the
+    builder run on the basis K_ij of ``_hermitian``, a row each, viewed as
+    reals and kept to [Phi; L] unless ``with_e``. With the point's C = sum
+    c_e C_e and dC = sum dc_e C_e, the maps put C on every ancilla, and their
+    derivative sums the b orders with dC on one. Only the optimizers' rounds,
+    stacks of block states at one point, read it. The cache keeps one point:
+    an optimizer call's rounds reread it; later sweep points never do."""
     big_c = _basis_collisions(params.interaction, params.g_tau_sa).reshape(4, -1)
     pair = (thermal_coefficients(np.array([params.nbar]),
                                  np.array([params.gamma_tau_se]), 1)
             @ big_c).reshape(2, 16, 16)
-    basis = np.eye(4 ** b).reshape(-1, 2 ** b, 2 ** b)
+    basis = _hermitian(np.eye(4 ** b).reshape(-1, 2 ** b, 2 ** b))
     rows = 4 + 4 ** b * (5 if with_e else 1)
     # order k of the derivative takes pair[1], dC, on ancilla k
     maps = [_step_maps(pair[orders], basis)[:, :rows]
             for orders in (np.zeros((1, b), int), np.eye(b, dtype=int))]
-    tensor = np.stack(maps, axis=1).reshape(4 ** b, -1)
+    tensor = np.stack(maps, axis=1).reshape(4 ** b, -1).view(float)
     tensor.flags.writeable = False
     return tensor
 
 
 @lru_cache(maxsize=128)
 def _step_map_poly(interaction, g_tau_sa: float, psi: bytes) -> np.ndarray:
-    """Read-only (M, 2*rows*4) real matrix of the step maps [Phi; L; E] of
-    one block state, given by its bytes, as a polynomial in the thermal
-    map's c: row m holds the maps of the m-th monomial of degree b in
-    ``thermal_monomials`` (M = 4 for b=1, 10 for b=2), viewed as reals; its
-    first (4 + 4^b)*8 columns are the [Phi; L] prefix.
+    """Read-only (M, 2*rows*4) real matrix, the step maps [Phi; L; E] of one
+    block state, given by its bytes, as a polynomial in the thermal map's c:
+    row m, the maps of the m-th monomial of degree b in ``thermal_monomials``
+    (M = 4 for b=1, 10 for b=2) viewed as reals, takes a real coefficient as
+    a tensor row does. Its first (4 + 4^b)*8 columns are the [Phi; L] prefix.
 
     Expanding the product over the ancillas of sum_e c_e C_e, with C_e the
     cached basis collisions, makes the row of c_e1...c_eb the sum of the
@@ -218,12 +226,14 @@ def block_collision_superop(params: ModelParams, b: int) -> np.ndarray:
     The block applies, per ancilla in arrival order, the collision unitary on
     (S, A_i) followed by the thermal map on S. S on rho_S (x) |a><c| is the
     step map of the block input |a><c|, so S is the E rows of the step-map
-    tensor rearranged. Nothing computes with S; it is the reference layout
+    tensor, taken back from its basis by E_ac = ((1-i)K_ac + (1+i)K_ca)/2,
+    and rearranged. Nothing computes with S; it is the reference layout
     against which tests check the step maps.
     """
     big_b = 2 ** b
-    e = _step_map_tensor(params, b, True).reshape(
-        big_b * big_b, 2, -1, 4)[:, :, 4 + big_b * big_b:].reshape(
+    k = _step_map_tensor(params, b, True).view(complex).reshape(
+        big_b, big_b, 2, -1, 4)[:, :, :, 4 + big_b * big_b:]
+    e = (((1 - 1j) * k + (1 + 1j) * k.swapaxes(0, 1)) / 2).reshape(
         big_b, big_b, 2, 2, 2, *[2] * (2 * b), 2, 2)
     # e[a, c, k, s, t, (A_b, C_b, ..., A_1, C_1), S, T]
     #   -> pair[k, (s, A_1..A_b, t, C_1..C_b), (S, a, T, c)]
@@ -248,47 +258,44 @@ def step_maps(params, psi: np.ndarray, n_measured: int) -> np.ndarray:
     4) stack [Phi; L; E] for a chain of ``n_measured`` ancillas, with the E
     rows only when the chain has more than one block.
 
-    One parameter point takes one batched real matmul, a row at a time, of
-    the projectors' real and imaginary parts against its cached tensor. A
-    sequence takes one small product per point: the monomials of its thermal
-    map's c = (1, up, down, coh - 1) and their derivatives, from
-    ``thermal_coefficients``, against the state's cached polynomial, or its
-    [Phi; L] prefix for one block: every one-state evaluation reads it.
+    Both take one real product per row, coefficients against a cached real
+    matrix: for one parameter point, each projector P's real coordinates Re
+    P + Im P against the point's tensor; for a sequence, the monomials of
+    each point's thermal map's c = (1, up, down, coh - 1) and their
+    derivatives (``thermal_coefficients``) against the state's polynomial,
+    or its [Phi; L] prefix for one block: every one-state evaluation reads it.
     """
     b = block_size(psi.shape)
     check_measured(n_measured, b)
     with_e = n_measured > b
+    rows = 4 + 4 ** b * (5 if with_e else 1)
     if isinstance(params, ModelParams):
-        # Real products, not one complex one: numpy's OpenBLAS runs a complex
-        # product against the tensor multithreaded, even for one row, and it
-        # stalls a scheduler slice per call against a second OpenBLAS pool
-        # (scipy's, if a caller imports it) when the two want more workers
-        # than there are cores. And one gemv per row of [Re P; Im P]: numpy
-        # sends a one-row product to BLAS gemv and a taller one to gemm,
-        # which round differently, so a row reads the same bits alone as in
-        # any stack. (One gemm of all rows does too, but raised sweep RSS.)
-        tensor = _step_map_tensor(params, b, with_e).view(float)
-        p = _projectors(psi).reshape(len(psi), -1)
-        parts = np.concatenate([p.real, p.imag])[:, None] @ tensor
-        re, im = parts.view(complex).reshape(2, len(psi), -1)
-        return (re + 1j * im).reshape(len(psi), 2, -1, 4)
-    if not params:
-        raise ValueError("step_maps got an empty parameter sequence")
-    if len(psi) != 1:
-        raise ValueError(f"a sequence of {len(params)} parameter points takes "
-                         f"one block state, got {len(psi)}")
-    first = params[0]
-    if any(p.g_tau_sa != first.g_tau_sa or p.interaction is not first.interaction
-           for p in params):
-        raise ValueError("stacked parameters must share g_tau_sa and interaction")
-    poly = _step_map_poly(first.interaction, first.g_tau_sa,
-                          psi.astype(complex).tobytes())
-    poly = poly if with_e else poly[:, :(4 + 4 ** b) * 8]
-    c = thermal_coefficients(np.array([p.nbar for p in params]),
-                             np.array([p.gamma_tau_se for p in params]), b)
-    # one product per row: one (2R, M) @ (M, cols) product peaks higher in RSS
-    maps = (c.reshape(2 * len(params), 1, -1) @ poly).view(complex)
-    return maps.reshape(len(params), 2, -1, 4)
+        p = _projectors(psi).reshape(len(psi), 1, -1)
+        coeffs, cached = p.real + p.imag, _step_map_tensor(params, b, with_e)
+    else:
+        if not params:
+            raise ValueError("step_maps got an empty parameter sequence")
+        if len(psi) != 1:
+            raise ValueError(f"a sequence of {len(params)} parameter points "
+                             f"takes one block state, got {len(psi)}")
+        first = params[0]
+        if any(p.g_tau_sa != first.g_tau_sa
+               or p.interaction is not first.interaction for p in params):
+            raise ValueError("stacked parameters must share g_tau_sa and "
+                             "interaction")
+        cached = _step_map_poly(first.interaction, first.g_tau_sa,
+                                psi.astype(complex).tobytes())[:, :rows * 8]
+        c = thermal_coefficients(np.array([p.nbar for p in params]),
+                                 np.array([p.gamma_tau_se for p in params]), b)
+        coeffs = c.reshape(2 * len(params), 1, -1)
+    # Real, not complex: numpy's OpenBLAS runs a complex product multithreaded,
+    # even for one row, and stalls a scheduler slice per call against another
+    # OpenBLAS pool (scipy's, if imported) when they want more workers than
+    # there are cores. One gemv per row: numpy sends a one-row product to gemv
+    # and a taller one to gemm, which round differently, so a row reads the
+    # same bits alone as in any stack; one gemm of all rows raises RSS.
+    maps = (coeffs @ cached).view(complex)
+    return maps.reshape(-1, 2, rows, 4)
 
 
 def step_maps_pullback(params: ModelParams,
@@ -298,22 +305,15 @@ def step_maps_pullback(params: ModelParams,
     Hermitian (R, 2^b, 2^b) stack G with which a variation of psi moves the
     function by 2 Re <G psi, dpsi>.
 
-    The maps are linear in P = |psi><psi|, maps = P T, so P_bar = maps_bar
-    T^dag against the cached tensor of the same rows, and G is its
-    Hermitian part.
+    The maps are x T, x = Re P + Im P, with T the cached tensor's real view,
+    so x_bar is maps_bar's real view against T^T, a real product per row, and
+    G = sum x_bar_ij K_ij: Re tr(G dP) = sum x_bar_ij (Re dP_ij + Im dP_ij).
     """
     r, _, rows, _ = maps_bar.shape
     big_b, with_e = _layout(rows)
-    tensor = _step_map_tensor(params, big_b.bit_length() - 1, with_e).view(float)
-    m = maps_bar.reshape(r, -1)
-    # Real products, not one complex one, for the reason given in step_maps:
-    # the real and imaginary parts of maps_bar T^dag are [Re m, Im m] and
-    # [Im m, -Re m] against [Re T, Im T].
-    parts = np.concatenate([m, -1j * m]).view(float) @ tensor.T
-    g = np.empty((r, big_b * big_b), dtype=complex)
-    g.real, g.imag = parts[:r], parts[r:]
-    g = g.reshape(r, big_b, big_b)
-    return (g + g.conj().transpose(0, 2, 1)) / 2.0
+    tensor = _step_map_tensor(params, big_b.bit_length() - 1, with_e)
+    x_bar = maps_bar.reshape(r, 1, -1).view(float) @ tensor.T
+    return _hermitian(x_bar.reshape(r, big_b, big_b))
 
 
 def block_map_superop(params: ModelParams, block: AncillaBlock) -> np.ndarray:

@@ -54,7 +54,7 @@ class SweepConfig:
     block: object  # AncillaBlock, parse_block spec, optimize-b1 or optimize-b2
     n_measured: int
     quantities: tuple
-    g_tau_sa: float = math.pi / 2
+    g_tau_sa: float = ModelParams.g_tau_sa
 
     def __post_init__(self):
         if not isinstance(self.block, AncillaBlock):
@@ -232,7 +232,7 @@ class ClaimResult:
 
 def _sweep_values(block, n: int, quantities: tuple, nbars: tuple,
                   gamma_taus: tuple, interaction=Interaction.EXCHANGE,
-                  g_tau_sa: float = math.pi / 2) -> list:
+                  g_tau_sa: float = ModelParams.g_tau_sa) -> list:
     """Each row's values of one sweep, nbar outer and gamma_tau inner: the
     numbers ``collide-qfi sweep`` prints, NaN at a point that fails."""
     config = SweepConfig(nbar_grid=nbars, gamma_tau_grid=gamma_taus,

@@ -15,7 +15,7 @@ from collide_qfi.collision import (AncillaBlock, FixedPointError,
                                    block_collision_superop, block_map_superop,
                                    outgoing_joint_state,
                                    outgoing_with_derivative, steady_state,
-                                   step_maps)
+                                   step_maps, step_maps_pullback)
 from collide_qfi.fisher import qfi_values
 from oracles import (KET_E, KET_PLUS_Y, apply_kraus_on, apply_unitary_on,
                      check_density_matrix, gibbs_state, is_hermitian,
@@ -374,7 +374,8 @@ def test_step_map_builders_agree_row_for_row():
         poly = _step_map_poly(interaction, g_tau_sa, psi.tobytes())
         over_poly = (c @ poly).view(complex).reshape(2, -1, 4)
         tensor = _step_map_tensor(params, 3, True)
-        shared = (_projectors(psi[None]).reshape(-1) @ tensor).reshape(2, -1, 4)
+        p = _projectors(psi[None]).reshape(-1)
+        shared = ((p.real + p.imag) @ tensor).view(complex).reshape(2, -1, 4)
         worst = max(worst, _worst_block_error(over_poly, shared, 3))
     assert worst <= 1e-15
 
@@ -392,7 +393,7 @@ def test_one_block_chain_forms_no_e_rows():
         for n, rows in ((b, 4 + d2), (2 * b, 4 + 5 * d2)):
             assert step_maps(params, psi, n).shape == (1, 2, rows, 4)
             assert step_maps([params, params], psi, n).shape == (2, 2, rows, 4)
-            assert _step_map_tensor(params, b, n > b).shape == (d2, 8 * rows)
+            assert _step_map_tensor(params, b, n > b).shape == (d2, 16 * rows)
         with pytest.raises(ValueError, match="E rows"):
             outgoing_with_derivative(step_maps(params, psi, b), 2 * b)
 
@@ -416,6 +417,31 @@ def test_fresh_b2_step_map_fills_keep_their_traced_peak():
         tracemalloc.start()
         try:
             fill()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+
+def test_stacked_step_maps_and_their_pullback_keep_their_traced_peak():
+    # at one point, a stack of block states takes one real product per row
+    # of real coordinates against the warm tensor, and the pullback one per
+    # row of the cotangent against its transpose, so step_maps holds little
+    # beyond its output and the pullback little beyond the (R, 4, 4) G
+    params = ModelParams(nbar=1.3, gamma_tau_se=0.4, g_tau_sa=1.1,
+                         interaction=Interaction.EXCHANGE)
+    rng = np.random.default_rng(38)
+    psi = rng.normal(size=(64, 4)) + 1j * rng.normal(size=(64, 4))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    maps = step_maps(params, psi, 4)
+    maps_bar = np.ones(maps.shape, dtype=complex)
+    step_maps_pullback(params, maps_bar)
+    for run, bound in ((lambda: step_maps(params, psi, 4), 1.25 * maps.nbytes),
+                       (lambda: step_maps_pullback(params, maps_bar),
+                        0.25 * maps_bar.nbytes)):
+        tracemalloc.start()
+        try:
+            run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -198,7 +198,7 @@ def test_optimize_b2_seed_and_start_count_are_integers_of_at_least_zero():
         with pytest.raises(ValueError,
                            match="n_random_starts must be an integer >= 0"):
             optimize_b2(params, 2, n_random_starts=starts)
-    assert optimize_b2(params, 2, seed=1).value_nbar == 0.2736430288611736
+    assert optimize_b2(params, 2, seed=1).value_nbar == 0.2736430288611737
 
 
 def test_optimize_b2_dominates_seeded_corners():
