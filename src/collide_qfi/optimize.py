@@ -28,9 +28,9 @@ TIE_TOL = 1e-9
 
 
 # Nothing in the package calls this forwarder: it is bound only for the span
-# target ("optimize", "minimize") of perfbench/spans.py, whose untraced check
-# looks it up in every benchmark run, and goes when the benchmark drops that
-# target. It imports scipy.optimize on its first call.
+# target ("optimize", "minimize") of perfbench/spans.py, which every benchmark
+# run looks up, and goes with that target. Its first call imports
+# scipy.optimize, which only the test extra installs (".[test]").
 def minimize(*args, **kwargs):
     from scipy.optimize import minimize
     return minimize(*args, **kwargs)

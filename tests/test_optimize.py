@@ -587,44 +587,64 @@ def run_fresh(code: str, *args):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+# Every command of the CLI and both optimizer sweep specs, at small sizes.
+# The sweeps print JSON, whose numbers keep every bit.
+SCIPY_FREE_COMMANDS = [
+    ["fisher", "--nbar", "1", "--gamma-tau", "0.5", "--interaction", "zz",
+     "--block", "plusx", "--n", "2"],
+    ["zz-closed", "--nbar", "1", "--gamma-tau", "0.5", "--n", "2"],
+    ["thermal-fi", "--nbar", "1"],
+    ["sweep", "--block", "plusx", "--n", "2", "--nbar-grid", "0.5,1",
+     "--gamma-tau-grid", "0.1,1", "--format", "json"],
+    ["sweep", "--block", "optimize-b1", "--n", "2", "--interaction",
+     "exchange", "--nbar-grid", "0.5,1", "--gamma-tau-grid", "0.1,1",
+     "--quantities", "qfi,theta_opt", "--format", "json"],
+    ["sweep", "--block", "optimize-b2", "--n", "2", "--interaction",
+     "exchange", "--nbar-grid", "0.5,1", "--gamma-tau-grid", "0.1,1",
+     "--quantities", "qfi,schmidt_r", "--format", "json"],
+    ["optimize", "--nbar", "1", "--gamma-tau", "0.5", "--b", "1",
+     "--n", "1"],
+    ["optimize", "--nbar", "1", "--gamma-tau", "0.5", "--b", "2",
+     "--n", "2"],
+]
+
+
 def test_no_command_or_claim_imports_scipy_optimize():
-    # importing the package, every command, both optimizers and a claim
-    # that runs the b=1 optimizer and the 1-D maximizer leave
-    # scipy.optimize unloaded
-    commands = [
-        ["fisher", "--nbar", "1", "--gamma-tau", "0.5", "--interaction", "zz",
-         "--block", "plusx", "--n", "2"],
-        ["zz-closed", "--nbar", "1", "--gamma-tau", "0.5", "--n", "2"],
-        ["sweep", "--block", "plusx", "--n", "2", "--nbar-grid", "0.5,1",
-         "--gamma-tau-grid", "0.1,1"],
-        ["optimize", "--nbar", "1", "--gamma-tau", "0.5", "--b", "2",
-         "--n", "2"],
-        ["optimize", "--nbar", "1", "--gamma-tau", "0.5", "--b", "1",
-         "--n", "1"],
-    ]
-    seen = run_fresh("""
+    # the package runs on numpy alone: with every import of scipy made to
+    # fail before the package is imported, every command and a claim that
+    # runs the b=1 optimizer and the 1-D maximizer exit 0 and print what
+    # they print with scipy importable, and no import of scipy is tried
+    code = """
         import contextlib, io, json, sys
-        def loaded():
-            return "scipy.optimize" in sys.modules
+        tried = []
+        if sys.argv[1] == "blocked":
+            class NoScipy:
+                def find_spec(self, name, path=None, target=None):
+                    if name.split(".")[0] == "scipy":
+                        tried.append(name)
+                        raise ImportError(f"no {name} here")
+            sys.meta_path.insert(0, NoScipy())
+        from collide_qfi import cli, sweeps
         seen = []
-        import collide_qfi
-        seen.append(["import collide_qfi", 0, loaded()])
-        from collide_qfi import cli
-        seen.append(["import collide_qfi.cli", 0, loaded()])
-        for argv in json.loads(sys.argv[1]):
-            with contextlib.redirect_stdout(io.StringIO()):
+        for argv in json.loads(sys.argv[2]):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
                 code = cli.main(argv)
-            seen.append([argv[0], code, loaded()])
-        from collide_qfi import sweeps
+            seen.append([argv[0], code, out.getvalue()])
         claims = sweeps._claims_exchange_collective()
-        seen.append(["claim", sum(bool(c.passed) for c in claims), loaded()])
-        print(json.dumps(seen))
-        """, json.dumps(commands))
-    assert seen == [["import collide_qfi", 0, False],
-                    ["import collide_qfi.cli", 0, False],
-                    ["fisher", 0, False], ["zz-closed", 0, False],
-                    ["sweep", 0, False], ["optimize", 0, False],
-                    ["optimize", 0, False], ["claim", 3, False]]
+        seen.append(["claim", sum(bool(c.passed) for c in claims),
+                     [repr(c) for c in claims]])
+        print(json.dumps([tried, sorted(m for m in sys.modules
+                                        if m.split(".")[0] == "scipy"), seen]))
+        """
+    commands = json.dumps(SCIPY_FREE_COMMANDS)
+    blocked = run_fresh(code, "blocked", commands)
+    free = run_fresh(code, "free", commands)
+    assert blocked[:2] == free[:2] == [[], []]
+    assert blocked[2] == free[2]
+    names = [argv[0] for argv in SCIPY_FREE_COMMANDS]
+    assert [[name, code] for name, code, _ in blocked[2]] == (
+        [[name, 0] for name in names] + [["claim", 3]])
+    assert all(out for _, _, out in blocked[2])
 
 
 def test_optimize_b2_rejects_a_float_count_before_any_search(monkeypatch):
@@ -656,16 +676,30 @@ def test_optimize_b2_rejects_a_float_count_before_any_search(monkeypatch):
 
 
 def test_optimizers_do_not_depend_on_when_scipy_is_imported():
+    # scipy brings a second OpenBLAS pool; the optimizers and the fixed-block
+    # sweep rows of the sweep_grid benchmark (zz |+x> N=2, exchange |gg>
+    # N=4) keep their bits whether it is loaded before the package or never
     code = """
         import json, sys
         if sys.argv[1] == "early":
             import scipy.optimize
         from collide_qfi import ModelParams, optimize_b1, optimize_b2
+        from collide_qfi.sweeps import SweepConfig, run_sweep
         before = "scipy.optimize" in sys.modules
         p = ModelParams(nbar=1.0, gamma_tau_se=0.3, interaction="exchange")
-        print(json.dumps([before, repr(optimize_b1(p, 2)),
-                          repr(optimize_b2(p, 2, seed=1, n_random_starts=1))]))
+        seen = [before, repr(optimize_b1(p, 2)),
+                repr(optimize_b2(p, 2, seed=1, n_random_starts=1))]
+        for interaction, block, n in (("zz", "plusx", 2),
+                                      ("exchange", "gg", 4)):
+            config = SweepConfig(
+                nbar_grid=(0.5, 3.0), gamma_tau_grid=(0.01, 0.1, 1.0, 3.0),
+                interaction=interaction, block=block, n_measured=n,
+                quantities=("qfi",))
+            seen += [[r.nbar, r.gamma_tau, r.values["qfi"].hex(), r.status]
+                     for r in run_sweep(config)]
+        print(json.dumps(seen))
         """
     early, late = run_fresh(code, "early"), run_fresh(code, "late")
     assert early[0] and not late[0]
+    assert len(early) == 3 + 2 * 8
     assert early[1:] == late[1:]

@@ -17,14 +17,23 @@ class's ``__post_init__``, which only validates it, does not count. Code,
 constants and fields that only tests use belong under ``tests/``. A
 module-level import that its module does not use is there only for the span
 wrappers, so it must be a span target of that module.
+
+The package installs and runs on numpy alone: a module imports only the
+standard library, numpy and the package itself when it is imported, and
+numpy is the one runtime dependency ``pyproject.toml`` declares.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 from test_perfbench_contract import load_perfbench
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "collide_qfi"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "collide_qfi"
 
 
 # Nodes with a scope of their own: a name they bind is local to them.
@@ -231,3 +240,39 @@ def test_every_unused_import_is_a_span_target():
                    for attr in unused_imports(tree)
                    if (name[:-3], attr) not in targets)
     assert not stray, f"imports with no use and no span target: {stray}"
+
+
+def import_time_modules(tree):
+    """Top-level names of the modules that a module's imports outside its
+    function bodies load; a relative import loads the package itself."""
+    names = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names.add("collide_qfi" if node.level
+                      else node.module.split(".")[0])
+        elif not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_modules_import_only_the_standard_library_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "collide_qfi"}
+    foreign = sorted(f"{name}:{module}"
+                     for name, tree in package_trees().items()
+                     for module in import_time_modules(tree) - allowed)
+    assert not foreign, f"imports outside stdlib, numpy and the package: {foreign}"
+
+
+def test_numpy_is_the_one_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    names = [re.match(r"[A-Za-z0-9._-]+", dep).group()
+             for dep in project["dependencies"]]
+    assert names == ["numpy"]
+    assert any(dep.startswith("scipy")
+               for dep in project["optional-dependencies"]["test"])
